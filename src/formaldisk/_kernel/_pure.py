@@ -1,24 +1,145 @@
 """Pure-Python implementations of the hot inner loops.
 
 The compiled extension ``formaldisk._kernel._core`` mirrors these functions
-one for one; ``formaldisk._kernel`` picks whichever is importable.  Both
-operate on plain containers so they stay interchangeable:
+one for one (its ``poly_mul`` is the schoolbook product, which may return
+an integral ``Fraction`` where this one returns an equal ``int``);
+``formaldisk._kernel`` picks whichever is importable.  Both operate on
+plain containers so they stay interchangeable:
 
 * polynomials: dict mapping exponent tuples (length n) to coefficients,
 * states: dict mapping sorted tuples of mode symbols to coefficients,
 
 where a mode symbol is an int triple ``(kind, j, m)`` with kind 0 for b,
-1 for c.  Coefficients are arbitrary ring elements (Fraction in the main
-code path); only ``+``, ``*`` and truthiness are used.
+1 for c.
+
+Coefficient contract.  The main code path stores exact rationals: ``int``
+or ``fractions.Fraction``.  :func:`poly_mul` multiplies such operands as
+integers -- numerators over one common denominator per operand -- and
+returns every coefficient as ``int`` when it is integral and as
+``Fraction`` otherwise.  Any other coefficient ring (such as the
+square-zero pairs of the van Est check) takes the schoolbook product
+:func:`_poly_mul_generic`, which uses only ``+``, ``*`` and truthiness and
+is also the reference the integer product is tested against.  The other
+functions here are ring-agnostic in the same way.
 """
+
+from fractions import Fraction
+from itertools import accumulate
+from math import gcd
+from operator import add
 
 
 def poly_mul(a, b, order):
     """Truncated product of sparse exponent-dict polynomials.
 
     Exponent tuples with total degree above ``order`` are dropped; that is
-    the quotient-ring semantics, not a loss of information.
+    the quotient-ring semantics, not a loss of information.  Rational
+    operands are multiplied exactly in integers (see the module docstring);
+    zero coefficients are never stored.
     """
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        return _poly_mul_term(a, b, order)
+    la = _lift(a, order)
+    if la is None:
+        return _poly_mul_generic(a, b, order)
+    lb = _lift(b, order)
+    if lb is None:
+        return _poly_mul_generic(a, b, order)
+    base = order + 1
+    buckets_a, den_a = la
+    buckets_b, den_b = lb
+    # upto_b[d]: the terms of b of total degree <= d, so a term of a of
+    # degree d meets exactly the terms of b of degree <= order - d
+    upto_b = list(accumulate(buckets_b))
+    acc = {}
+    get = acc.get
+    for da, terms_a in enumerate(buckets_a):
+        if not terms_a:
+            continue
+        terms_b = upto_b[order - da]
+        if not terms_b:
+            continue
+        for ka, ca in terms_a:
+            for kb, cb in terms_b:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+    n = len(next(iter(a)))
+    den = den_a * den_b
+    out = {}
+    for k, v in acc.items():
+        if not v:
+            continue
+        e = []
+        for _ in range(n):
+            k, x = divmod(k, base)
+            e.append(x)
+        e.reverse()
+        if den != 1:
+            v = v // den if not v % den else Fraction(v, den)
+        out[tuple(e)] = v
+    return out
+
+
+def _lift(poly, order):
+    """Integer form of a rational polynomial, bucketed by total degree.
+
+    Returns ``(buckets, den)``: ``den`` is the least common multiple of the
+    coefficient denominators and ``buckets[d]`` lists ``(key, num)`` for the
+    terms of total degree ``d <= order``, where ``num / den`` is the
+    coefficient and ``key`` reads the exponent tuple as the digits of an
+    integer in base ``order + 1`` (no digit of a kept product can carry).
+    Returns None when a coefficient is neither ``int`` nor ``Fraction``.
+    """
+    base = order + 1
+    buckets = [[] for _ in range(base)]
+    den = 1
+    for e, c in poly.items():
+        t = type(c)
+        if t is not int:
+            if t is not Fraction:
+                return None
+            q = c.denominator
+            if q == 1:
+                c = c.numerator
+            elif den % q:
+                den = den // gcd(den, q) * q
+        key = d = 0
+        for x in e:
+            key = key * base + x
+            d += x
+        if d <= order:
+            buckets[d].append((key, c))
+    if den != 1:
+        buckets = [[(k, c.numerator * (den // c.denominator))
+                    for k, c in terms] for terms in buckets]
+    return buckets, den
+
+
+def _poly_mul_term(a, b, order):
+    """Product with the one-term polynomial ``a``, in any coefficient ring."""
+    ((ea, ca),) = a.items()
+    room = order - sum(ea)
+    if room < 0:
+        return {}
+    out = {}
+    for eb, cb in b.items():
+        if sum(eb) > room:
+            continue
+        c = ca * cb
+        if not c:
+            continue
+        if type(c) is Fraction and c.denominator == 1:
+            c = c.numerator
+        out[tuple(map(add, ea, eb))] = c
+    return out
+
+
+def _poly_mul_generic(a, b, order):
+    """Schoolbook truncated product over any coefficient ring."""
     if len(a) > len(b):
         a, b = b, a
     out = {}

@@ -217,7 +217,7 @@ class QSeries:
     def inverse(self):
         """Inverse when the constant coefficient is a rational unit."""
         c0 = self.coeffs[0]
-        if not isinstance(c0, Fraction) or not c0:
+        if not isinstance(c0, (int, Fraction)) or not c0:
             raise ShapeError("q-series inverse needs a rational unit constant")
         out = [Fraction(1) / c0] + [Fraction(0)] * self.order
         for k in range(1, self.order + 1):
@@ -245,7 +245,7 @@ class QSeries:
 
     def _exp_bound(self):
         c0 = self.coeffs[0]
-        if isinstance(c0, Fraction):
+        if isinstance(c0, (int, Fraction)):
             if c0:
                 raise ShapeError("q-series exp needs a nilpotent constant term")
             return self.order
@@ -255,7 +255,7 @@ class QSeries:
 
 
 def _coeff_one(sample):
-    if isinstance(sample, Fraction):
+    if isinstance(sample, (int, Fraction)):
         return Fraction(1)
     return JetSeries.one(sample.n, sample.order)
 

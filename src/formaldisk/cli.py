@@ -55,6 +55,17 @@ def _policy(args):
     return TruncationPolicy(args.max_weight, args.max_c0)
 
 
+def _basis(args):
+    """The basis monomials a state check runs over; none is a usage error,
+    since a check over zero states would pass vacuously."""
+    monos = vertex.enumerate_basis(args.rank, args.max_weight, args.max_c0)
+    if not monos:
+        raise FormalDiskError(
+            f"no basis states with weight <= {args.max_weight} and "
+            f"c0-degree <= {args.max_c0}")
+    return monos
+
+
 def _finish(doc, args):
     _emit(doc, args.out)
     return 0 if all(c["ok"] for c in doc["checks"]) else 1
@@ -107,7 +118,7 @@ def cmd_msv_check(args):
     y = parse_vector_field(args.y, args.rank, args.jet_order)
     cocycle = gf.ch2_gf(x, y)
     pol = TruncationPolicy(args.max_weight + 4, args.max_c0 + 8)
-    monos = vertex.enumerate_basis(args.rank, args.max_weight, args.max_c0)
+    monos = _basis(args)
     bad = 0
     for mono in monos:
         v = VAState(args.rank, pol, {mono: Fraction(1)})
@@ -180,7 +191,7 @@ def cmd_gms_d1(args):
 
 def cmd_conformal_check(args):
     pol = TruncationPolicy(args.max_weight + 4, args.max_c0 + 4)
-    monos = vertex.enumerate_basis(args.rank, args.max_weight, args.max_c0)
+    monos = _basis(args)
     states = [VAState(args.rank, pol, {m: Fraction(1)}) for m in monos]
     verdicts = conformal.conformal_axiom_check(args.rank, states)
     fields = basis_monomial_fields(args.rank, args.jet_order, 3)

@@ -245,8 +245,11 @@ class _Parser:
     def parse_atom(self):
         kind, m, pos = self.next()
         if kind == "number":
-            return _Val("scalar", JetSeries.const(
-                self.n, self.order, Fraction(m.group("number"))))
+            try:
+                value = Fraction(m.group("number"))
+            except ZeroDivisionError:
+                self.error("zero denominator", pos)
+            return _Val("scalar", JetSeries.const(self.n, self.order, value))
         if kind == "tvar":
             i = int(m.group("ti"))
             if not 1 <= i <= self.n:

@@ -7,6 +7,13 @@ requires matching rank n and truncation order K.  Forms, vector fields,
 matrices and automorphism jets are thin containers over JetSeries with
 the usual Cartan calculus.
 
+Coefficients are exact rationals: ``int`` or ``fractions.Fraction``.  The
+constructors, :meth:`JetSeries.scale` and the product kernel store integral
+coefficients as ``int``, so code that divides a coefficient must divide
+exactly (``Fraction(c, m)``, never ``c / m`` on an ``int``).  The van Est
+check puts the square-zero pairs of :mod:`formaldisk.scalars` in the same
+slots; they take the kernel's generic path.
+
 Truncation semantics worth remembering:
 
 * products drop terms above order K (quotient semantics, exact);
@@ -26,6 +33,20 @@ from fractions import Fraction
 from . import _kernel
 from .errors import ClosednessError, InvertibilityError, ShapeError
 from .scalars import is_unit, rat, scalar_inv
+
+
+def _coeff(x):
+    """A scalar as a stored coefficient: rationals as ``int`` when integral."""
+    if isinstance(x, str):
+        x = rat(x)
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def _div_exact(c, m):
+    """Exact quotient of a coefficient by a positive integer."""
+    return Fraction(c, m) if type(c) is int else c / m
 
 
 def _check_same(a, b):
@@ -69,14 +90,14 @@ class JetSeries:
 
     @classmethod
     def const(cls, n, order, value):
-        value = value if not isinstance(value, (int, str)) else rat(value)
+        value = _coeff(value)
         if not value:
             return cls.zero(n, order)
         return cls(n, order, {(0,) * n: value}, _clean=True)
 
     @classmethod
     def one(cls, n, order):
-        return cls.const(n, order, Fraction(1))
+        return cls.const(n, order, 1)
 
     @classmethod
     def variable(cls, n, order, i, power=1):
@@ -87,10 +108,10 @@ class JetSeries:
             return cls.zero(n, order)
         e = [0] * n
         e[i - 1] = power
-        return cls(n, order, {tuple(e): Fraction(1)}, _clean=True)
+        return cls(n, order, {tuple(e): 1}, _clean=True)
 
     @classmethod
-    def monomial(cls, n, order, exponents, coeff=Fraction(1)):
+    def monomial(cls, n, order, exponents, coeff=1):
         return cls(n, order, {tuple(exponents): coeff})
 
     # -- structure ---------------------------------------------------------
@@ -161,8 +182,7 @@ class JetSeries:
     __rmul__ = __mul__
 
     def scale(self, scalar):
-        if isinstance(scalar, (int, str)):
-            scalar = rat(scalar)
+        scalar = _coeff(scalar)
         if not scalar:
             return JetSeries.zero(self.n, self.order)
         out = {}
@@ -448,7 +468,7 @@ class FormalVectorField:
         return cls(n, order, [JetSeries.zero(n, order)] * n)
 
     @classmethod
-    def monomial(cls, n, order, exponents, direction, coeff=Fraction(1)):
+    def monomial(cls, n, order, exponents, direction, coeff=1):
         """coeff * t^exponents d/dt_direction (direction 1-based)."""
         comps = [JetSeries.zero(n, order) for _ in range(n)]
         comps[direction - 1] = JetSeries.monomial(n, order, exponents, coeff)
@@ -786,7 +806,7 @@ def poincare_homotopy(w: FormalForm, check=True) -> FormalForm:
     for idx, f in w.comps.items():
         for e, c in f.coeffs.items():
             d = sum(e)
-            coef = c / (d + k)
+            coef = _div_exact(c, d + k)
             for pos, i in enumerate(idx):
                 e2 = list(e)
                 e2[i - 1] += 1
@@ -805,7 +825,7 @@ def integrate_var(f: JetSeries, i: int) -> JetSeries:
     k = i - 1
     for e, c in f.coeffs.items():
         e2 = e[:k] + (e[k] + 1,) + e[k + 1:]
-        out[e2] = c / (e[k] + 1)
+        out[e2] = _div_exact(c, e[k] + 1)
     return JetSeries(f.n, f.order + 1, out, _clean=True)
 
 

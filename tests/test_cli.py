@@ -148,6 +148,31 @@ class TestContract:
         assert r.returncode == 2
         assert "^" in r.stderr
 
+    @pytest.mark.parametrize("args", [
+        ["mode-apply", "--rank", "1", "--state", "1/0", "--mode", "0",
+         "--on", "c[1,0]"],
+        ["pw-check", "--rank", "2", "--f1", "(t1, t2)",
+         "--f2", "(t1, t2+1/0*t1^2)"],
+    ])
+    def test_zero_denominator_is_exit_two(self, args):
+        r = run_cli(args)
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        text, caret = r.stderr.splitlines()
+        assert text[caret.index("^"):].startswith("1/0")
+        assert "zero denominator" in caret
+
+    @pytest.mark.parametrize("args", [
+        ["msv-check", "--rank", "2", "--x", "t1*t2 d1", "--y", "t1^2*t2 d2",
+         "--max-weight", "-1", "--max-c0", "2"],
+        ["conformal-check", "--rank", "1", "--max-weight", "-1"],
+    ])
+    def test_empty_basis_is_exit_two(self, args, capsys):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no basis states" in captured.err
+
     def test_payload_roundtrip(self, capsys):
         from formaldisk.grammar import parse_state
         from formaldisk.vertex import TruncationPolicy

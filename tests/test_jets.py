@@ -279,6 +279,33 @@ class TestHomotopy:
             s = staircase_primitive(w)
             assert de_rham(s).with_order(4) == w
 
+    def test_int_coefficients_divide_exactly(self, rng):
+        def coeffs(w):
+            return [c for f in w.comps.values() for c in f.coeffs.values()]
+
+        g = integrate_var(JetSeries(1, 3, {(1,): 1}), 1)
+        assert g.coeffs == {(2,): F(1, 2)}
+        assert type(g.coeffs[(2,)]) is F
+        vol = FormalForm(2, 3, 2, {(1, 2): JetSeries(2, 3, {(0, 0): 1})})
+        h = poincare_homotopy(vol)
+        assert h == FormalForm(2, 4, 1, {
+            (1,): JetSeries(2, 4, {(0, 1): F(-1, 2)}),
+            (2,): JetSeries(2, 4, {(1, 0): F(1, 2)})})
+        assert all(type(c) in (int, F) for c in coeffs(h))
+        for _ in range(15):
+            n = rng.choice([2, 3])
+            theta = FormalForm(n, 4, 1, {
+                (i,): JetSeries.monomial(
+                    n, 4, tuple(rng.randint(0, 2) for _ in range(n)),
+                    rng.choice([-3, -2, -1, 1, 2, 3]))
+                for i in range(1, n + 1)})
+            w = de_rham(theta)
+            if w.is_zero():
+                continue
+            for prim in (poincare_homotopy(w), staircase_primitive(w)):
+                assert all(type(c) in (int, F) for c in coeffs(prim))
+                assert de_rham(prim) == w.with_order(5)
+
     def test_closedness_enforced(self):
         w = FormalForm(2, 3, 1, {(1,): T2})  # t2 dt1 is not closed
         with pytest.raises(ClosednessError):

@@ -1,11 +1,14 @@
-"""The compiled and pure kernels must be interchangeable."""
+"""The kernels: the integer product against the schoolbook product, and
+the compiled and pure kernels interchangeable."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from formaldisk._kernel import BACKEND, _pure
+from formaldisk.scalars import NilpotentPair
 
 try:
     from formaldisk._kernel import _core
@@ -72,3 +75,57 @@ def test_mul_sym_keeps_canonical_order():
     (mono,) = out
     keys = [(s[0], s[1], -s[2]) for s in mono]
     assert keys == sorted(keys)
+
+
+RATIONALS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(F),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6))
+SQUARE_ZERO = st.builds(NilpotentPair, *[st.integers(-2, 2)] * 4)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two exponent-dict polynomials of one rank and an order.
+
+    Exponents may exceed the order; coefficients are ints, integral and
+    non-integral Fractions, mixed within an operand, or (in some draws)
+    square-zero pairs mixed with rationals.  The second operand is often
+    the first with some signs flipped, so that products cancel.
+    """
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 6))
+    coef = RATIONALS if draw(st.booleans()) else \
+        st.one_of(RATIONALS, SQUARE_ZERO)
+    exps = st.tuples(*[st.integers(0, order + 1)] * n)
+    poly = st.dictionaries(exps, coef, max_size=8)
+    a = draw(poly)
+    if a and draw(st.booleans()):
+        flips = draw(st.lists(st.booleans(), min_size=len(a),
+                              max_size=len(a)))
+        b = {e: -c if flip else c for (e, c), flip in zip(a.items(), flips)}
+    else:
+        b = draw(poly)
+    return a, b, order
+
+
+@settings(max_examples=400, deadline=None)
+@given(operand_pairs())
+@example(({(1, 0): 1, (0, 1): F(1, 2)}, {(1, 0): 1, (0, 1): F(-1, 2)}, 2))
+@example(({(0,): NilpotentPair.S, (1,): NilpotentPair.S},
+          {(0,): NilpotentPair.S, (2,): NilpotentPair.U}, 3))
+@example(({(3, 0): 2, (0, 1): 1}, {(0, 0): 1, (1, 1): -1}, 2))
+@example(({}, {(0, 0): 1}, 2))
+def test_poly_mul_matches_schoolbook(case):
+    a, b, order = case
+    a0, b0 = dict(a), dict(b)
+    out = _pure.poly_mul(a, b, order)
+    assert (a, b) == (a0, b0)
+    assert out == _pure._poly_mul_generic(a0, b0, order)
+    assert all(v for v in out.values())
+    assert not any(isinstance(v, float) for v in out.values())
+    if all(isinstance(c, (int, F)) for c in [*a.values(), *b.values()]):
+        # exact rationals come back as int whenever they are integral
+        assert all(type(v) is int or (type(v) is F and v.denominator != 1)
+                   for v in out.values())
+
