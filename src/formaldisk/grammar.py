@@ -12,6 +12,13 @@ Example: ``2/3*t1^2*t2 d1 + t2 d2``.
 
 Every formatter below emits a canonical string (graded-lexicographic term
 order) that re-parses to an equal value; the CLI relies on that round trip.
+
+Jets are truncated at the given order as they are parsed.  A product or
+power of nonzero jets (or of a jet and a vector field) that the truncation
+makes zero is a :class:`ParseError` at its operator: over Q only truncation
+can do that, and a check run on the lost value would pass vacuously.  Form
+products are exempt, since ``dt1^dt1 = 0`` is genuine.  Errors inside an
+automorphism component point into the full parenthesized text.
 """
 
 from __future__ import annotations
@@ -139,19 +146,30 @@ class _Parser:
         except ShapeError as exc:
             self.error(str(exc))
 
-    def mul(self, a, b):
+    def check_truncation(self, factors, product, pos):
+        """Nonzero jets multiply to zero only through truncation; a value
+        lost that way would make every later check pass vacuously."""
+        if product.is_zero() and not any(f.is_zero() for f in factors):
+            self.error("product of nonzero factors is zero at jet order "
+                       f"{self.order}; raise --jet-order", pos)
+
+    def mul(self, a, b, pos):
         from .jets import wedge
         order = (a.kind, b.kind)
         if order == ("scalar", "scalar"):
-            return _Val("scalar", a.payload * b.payload)
+            out = a.payload * b.payload
+            self.check_truncation((a.payload, b.payload), out, pos)
+            return _Val("scalar", out)
         if "scalar" in order:
             s, other = (a, b) if a.kind == "scalar" else (b, a)
             if other.kind == "form":
                 return _Val("form", other.payload.scale_jet(s.payload))
             if other.kind == "vf":
-                return _Val("vf", FormalVectorField(
+                out = FormalVectorField(
                     self.n, self.order,
-                    [f * s.payload for f in other.payload.comps]))
+                    [f * s.payload for f in other.payload.comps])
+                self.check_truncation((s.payload, other.payload), out, pos)
+                return _Val("vf", out)
             if other.kind == "state":
                 return _Val("state", self.scale_state(other.payload, s.payload))
         if order == ("form", "form"):
@@ -198,13 +216,11 @@ class _Parser:
     def parse_product(self):
         val = self.parse_power()
         while True:
-            if self.accept_op("*"):
-                val = self.mul(val, self.parse_power())
-                continue
-            kind, m, _ = self.peek()
-            if kind in self._ATOM_STARTS or \
+            # the "*", or the next factor when the product is juxtaposed
+            kind, m, pos = self.peek()
+            if self.accept_op("*") or kind in self._ATOM_STARTS or \
                     (kind == "op" and m.group("op") == "("):
-                val = self.mul(val, self.parse_power())
+                val = self.mul(val, self.parse_power(), pos)
                 continue
             return val
 
@@ -212,6 +228,7 @@ class _Parser:
         from .jets import wedge
         base = self.parse_atom()
         while self.accept_op("^"):
+            op_pos = self.tokens[self.i - 1][2]
             kind, m, pos = self.peek()
             if kind == "dt":
                 if base.kind != "form":
@@ -224,7 +241,9 @@ class _Parser:
             self.next()
             k = int(m.group("number"))
             if base.kind == "scalar":
-                base = _Val("scalar", base.payload ** k)
+                out = base.payload ** k
+                self.check_truncation((base.payload,), out, op_pos)
+                base = _Val("scalar", out)
             elif base.kind == "form":
                 if k == 0:
                     base = _Val("scalar", JetSeries.one(self.n, self.order))
@@ -354,13 +373,22 @@ def parse_automorphism(text, n, order) -> JetAutomorphism:
         elif ch == ")":
             depth -= 1
         elif ch == "," and depth == 0:
-            parts.append(body[start:i])
+            parts.append((start, body[start:i]))
             start = i + 1
-    parts.append(body[start:])
+    parts.append((start, body[start:]))
     if len(parts) != n:
         raise ParseError(f"expected {n} components, got {len(parts)}", text, 0)
-    return JetAutomorphism(n, order,
-                           [parse_scalar(p, n, order) for p in parts])
+    # a component's errors point into the full text: past the leading
+    # blanks, the "(" and the components before it
+    body_pos = len(text) - len(text.lstrip()) + 1
+    comps = []
+    for start, part in parts:
+        try:
+            comps.append(parse_scalar(part, n, order))
+        except ParseError as exc:
+            raise ParseError(exc.args[0], text,
+                             body_pos + start + exc.pos) from None
+    return JetAutomorphism(n, order, comps)
 
 
 # -- canonical formatting -----------------------------------------------------

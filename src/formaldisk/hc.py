@@ -8,18 +8,34 @@ one by default, with the direct first-mode formula kept as an independent
 cross-check).  The failure of the vector-field action to be a Lie map is
 the extension cocycle; :func:`msv_defect` computes it as an operator and
 the tests match it against the explicit second Chern-character cocycle.
+
+A sweep applies the same operand to many states, so the work fixed by the
+operand is built once: bounded memos (``MEMO_SIZE`` operands each, least
+recently used evicted first) map a field and policy to its embedded state
+``tau_w``, a pair of fields to their bracket, and a closed two-form, policy
+and path to the embedded primitive that :func:`rho_omega2` applies.  The
+closedness check runs inside that memo's builder, and a raised error is
+not stored, so a non-closed form is refused on every call.
+``vertex.clear_mode_cache`` empties these memos along with the mode
+caches.  The builders look ``tau_w``, ``vf_bracket`` and
+``poincare_homotopy`` up as module globals, so a rebound name takes effect.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import ClosednessError, InvertibilityError, ShapeError
 from .gf import ch2_gf
 from .jets import (FormalForm, FormalVectorField, JetSeries, de_rham,
                    lie_derivative, poincare_homotopy, staircase_primitive,
-                   _scalar_matrix_inverse)
-from .vertex import (KIND_B, KIND_C, VAState, mode_apply, translate)
+                   vf_bracket, _scalar_matrix_inverse)
+from .vertex import (KIND_B, KIND_C, VAState, mode_apply, on_cache_clear,
+                     translate)
+
+# operands held by each per-operand memo
+MEMO_SIZE = 256
 
 
 def jet_to_state(f: JetSeries, policy) -> VAState:
@@ -58,9 +74,14 @@ def tau_w(x: FormalVectorField, policy) -> VAState:
     return out
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _tau_w_memo(x: FormalVectorField, policy) -> VAState:
+    return tau_w(x, policy)
+
+
 def rho_w(x: FormalVectorField, v: VAState) -> VAState:
     """Zero mode of tau_w(x); a grading-preserving derivation of products."""
-    return mode_apply(tau_w(x, v.policy), 0, v)
+    return mode_apply(_tau_w_memo(x, v.policy), 0, v)
 
 
 def tau_omega1(theta: FormalForm, policy) -> VAState:
@@ -93,16 +114,25 @@ def rho_omega2(omega: FormalForm, v: VAState, path="homotopy") -> VAState:
         raise ShapeError("rho_omega2 expects a two-form")
     if v.n == 1:
         return VAState.zero(v.n, v.policy)
+    state = _omega2_state(omega, v.policy, path)
+    if path == "homotopy":
+        return mode_apply(state, 0, v)
+    return -mode_apply(state, 1, v)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _omega2_state(omega: FormalForm, policy, path) -> VAState:
+    """The state whose mode rho_omega2 applies: tau_omega1 of the radial
+    primitive (``homotopy``, zero mode) or the translate of tau_omega1 of
+    the staircase primitive (``direct``, first mode)."""
     if not de_rham(omega).is_zero():
         raise ClosednessError("rho_omega2 requires a closed two-form")
     if path == "homotopy":
-        theta = poincare_homotopy(omega, check=False)
-        return rho_omega1(theta, v)
+        return tau_omega1(poincare_homotopy(omega, check=False), policy)
     if path != "direct":
         raise ShapeError(f"unknown rho_omega2 path {path!r}")
-    theta = staircase_primitive(omega, check=False)
-    weight_two = translate(tau_omega1(theta, v.policy))
-    return -mode_apply(weight_two, 1, v)
+    return translate(tau_omega1(staircase_primitive(omega, check=False),
+                                policy))
 
 
 def gl_act(a_matrix, v: VAState) -> VAState:
@@ -145,9 +175,18 @@ def msv_defect(x: FormalVectorField, y: FormalVectorField,
     Nonzero exactly because the vector fields act only projectively; the
     defect is the extension cocycle applied to v.
     """
-    from .jets import vf_bracket
     first = rho_w(x, rho_w(y, v)) - rho_w(y, rho_w(x, v))
-    return first - rho_w(vf_bracket(x, y), v)
+    return first - rho_w(_bracket_memo(x, y), v)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _bracket_memo(x: FormalVectorField, y: FormalVectorField):
+    return vf_bracket(x, y)
+
+
+on_cache_clear(_tau_w_memo.cache_clear)
+on_cache_clear(_omega2_state.cache_clear)
+on_cache_clear(_bracket_memo.cache_clear)
 
 
 class ExtendedVectorField:
@@ -180,7 +219,6 @@ class ExtendedVectorField:
 
 def tilde_bracket(a: ExtendedVectorField, b: ExtendedVectorField) -> ExtendedVectorField:
     """[(X,w),(Y,e)] = ([X,Y], L_X e - L_Y w + ch2(X,Y))."""
-    from .jets import vf_bracket
     x, y = a.field, b.field
     form = lie_derivative(x, b.form) - lie_derivative(y, a.form) + ch2_gf(x, y)
     return ExtendedVectorField(vf_bracket(x, y), form)

@@ -32,16 +32,7 @@ from fractions import Fraction
 
 from . import _kernel
 from .errors import ClosednessError, InvertibilityError, ShapeError
-from .scalars import is_unit, rat, scalar_inv
-
-
-def _coeff(x):
-    """A scalar as a stored coefficient: rationals as ``int`` when integral."""
-    if isinstance(x, str):
-        x = rat(x)
-    if type(x) is Fraction and x.denominator == 1:
-        return x.numerator
-    return x
+from .scalars import is_unit, norm_coeff, rat, scalar_inv
 
 
 def _div_exact(c, m):
@@ -90,7 +81,7 @@ class JetSeries:
 
     @classmethod
     def const(cls, n, order, value):
-        value = _coeff(value)
+        value = norm_coeff(value)
         if not value:
             return cls.zero(n, order)
         return cls(n, order, {(0,) * n: value}, _clean=True)
@@ -182,7 +173,7 @@ class JetSeries:
     __rmul__ = __mul__
 
     def scale(self, scalar):
-        scalar = _coeff(scalar)
+        scalar = norm_coeff(scalar)
         if not scalar:
             return JetSeries.zero(self.n, self.order)
         out = {}
@@ -450,7 +441,9 @@ def de_rham(w: FormalForm) -> FormalForm:
 class FormalVectorField:
     """Element of W_n: components are the coefficients of d/dt_i."""
 
-    __slots__ = ("n", "order", "comps")
+    # the hash is kept: fields key the per-operand memos of the state
+    # actions, which look them up once per state
+    __slots__ = ("n", "order", "comps", "_hash")
 
     def __init__(self, n, order, comps):
         comps = list(comps)
@@ -462,6 +455,7 @@ class FormalVectorField:
         self.n = n
         self.order = order
         self.comps = comps
+        self._hash = None
 
     @classmethod
     def zero(cls, n, order):
@@ -512,7 +506,9 @@ class FormalVectorField:
             self.comps == other.comps
 
     def __hash__(self):
-        return hash((self.n, self.order, tuple(self.comps)))
+        if self._hash is None:
+            self._hash = hash((self.n, self.order, tuple(self.comps)))
+        return self._hash
 
     def __repr__(self):
         from .grammar import format_vf

@@ -1,7 +1,9 @@
-"""Scalar rings for jet coefficients.
+"""Scalar rings for jet and state coefficients.
 
-The default coefficient ring is ``fractions.Fraction``.  For the van Est
-derivative of group cochains we also need the rank-4 extension
+The default coefficient ring is Q, stored as ``int`` when integral and as
+``fractions.Fraction`` otherwise; :func:`norm_coeff` is the one place that
+normalises a rational to that form, for jets and states alike.  For the van
+Est derivative of group cochains we also need the rank-4 extension
 ``Q[s,u]/(s^2, u^2)``; :class:`NilpotentPair` models it exactly.  Jet and
 form arithmetic only uses ``+``, ``-``, ``*``, division by units and
 truthiness, so either ring can sit in a coefficient slot.
@@ -19,6 +21,19 @@ def rat(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def norm_coeff(x):
+    """A scalar as a stored coefficient: rationals as ``int`` when integral.
+
+    Strings are parsed as rationals; ``int``, non-integral ``Fraction`` and
+    other rings (such as :class:`NilpotentPair`) pass through unchanged.
+    """
+    if isinstance(x, str):
+        x = rat(x)
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
 
 
 class NilpotentPair:

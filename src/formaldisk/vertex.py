@@ -1,15 +1,18 @@
 """The beta-gamma vertex algebra on n generators, as an exact mode calculus.
 
 States are polynomials in the creation symbols b^j_m (m <= -1, weight -m)
-and c^j_m (m <= 0, weight -m) with rational coefficients; all generators
-are even, so monomials are plain multisets.  The vertex structure is driven
-entirely by the two generating fields: the modes of b^j_{-1} multiply by
-b-symbols (negative modes) or differentiate in c (non-negative modes), the
-modes of c^j_0 multiply by c-symbols or differentiate in b with a sign, and
-every other mode is a derivative-of-generator mode.  The n-th product of
-composite states is computed by the standard normally-ordered recursion
-(the l = -1 specialisation of the mode-composition identity), peeling the
-canonical leading symbol.
+and c^j_m (m <= 0, weight -m) with rational coefficients, stored as ``int``
+when integral and as ``fractions.Fraction`` otherwise (the checked
+constructor and :meth:`VAState.scale` normalise them, as the jets do); all
+generators are even, so monomials are plain multisets.  The vertex
+structure is driven entirely by the two generating fields: the modes of
+b^j_{-1} multiply by b-symbols (negative modes) or differentiate in c
+(non-negative modes), the modes of c^j_0 multiply by c-symbols or
+differentiate in b with a sign, and every other mode is a
+derivative-of-generator mode.  The n-th product of composite states is
+computed by the standard normally-ordered recursion (the l = -1
+specialisation of the mode-composition identity), peeling the canonical
+leading symbol.
 
 Bookkeeping bounds on conformal weight and c_0-degree model the completed
 algebra at finite size; all arithmetic below the bounds is exact, and the
@@ -18,7 +21,9 @@ strict policy turns any overflow into an error rather than silent loss.
 States are immutable and operations pure.  The recursion memoizes on
 module-level dicts whose entries are deterministic and policy-independent,
 so concurrent use can at worst duplicate a computation (individual dict
-reads/writes are atomic under the GIL); ``clear_mode_cache`` resets them.
+reads/writes are atomic under the GIL); ``clear_mode_cache`` resets them,
+together with every memo registered through ``on_cache_clear`` (the
+per-operand memos of :mod:`formaldisk.hc`).
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from fractions import Fraction
 
 from . import _kernel
 from .errors import ShapeError, TruncationOverflowError
+from .scalars import norm_coeff
 
 # neutral coefficient: the mode calculus is integral, so plain ints carry
 # most workloads and Fractions only enter through rational user input
@@ -126,6 +132,8 @@ class VAState:
     __slots__ = ("n", "policy", "terms")
 
     def __init__(self, n, policy, terms=None, _clean=False):
+        if n < 1:
+            raise ShapeError("rank must be >= 1")
         self.n = n
         self.policy = policy
         if terms is None:
@@ -147,7 +155,7 @@ class VAState:
                 policy.reject(f"monomial exceeds policy: {mono}")
                 continue
             clean[mono] = clean[mono] + c if mono in clean else c
-        self.terms = {m: c for m, c in clean.items() if c}
+        self.terms = {m: norm_coeff(c) for m, c in clean.items() if c}
 
     # -- constructors -------------------------------------------------------
 
@@ -161,9 +169,7 @@ class VAState:
 
     @classmethod
     def generator(cls, n, policy, kind, j, m, coeff=ONE):
-        if isinstance(coeff, str):
-            coeff = Fraction(coeff)
-        return cls(n, policy, {(make_sym(kind, j, m),): coeff})
+        return cls(n, policy, {(make_sym(kind, j, m),): norm_coeff(coeff)})
 
     # -- structure ------------------------------------------------------------
 
@@ -219,12 +225,12 @@ class VAState:
         return self + (-other)
 
     def scale(self, scalar):
-        if isinstance(scalar, str):
-            scalar = Fraction(scalar)
+        scalar = norm_coeff(scalar)
         if not scalar:
             return VAState.zero(self.n, self.policy)
         return VAState(self.n, self.policy,
-                       {m: scalar * c for m, c in self.terms.items()}, _clean=True)
+                       {m: norm_coeff(scalar * c) for m, c in self.terms.items()},
+                       _clean=True)
 
     def __mul__(self, other):
         """Commutative product of creation polynomials (multiset merge)."""
@@ -300,12 +306,20 @@ def _apply_sym_mode(sym, i, data):
 
 _MODE_CACHE: dict = {}
 _SYM_CACHE: dict = {}
+_CLEAR_HOOKS: list = []
+
+
+def on_cache_clear(hook):
+    """Register a no-argument callable that ``clear_mode_cache`` also runs."""
+    _CLEAR_HOOKS.append(hook)
 
 
 def clear_mode_cache():
     _MODE_CACHE.clear()
     _SYM_CACHE.clear()
     _WEIGHT_CACHE.clear()
+    for hook in _CLEAR_HOOKS:
+        hook()
 
 
 def _sym_mode_mono(sym, i, vmono):
@@ -375,8 +389,11 @@ def mode_apply(a: VAState, m: int, v: VAState) -> VAState:
             res = _mode_mono(amono, m, vmono)
             if res:
                 _kernel.state_axpy(acc, res, ac * vc)
-    # monomials arrive canonically sorted; only the c0 bound can still trip
-    over = [mo for mo in acc if mono_c0_degree(mo) > policy.max_c0]
+    # monomials arrive canonically sorted; only the c0 bound can still trip,
+    # and only on a monomial with more symbols than the bound
+    max_c0 = policy.max_c0
+    over = [mo for mo in acc
+            if len(mo) > max_c0 and mono_c0_degree(mo) > max_c0]
     for mo in over:
         policy.reject(f"mode product exceeds c0 bound: {mo}")
         del acc[mo]

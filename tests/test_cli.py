@@ -162,6 +162,44 @@ class TestContract:
         assert text[caret.index("^"):].startswith("1/0")
         assert "zero denominator" in caret
 
+    def test_automorphism_caret_under_typed_argument(self, capsys):
+        assert main(["pw-check", "--rank", "2", "--jet-order", "3",
+                     "--f1", "(t1, t2)", "--f2", "(t1, t2+1/0*t1^2)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("(t1, t2+1/0*t1^2)\n"
+                                "        ^ zero denominator\n")
+
+    def test_rank_zero_is_exit_two(self, capsys):
+        assert main(["mode-apply", "--rank", "0", "--state", "vac",
+                     "--mode", "-1", "--on", "vac"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rank must be >= 1\n"
+
+    @pytest.mark.parametrize("args,err", [
+        (["msv-check", "--rank", "2", "--jet-order", "6", "--x", "t1^40 d1",
+          "--y", "t1*t2 d2", "--max-weight", "1", "--max-c0", "1"],
+         "t1^40 d1\n"
+         "  ^ product of nonzero factors is zero at jet order 6; "
+         "raise --jet-order\n"),
+        (["ch2", "--rank", "2", "--jet-order", "6", "--x", "t1*t2 d1",
+          "--y", "t1^4*t2^3 d2"],
+         "t1^4*t2^3 d2\n"
+         "    ^ product of nonzero factors is zero at jet order 6; "
+         "raise --jet-order\n"),
+        (["ch2", "--rank", "2", "--jet-order", "3", "--x", "t1*t2 d1",
+          "--y", "t1^2 (t2^2 d2)"],
+         "t1^2 (t2^2 d2)\n"
+         "     ^ product of nonzero factors is zero at jet order 3; "
+         "raise --jet-order\n"),
+    ])
+    def test_input_truncated_to_zero_is_exit_two(self, args, err, capsys):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
+
     @pytest.mark.parametrize("args", [
         ["msv-check", "--rank", "2", "--x", "t1*t2 d1", "--y", "t1^2*t2 d2",
          "--max-weight", "-1", "--max-c0", "2"],

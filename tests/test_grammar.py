@@ -64,6 +64,9 @@ class TestForms:
     def test_antisymmetry_normalization(self):
         assert parse_form("dt2^dt1", 2, 4) == parse_form("-dt1^dt2", 2, 4)
         assert parse_form("dt1^dt1", 2, 4).is_zero()
+        # a vanishing wedge is not truncation and is accepted
+        assert parse_form("dt1*dt1", 2, 4).is_zero()
+        assert parse_form("t1^4*dt1^dt1", 2, 4).is_zero()
 
     def test_roundtrip(self):
         for text in ("dt1", "t1*dt2 - 3*dt1", "dt1^dt2", "2*t2*dt1^dt2"):
@@ -126,6 +129,28 @@ class TestDiagnostics:
             assert caret.index("^") == line.index("%")
         else:
             raise AssertionError("expected a parse error")
+
+    def test_truncation_to_zero_points_at_operator(self):
+        # (parser, text, caret position); juxtaposition points at the factor
+        for parse, text, pos in ((parse_scalar, "t1^5", 2),
+                                 (parse_scalar, "t1^3*t2^2", 4),
+                                 (parse_vector_field, "t1^3 t2^2 d1", 5),
+                                 (parse_vector_field, "(t1^2 d2)*t2^3", 9)):
+            with pytest.raises(ParseError, match="jet order 4") as info:
+                parse(text, 2, 4)
+            assert info.value.pos == pos, text
+        # sums that cancel and zero factors are not truncation
+        assert parse_scalar("t1^2 - t1^2", 2, 4).is_zero()
+        assert parse_scalar("0*t1^4", 2, 4).is_zero()
+        assert parse_scalar("t1^4*t2^0", 2, 4) == JetSeries.monomial(
+            2, 4, (4, 0))
+
+    def test_automorphism_error_points_into_full_text(self):
+        text = "  (t1+t2, t2 + %)"
+        with pytest.raises(ParseError) as info:
+            parse_automorphism(text, 2, 4)
+        assert info.value.text == text
+        assert info.value.pos == text.index("%")
 
     def test_out_of_range_variable(self):
         with pytest.raises(ParseError):

@@ -8,15 +8,18 @@ import pytest
 from formaldisk.constants import MSV_COCYCLE_SIGN
 from formaldisk.errors import ClosednessError, InvertibilityError
 from formaldisk.gf import ch2_gf
+from formaldisk import hc
 from formaldisk.hc import (ExtendedVectorField, gl_act, jet_to_state,
                            msv_defect, rho_omega1, rho_omega2, rho_w,
                            state_to_jet, tau_omega1, tau_w, tilde_bracket)
 from formaldisk.jets import (FormalForm, FormalVectorField, JetSeries,
                              basis_monomial_fields, de_rham, lie_derivative,
+                             poincare_homotopy, staircase_primitive,
                              vf_bracket, wedge)
 from formaldisk.grammar import format_state, parse_state, parse_vector_field
 from formaldisk.vertex import (KIND_B, KIND_C, TruncationPolicy, VAState,
-                               enumerate_basis, mode_apply, translate, vacuum)
+                               clear_mode_cache, enumerate_basis, mode_apply,
+                               translate, vacuum)
 from tests.conftest import monomial_states, random_state
 
 POL = TruncationPolicy(10, 12)
@@ -270,3 +273,80 @@ class TestExtendedBracket:
         bad = FormalForm(3, 6, 2, {(1, 2): t3})
         with pytest.raises(ClosednessError):
             ExtendedVectorField(FormalVectorField.zero(3, 6), bad)
+
+
+class TestOperandMemos:
+    """The memoised actions equal their formulas rebuilt per state."""
+
+    POLICIES = (POL, TruncationPolicy(8, 14))
+    MEMOS = (hc._tau_w_memo, hc._bracket_memo, hc._omega2_state)
+
+    @staticmethod
+    def _unmemoised(x, y, v):
+        """rho_w and msv_defect with every operand rebuilt for this state."""
+        def act(f, u):
+            return mode_apply(tau_w(f, v.policy), 0, u)
+        first = act(x, act(y, v)) - act(y, act(x, v))
+        return act(x, v), first - act(vf_bracket(x, y), v)
+
+    @staticmethod
+    def _omega2_unmemoised(w, v, path):
+        if path == "homotopy":
+            theta = poincare_homotopy(w)
+            return mode_apply(tau_omega1(theta, v.policy), 0, v)
+        theta = staircase_primitive(w)
+        return -mode_apply(translate(tau_omega1(theta, v.policy)), 1, v)
+
+    def test_match_unmemoised_formulas(self, rng):
+        x = field("t1*t2 d1 + 1/2*t2^2 d2", 2)
+        y = field("t1^2*t2 d2 - 3*t1 d1", 2)
+        c2 = ch2_gf(x, y)
+        for sweep in range(2):
+            clear_mode_cache()
+            for pol in self.POLICIES:
+                for v in rng.sample(monomial_states(2, pol, 3, 2), 15):
+                    rho, defect = self._unmemoised(x, y, v)
+                    assert rho_w(x, v) == rho, (sweep, pol, v)
+                    assert msv_defect(x, y, v) == defect, (sweep, pol, v)
+                    for path in ("homotopy", "direct"):
+                        assert rho_omega2(c2, v, path=path) == \
+                            self._omega2_unmemoised(c2, v, path), \
+                            (sweep, pol, v, path)
+
+    def test_operands_built_once_per_sweep(self):
+        x, y = field("t1*t2 d1", 2), field("t1*t2 d2", 2)
+        c2 = ch2_gf(x, y)
+        states = monomial_states(2, POL, 2, 2)[:10]
+        for _ in range(2):
+            clear_mode_cache()
+            assert all(m.cache_info().currsize == 0 for m in self.MEMOS)
+            for v in states:
+                msv_defect(x, y, v)
+                rho_omega2(c2, v)
+            # x, y and [x, y] once each; one bracket; one primitive
+            assert hc._tau_w_memo.cache_info().misses == 3
+            assert hc._bracket_memo.cache_info().misses == 1
+            assert hc._omega2_state.cache_info().misses == 1
+
+    def test_non_closed_form_raises_on_every_call(self):
+        t3 = JetSeries.variable(3, 6, 3)
+        w = FormalForm(3, 6, 2, {(1, 2): t3})
+        for path in ("homotopy", "direct", "homotopy"):
+            with pytest.raises(ClosednessError):
+                rho_omega2(w, vacuum(3, POL), path=path)
+
+    def test_memos_hold_at_most_their_bound(self):
+        clear_mode_cache()
+        v = vacuum(1, POL)
+        count = hc.MEMO_SIZE + 20
+        for k in range(count):
+            x = FormalVectorField.monomial(1, 6, (0,), 1, coeff=k + 1)
+            y = FormalVectorField.monomial(1, 6, (1,), 1, coeff=k + 1)
+            w = FormalForm(2, 6, 2, {(1, 2): JetSeries.const(2, 6, k + 1)})
+            msv_defect(x, y, v)
+            rho_omega2(w, vacuum(2, POL))
+        for memo in self.MEMOS:
+            info = memo.cache_info()
+            assert info.maxsize == hc.MEMO_SIZE
+            assert info.misses >= count
+            assert info.currsize == hc.MEMO_SIZE

@@ -195,11 +195,66 @@ class TestPolicy:
         assert (b * b).is_zero()
         assert mode_apply(b, -2, b).is_zero()
 
+    def test_c0_bound_trips_in_mode_products(self):
+        # c_0 times a monomial of c0-degree k: one c_0 above a bound of k
+        for k in (1, 2, 3):
+            for strict in (True, False):
+                pol = TruncationPolicy(4, k, strict=strict)
+                c0 = VAState.generator(1, pol, KIND_C, 1, 0)
+                v = VAState(1, pol, {((KIND_C, 1, 0),) * k: 1})
+                if strict:
+                    with pytest.raises(TruncationOverflowError):
+                        mode_apply(c0, -1, v)
+                else:
+                    assert mode_apply(c0, -1, v).is_zero()
+
     def test_policy_mismatch(self):
         a = VAState.generator(1, TruncationPolicy(4, 4), KIND_B, 1, -1)
         b = VAState.generator(1, TruncationPolicy(5, 4), KIND_B, 1, -1)
         with pytest.raises(ShapeError):
             mode_apply(a, 0, b)
+
+
+class TestCoefficients:
+    """Integral coefficients are stored as int, others as Fraction."""
+
+    def test_integral_rationals_stored_as_int(self):
+        from formaldisk.grammar import parse_state
+        c1 = ((KIND_C, 1, 0),)
+        states = [
+            VAState(2, POL, {c1: F(4, 2)}),
+            VAState.generator(2, POL, KIND_C, 1, 0, coeff=F(3)),
+            VAState.generator(2, POL, KIND_C, 1, 0, coeff="6/2"),
+            VAState(2, POL, {c1: F(1, 2)}).scale(F(2)),
+            # two spellings of one monomial, summed by the constructor
+            VAState(2, POL, {((KIND_C, 1, 0), (KIND_C, 2, 0)): F(1, 2),
+                             ((KIND_C, 2, 0), (KIND_C, 1, 0)): F(1, 2)}),
+            parse_state("2*c[1,0]", 2, POL),
+        ]
+        for v in states:
+            (c,) = v.terms.values()
+            assert type(c) is int, v
+
+    def test_non_integral_rationals_stay_fractions(self):
+        from formaldisk.grammar import parse_state
+        c1 = ((KIND_C, 1, 0),)
+        states = [
+            VAState(2, POL, {c1: F(3, 2)}),
+            VAState.generator(2, POL, KIND_C, 1, 0, coeff="1/3"),
+            VAState(2, POL, {c1: 3}).scale(F(1, 2)),
+            parse_state("2/3*c[1,0]", 2, POL),
+        ]
+        for v in states:
+            (c,) = v.terms.values()
+            assert type(c) is F and c.denominator != 1, v
+
+    def test_rank_must_be_positive(self):
+        for make in (lambda: VAState(0, POL, {(): 1}),
+                     lambda: VAState.vacuum(0, POL),
+                     lambda: VAState.zero(0, POL),
+                     lambda: vacuum(-1, POL)):
+            with pytest.raises(ShapeError, match="rank must be >= 1"):
+                make()
 
 
 class TestEnumeration:
