@@ -271,21 +271,30 @@ def cmd_eisenstein(args):
 
 
 def _read_profiles(path):
+    try:
+        # undecodable bytes become U+FFFD and fail the line grammar below
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise FormalDiskError(
+            f"cannot read --profiles {path}: {exc.strerror}") from exc
     groups = {"F": [], "G": []}
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if parts[0] not in groups or len(parts) < 5:
-                raise ParseError(
-                    f"profile line {line_no}: expected "
-                    "'F|G cx cy radius c1 [c2 ...]'", body, 0)
-            cx, cy, radius = (float(x) for x in parts[1:4])
-            coeffs = [float(x) for x in parts[4:]]
-            groups[parts[0]].append(
-                feynman.BumpField(complex(cx, cy), radius, coeffs))
+    for line_no, line in enumerate(lines, 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if parts[0] not in groups or len(parts) < 5:
+            raise ParseError(
+                f"profile line {line_no}: expected "
+                "'F|G cx cy radius c1 [c2 ...]'", body, 0)
+        try:
+            cx, cy, radius, *coeffs = (float(x) for x in parts[1:])
+        except ValueError:
+            raise ParseError(f"profile line {line_no}: expected numbers "
+                             f"after '{parts[0]}'", body, 0) from None
+        groups[parts[0]].append(
+            feynman.BumpField(complex(cx, cy), radius, coeffs))
     if not groups["F"] or not groups["G"]:
         raise ParseError("profiles file needs at least one F and one G line",
                          "", 0)

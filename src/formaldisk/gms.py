@@ -10,17 +10,34 @@ parameters and lands on the Lie-level cocycle up to one calibrated scale.
 Everything is computed at a raised working order internally so that the
 exterior derivatives lose nothing below the reported truncation; reported
 residuals are then exactly zero, not zero-up-to-top-degree.
+
+Each automorphism a check uses gets one :class:`_Currents`, which builds
+its Jacobian inverse, the current sides that are read and its substitution
+operator once, on first use; alpha3 and mu return zero below rank three
+before any of that work.  The traces are taken form component by form
+component.  Write the currents as A = sum_a M_a dt_a with M_a a matrix of
+jets; the trace is cyclic and the jets commute, so
+
+* the (a<b<c) component of alpha3 is tr([M_a, M_b] M_c), and
+* the (a<b) component of alpha2 = tr(P ^ R) is tr(P_a R_b) - tr(P_b R_a),
+
+and no off-diagonal entry of a matrix product is formed only to be
+dropped by the trace.  The whole-matrix wedge products of
+:class:`~formaldisk.jets.FormMatrix` compute the same forms and are the
+reference the tests hold these to.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 
 from .errors import ShapeError
 from .gf import ch2_gf
-from .jets import (FormalForm, FormalVectorField, FormMatrix, JetAutomorphism,
-                   JetSeries, de_rham, jacobian, jet_compose, jet_invert,
-                   poincare_homotopy, pullback_form)
+from .jets import (FormalForm, FormalVectorField, JetAutomorphism, JetSeries,
+                   Substitution, de_rham, jacobian, jet_compose, jet_invert,
+                   poincare_homotopy)
 from .scalars import NilpotentPair
 
 _HEADROOM = 2
@@ -36,36 +53,117 @@ def _check_pair(f1, f2):
         raise ShapeError("automorphisms must share rank and order")
 
 
-def _currents(phi: JetAutomorphism):
-    """(g^{-1} dg, dg g^{-1}) for g = Jac(phi), as matrices of one-forms."""
-    g = jacobian(phi)
-    ginv = jet_invert(g)
-    dg = FormMatrix.de_rham_of(g)
-    return dg.scale_jet_left(ginv), dg.scale_jet_right(ginv)
+def _dot(pairs, zero):
+    """Sum of x*y over the pairs; a pair with a zero factor costs nothing."""
+    acc = zero
+    for x, y in pairs:
+        if x and y:
+            acc = acc + x * y
+    return acc
 
 
-def _alpha2_raw(f1: JetAutomorphism, f2: JetAutomorphism) -> FormalForm:
-    # tr( f1^*(g2^{-1} dg2) ^ dg1 g1^{-1} ); the pullback placement is the
-    # one that satisfies Polyakov-Wiegmann exactly (tests pin it down).
-    left_inv_d2, _ = _currents(f2)
-    _, d_right_inv1 = _currents(f1)
-    pulled = left_inv_d2.map_entries(lambda w: pullback_form(f1, w))
-    return pulled.wedge_mul(d_right_inv1).trace()
+def _matmul(a, b, zero):
+    n = len(a)
+    return [[_dot(((a[i][k], b[k][j]) for k in range(n)), zero)
+             for j in range(n)] for i in range(n)]
 
 
-def _alpha3_raw(phi: JetAutomorphism) -> FormalForm:
-    if phi.n < 3:
-        return FormalForm.zero(phi.n, phi.order, min(3, phi.n))
-    cur, _ = _currents(phi)
-    cube = cur.wedge_mul(cur).wedge_mul(cur)
-    return cube.trace().scale(Fraction(1, 3))
+def _trace_mul(a, b, zero):
+    """tr(ab), without the off-diagonal entries of ab."""
+    n = len(a)
+    return _dot(((a[i][j], b[j][i]) for i in range(n) for j in range(n)),
+                zero)
 
 
-def _mu_raw(phi: JetAutomorphism) -> FormalForm:
-    a3 = _alpha3_raw(phi)
-    if a3.is_zero():
-        return FormalForm.zero(phi.n, phi.order, 2)
-    return poincare_homotopy(a3, check=False).with_order(phi.order)
+class _Currents:
+    """One automorphism's Jacobian data, each part built once, on first use.
+
+    With g = Jac(phi): ``left[a]`` and ``right[a]`` are the jet matrices of
+    dt_a-coefficients of g^{-1} dg and dg g^{-1}, and ``sub`` pulls jets
+    and forms back along phi.
+    """
+
+    def __init__(self, phi: JetAutomorphism):
+        self.phi = phi
+        self.zero = JetSeries.zero(phi.n, phi.order)
+
+    @cached_property
+    def _jacobian(self):
+        """(g^{-1}, [d_a g for each direction a]) as nested lists of jets."""
+        g = jacobian(self.phi)
+        ginv = jet_invert(g).entries
+        dg = [[[f.partial(a) for f in row] for row in g.entries]
+              for a in range(1, self.phi.n + 1)]
+        return ginv, dg
+
+    @cached_property
+    def left(self):
+        ginv, dg = self._jacobian
+        return [_matmul(ginv, d, self.zero) for d in dg]
+
+    @cached_property
+    def right(self):
+        ginv, dg = self._jacobian
+        return [_matmul(d, ginv, self.zero) for d in dg]
+
+    @cached_property
+    def sub(self) -> Substitution:
+        return Substitution(self.phi.comps, self.phi.order)
+
+    @cached_property
+    def alpha3(self) -> FormalForm:
+        """(1/3) tr(A^3) for A = g^{-1} dg = sum_a M_a dt_a, by components.
+
+        The trace is cyclic, so of the six orderings of M_a M_b M_c the
+        three even ones have one trace and the three odd ones another, and
+        the (a<b<c) component is tr([M_a, M_b] M_c).
+        """
+        n, order = self.phi.n, self.phi.order
+        if n < 3:
+            return FormalForm.zero(n, order, min(3, n))
+        m, zero = self.left, self.zero
+        comm = {}
+        for a, b in combinations(range(n - 1), 2):
+            ab, ba = _matmul(m[a], m[b], zero), _matmul(m[b], m[a], zero)
+            comm[a, b] = [[x - y for x, y in zip(r, s)]
+                          for r, s in zip(ab, ba)]
+        return FormalForm(n, order, 3, {
+            (a + 1, b + 1, c + 1): _trace_mul(comm[a, b], m[c], zero)
+            for a, b, c in combinations(range(n), 3)})
+
+    @cached_property
+    def mu(self) -> FormalForm:
+        """The radial primitive of alpha3, at the working order."""
+        a3 = self.alpha3
+        if a3.is_zero():
+            return FormalForm.zero(self.phi.n, self.phi.order, 2)
+        return poincare_homotopy(a3, check=False).with_order(self.phi.order)
+
+
+def _alpha2(c1: _Currents, c2: _Currents) -> FormalForm:
+    """tr( f1^*(g2^{-1} dg2) ^ dg1 g1^{-1} ), by components.
+
+    The pullback placement is the one that satisfies Polyakov-Wiegmann
+    exactly (tests pin it down).  With P_a and R_b the dt-coefficients of
+    the two factors, the (a<b) component is tr(P_a R_b) - tr(P_b R_a).
+    """
+    n, zero, sub = c1.phi.n, c1.zero, c1.sub
+    # dphi[c][a] = d_a phi_c, and f1^*(N dt_c) = (N o f1) sum_a dphi[c][a] dt_a
+    dphi = [[d.component((a,)) for a in range(1, n + 1)]
+            for d in sub.differentials()]
+    pulled = [[[sub.jet(f) for f in row] for row in mc] for mc in c2.left]
+    p = [[[_dot(((pulled[c][i][j], dphi[c][a]) for c in range(n)), zero)
+           for j in range(n)] for i in range(n)] for a in range(n)]
+    r = c1.right
+    return FormalForm(n, c1.phi.order, min(2, n), {
+        (a + 1, b + 1): _trace_mul(p[a], r[b], zero)
+        - _trace_mul(p[b], r[a], zero)
+        for a, b in combinations(range(n), 2)})
+
+
+def _alpha_tilde(c1: _Currents, c2: _Currents, c21: _Currents) -> FormalForm:
+    """alpha~(f1, f2), with c21 the currents of f2 o f1."""
+    return _alpha2(c1, c2) - c1.mu - c1.sub.form(c2.mu) + c21.mu
 
 
 def alpha2(f1: JetAutomorphism, f2: JetAutomorphism) -> FormalForm:
@@ -73,13 +171,14 @@ def alpha2(f1: JetAutomorphism, f2: JetAutomorphism) -> FormalForm:
     _check_pair(f1, f2)
     order = f1.order
     w = order + _HEADROOM
-    return _alpha2_raw(_lift(f1, w), _lift(f2, w)).with_order(order)
+    return _alpha2(_Currents(_lift(f1, w)),
+                   _Currents(_lift(f2, w))).with_order(order)
 
 
 def alpha3(phi: JetAutomorphism) -> FormalForm:
     """(1/3) tr((g^{-1} dg)^3); zero below rank three, de Rham closed."""
     w = phi.order + _HEADROOM
-    return _alpha3_raw(_lift(phi, w)).with_order(phi.order)
+    return _Currents(_lift(phi, w)).alpha3.with_order(phi.order)
 
 
 def mu(phi: JetAutomorphism) -> FormalForm:
@@ -100,10 +199,9 @@ def pw_check(f1: JetAutomorphism, f2: JetAutomorphism):
     _check_pair(f1, f2)
     order = f1.order
     w = order + _HEADROOM
-    g1, g2 = _lift(f1, w), _lift(f2, w)
-    lhs = _alpha3_raw(jet_compose(g2, g1))
-    rhs = _alpha3_raw(g1) + pullback_form(g1, _alpha3_raw(g2)) \
-        - de_rham(_alpha2_raw(g1, g2))
+    c1, c2 = _Currents(_lift(f1, w)), _Currents(_lift(f2, w))
+    lhs = _Currents(jet_compose(c2.phi, c1.phi)).alpha3
+    rhs = c1.alpha3 + c1.sub.form(c2.alpha3) - de_rham(_alpha2(c1, c2))
     residual = (lhs - rhs).with_order(order)
     return residual.is_zero(), residual
 
@@ -121,10 +219,9 @@ def alpha_tilde(f1: JetAutomorphism, f2: JetAutomorphism) -> FormalForm:
     _check_pair(f1, f2)
     order = f1.order
     w = order + _HEADROOM
-    g1, g2 = _lift(f1, w), _lift(f2, w)
-    total = _alpha2_raw(g1, g2) - _mu_raw(g1) \
-        - pullback_form(g1, _mu_raw(g2)) + _mu_raw(jet_compose(g2, g1))
-    return total.with_order(order)
+    c1, c2 = _Currents(_lift(f1, w)), _Currents(_lift(f2, w))
+    c21 = _Currents(jet_compose(c2.phi, c1.phi))
+    return _alpha_tilde(c1, c2, c21).with_order(order)
 
 
 def group_cocycle_residual(f1, f2, f3) -> FormalForm:
@@ -135,14 +232,14 @@ def group_cocycle_residual(f1, f2, f3) -> FormalForm:
     _check_pair(f2, f3)
     order = f1.order
     w = order + _HEADROOM
-    g1, g2, g3 = (_lift(f, w) for f in (f1, f2, f3))
-
-    def at(a, b):
-        return _alpha2_raw(a, b) - _mu_raw(a) - pullback_form(a, _mu_raw(b)) \
-            + _mu_raw(jet_compose(b, a))
-
-    res = at(g1, g2) + at(jet_compose(g2, g1), g3) \
-        - pullback_form(g1, at(g2, g3)) - at(g1, jet_compose(g3, g2))
+    c1, c2, c3 = (_Currents(_lift(f, w)) for f in (f1, f2, f3))
+    c21 = _Currents(jet_compose(c2.phi, c1.phi))
+    c32 = _Currents(jet_compose(c3.phi, c2.phi))
+    # composition is associative on jets: f3 o (f2 o f1) = (f3 o f2) o f1
+    c321 = _Currents(jet_compose(c32.phi, c1.phi))
+    res = _alpha_tilde(c1, c2, c21) + _alpha_tilde(c21, c3, c321) \
+        - c1.sub.form(_alpha_tilde(c2, c3, c32)) \
+        - _alpha_tilde(c1, c32, c321)
     return res.with_order(order)
 
 

@@ -16,9 +16,11 @@ order) that re-parses to an equal value; the CLI relies on that round trip.
 Jets are truncated at the given order as they are parsed.  A product or
 power of nonzero jets (or of a jet and a vector field) that the truncation
 makes zero is a :class:`ParseError` at its operator: over Q only truncation
-can do that, and a check run on the lost value would pass vacuously.  Form
-products are exempt, since ``dt1^dt1 = 0`` is genuine.  Errors inside an
-automorphism component point into the full parenthesized text.
+can do that, and a check run on the lost value would pass vacuously.  So is
+a variable ``t_i`` at jet order 0 (in a state, where the order is 0, a
+variable is refused outright).  Form products are exempt, since
+``dt1^dt1 = 0`` is genuine.  Errors inside an automorphism component point
+into the full parenthesized text.
 """
 
 from __future__ import annotations
@@ -273,6 +275,13 @@ class _Parser:
             i = int(m.group("ti"))
             if not 1 <= i <= self.n:
                 self.error(f"variable t{i} out of range for rank {self.n}", pos)
+            if self.order < 1:
+                # t_i is zero at order 0, and a check on the lost value
+                # would pass vacuously
+                if self.policy is not None:
+                    self.error(f"variable t{i} cannot appear in a state", pos)
+                self.error(f"variable t{i} is zero at jet order {self.order}; "
+                           "raise --jet-order", pos)
             return _Val("scalar", JetSeries.variable(self.n, self.order, i))
         if kind == "dt":
             i = int(m.group("dti"))

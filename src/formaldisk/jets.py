@@ -23,6 +23,10 @@ Truncation semantics worth remembering:
 * ``poincare_homotopy`` multiplies by coordinates, so its output is
   reported at order K+1 to keep ``d h(w) = w`` exact.
 
+Substitution has one path, the operator :class:`Substitution`, which
+memoises the monomials of the substituted jets; ``JetSeries.subs``,
+``jet_compose``, ``pullback_jet`` and ``pullback_form`` are built on it.
+
 All values are immutable after construction and all operations are pure.
 """
 
@@ -232,26 +236,9 @@ class JetSeries:
         the variables.  Result order defaults to min(self.order, args order)."""
         if len(args) != self.n:
             raise ShapeError("substitution needs one series per variable")
-        m = args[0].n
-        aorder = args[0].order
-        for g in args:
-            if g.n != m or g.order != aorder:
-                raise ShapeError("substitution arguments must share rank/order")
-            if g.constant_term():
-                raise InvertibilityError(
-                    "substitution requires zero constant terms")
-        res_order = min(self.order, aorder) if order is None else order
-        pow_cache = [[JetSeries.one(m, res_order)] for _ in range(self.n)]
-        out = JetSeries.zero(m, res_order)
-        for e, c in sorted(self.coeffs.items()):
-            term = JetSeries.one(m, res_order)
-            for i, k in enumerate(e):
-                cache = pow_cache[i]
-                while len(cache) <= k:
-                    cache.append(cache[-1] * args[i].with_order(res_order))
-                term = term * cache[k]
-            out = out + term.scale(c)
-        return out
+        if order is None:
+            order = min(self.order, args[0].order)
+        return Substitution(args, order).jet(self)
 
     def eval_float(self, point):
         """Evaluate the representative at a numeric point (testing aid)."""
@@ -716,8 +703,8 @@ def jet_compose(outer: JetAutomorphism, inner: JetAutomorphism) -> JetAutomorphi
     if outer.n != inner.n:
         raise ShapeError("rank mismatch in composition")
     order = min(outer.order, inner.order)
-    comps = [f.subs(tuple(inner.comps), order=order) for f in outer.comps]
-    return JetAutomorphism(outer.n, order, comps)
+    sub = Substitution(inner.comps, order)
+    return JetAutomorphism(outer.n, order, [sub.jet(f) for f in outer.comps])
 
 
 def jacobian(phi: JetAutomorphism) -> JetMatrix:
@@ -771,7 +758,8 @@ def _automorphism_invert(phi: JetAutomorphism) -> JetAutomorphism:
     t_vars = [JetSeries.variable(n, order, i + 1) for i in range(n)]
     psi = lin_solve(t_vars)
     for _ in range(order):
-        corr = [h.subs(tuple(psi), order=order) for h in high]
+        sub = Substitution(psi, order)
+        corr = [sub.jet(h) for h in high]
         psi = lin_solve([t_vars[j] - corr[j] for j in range(n)])
     return JetAutomorphism(n, order, psi)
 
@@ -863,30 +851,92 @@ def pullback_form(phi: JetAutomorphism, w: FormalForm) -> FormalForm:
     """phi^*(f dt_I) = (f o phi) d phi_{i1} ^ ... ^ d phi_{ik}."""
     if phi.n != w.n:
         raise ShapeError("rank mismatch in pullback")
-    order = min(phi.order, w.order)
-    n = phi.n
-    dphi = []
-    for i in range(n):
-        comps = {}
-        for j in range(1, n + 1):
-            g = phi.comps[i].partial(j).with_order(order)
-            if not g.is_zero():
-                comps[(j,)] = g
-        dphi.append(FormalForm(n, order, 1, comps))
-    out = FormalForm.zero(n, order, w.degree)
-    args = tuple(f.with_order(order) for f in phi.comps)
-    for idx, f in w.comps.items():
-        term = FormalForm.from_jet(f.with_order(order).subs(args, order=order))
-        for i in idx:
-            term = wedge(term, dphi[i - 1])
-        out = out + term
-    return out
+    return Substitution(phi.comps, min(phi.order, w.order)).form(w)
 
 
 def pullback_jet(phi: JetAutomorphism, f: JetSeries) -> JetSeries:
-    order = min(phi.order, f.order)
-    return f.with_order(order).subs(
-        tuple(g.with_order(order) for g in phi.comps), order=order)
+    return Substitution(phi.comps, min(phi.order, f.order)).jet(f)
+
+
+class Substitution:
+    """The substitution t_i -> args_i at one truncation order, built once.
+
+    ``args`` are jets of one rank and order with zero constant terms (the
+    components of an automorphism, say).  The monomials args^e are memoised,
+    each one product of a smaller monomial and one argument, so pulling a
+    jet sum_e c_e t^e back is the sum of the c_e args^e and makes no product
+    beyond the monomials not met before.  The differentials d args_i, for
+    pulling forms back, are built on first use.  :meth:`JetSeries.subs`,
+    :func:`jet_compose`, :func:`pullback_jet` and :func:`pullback_form` all
+    build one of these; a caller that pulls many values back along the
+    same jets builds it once and keeps it.
+    """
+
+    __slots__ = ("order", "args", "_source", "_mono", "_diffs")
+
+    def __init__(self, args, order):
+        args = tuple(args)
+        m, aorder = args[0].n, args[0].order
+        for g in args:
+            if g.n != m or g.order != aorder:
+                raise ShapeError("substitution arguments must share rank/order")
+            if g.constant_term():
+                raise InvertibilityError(
+                    "substitution requires zero constant terms")
+        self.order = order
+        self.args = tuple(g.with_order(order) for g in args)
+        self._source = args
+        self._mono = {(0,) * len(args): JetSeries.one(m, order)}
+        for i, g in enumerate(self.args):
+            self._mono[tuple(int(k == i) for k in range(len(args)))] = g
+        self._diffs = None
+
+    def _monomial(self, e):
+        got = self._mono.get(e)
+        if got is None:
+            i = len(e) - 1
+            while not e[i]:
+                i -= 1
+            got = self._monomial(e[:i] + (e[i] - 1,) + e[i + 1:]) \
+                * self.args[i]
+            self._mono[e] = got
+        return got
+
+    def jet(self, f: JetSeries) -> JetSeries:
+        """f(args), at the substitution order."""
+        if f.n != len(self.args):
+            raise ShapeError("substitution needs one series per variable")
+        order = self.order
+        out = {}
+        for e, c in f.coeffs.items():
+            # args^e lies in m^|e|, so it vanishes above the order
+            if sum(e) <= order:
+                _kernel.poly_axpy(out, self._monomial(e).coeffs, c)
+        return JetSeries(self.args[0].n, order, out, _clean=True)
+
+    def differentials(self):
+        """The one-forms d args_i, truncated to the substitution order."""
+        if self._diffs is None:
+            m, order = self.args[0].n, self.order
+            self._diffs = [
+                FormalForm(m, order, 1,
+                           {(j,): g.partial(j).with_order(order)
+                            for j in range(1, m + 1)})
+                for g in self._source]
+        return self._diffs
+
+    def form(self, w: FormalForm) -> FormalForm:
+        """The pullback of ``w``: f dt_I goes to f(args) d args_I."""
+        if w.n != len(self.args):
+            raise ShapeError("rank mismatch in pullback")
+        diffs = self.differentials()
+        out = FormalForm.zero(self.args[0].n, self.order, w.degree)
+        for idx, f in w.comps.items():
+            term = FormalForm.from_jet(self.jet(f))
+            for i in idx:
+                term = wedge(term, diffs[i - 1])
+            out = out + term
+        return out
 
 
 class FormMatrix:

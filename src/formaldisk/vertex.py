@@ -215,6 +215,11 @@ class VAState:
         _check_compatible(self, other)
         out = dict(self.terms)
         _kernel.state_axpy(out, other.terms, 1)
+        for m, c in other.terms.items():
+            # the terms are normalised, so only adding a Fraction can leave
+            # an integral Fraction behind
+            if type(c) is Fraction and m in out:
+                out[m] = norm_coeff(out[m])
         return VAState(self.n, self.policy, out, _clean=True)
 
     def __neg__(self):

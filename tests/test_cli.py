@@ -117,6 +117,33 @@ class TestFeynmanWheel:
                               str(profiles)], capsys)
         assert code == 2
 
+    def test_bad_profile_number_is_usage_error(self, tmp_path, capsys):
+        profiles = tmp_path / "profiles.txt"
+        profiles.write_text("F 0 x 1 1\nG 0 0 1 1\n")
+        assert main(["feynman", "wheel2", "--profiles", str(profiles)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("F 0 x 1 1\n"
+                                "^ profile line 1: expected numbers "
+                                "after 'F'\n")
+
+    def test_binary_profiles_is_usage_error(self, tmp_path, capsys):
+        profiles = tmp_path / "profiles.bin"
+        profiles.write_bytes(b"F 0 0 1 \xd0\x01\nG 0 0 1 1\n")
+        assert main(["feynman", "wheel2", "--profiles", str(profiles)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "profile line 1: expected numbers after 'F'" in captured.err
+
+    def test_unreadable_profiles_is_usage_error(self, tmp_path):
+        missing = tmp_path / "missing.txt"
+        r = run_cli(["feynman", "wheel2", "--profiles", str(missing)])
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
+        assert r.stderr == (f"error: cannot read --profiles {missing}: "
+                            "No such file or directory\n")
+
 
 class TestContract:
     def test_determinism_byte_identical(self):
@@ -193,6 +220,14 @@ class TestContract:
          "t1^2 (t2^2 d2)\n"
          "     ^ product of nonzero factors is zero at jet order 3; "
          "raise --jet-order\n"),
+        (["ch2", "--rank", "2", "--jet-order", "0", "--x", "d2 + t1 d1",
+          "--y", "t2 d2"],
+         "d2 + t1 d1\n"
+         "     ^ variable t1 is zero at jet order 0; raise --jet-order\n"),
+        (["mode-apply", "--rank", "1", "--state", "c[1,0]*t1", "--mode", "0",
+          "--on", "c[1,0]"],
+         "c[1,0]*t1\n"
+         "       ^ variable t1 cannot appear in a state\n"),
     ])
     def test_input_truncated_to_zero_is_exit_two(self, args, err, capsys):
         assert main(args) == 2

@@ -3,21 +3,120 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from formaldisk import gms
 from formaldisk.constants import GMS_D1_SCALE
-from formaldisk.errors import ShapeError
+from formaldisk.errors import InvertibilityError, ShapeError
 from formaldisk.gf import ch2_gf
 from formaldisk.gms import (alpha2, alpha3, alpha_tilde, d1_compare,
                             group_cocycle_residual, mu, pw_check)
-from formaldisk.jets import (FormalForm, FormalVectorField, JetAutomorphism,
-                             JetSeries, basis_monomial_fields, de_rham,
-                             jet_compose)
+from formaldisk.jets import (FormalForm, FormalVectorField, FormMatrix,
+                             JetAutomorphism, JetSeries,
+                             basis_monomial_fields, de_rham, jacobian,
+                             jet_compose, jet_invert, pullback_form)
 from formaldisk.grammar import parse_automorphism, parse_vector_field
 from tests.conftest import random_unipotent
 
 
 def auto(text, n, order=4):
     return parse_automorphism(text, n, order)
+
+
+@st.composite
+def automorphisms(draw, n, order, frac):
+    """A jet automorphism with a random invertible linear part and up to
+    two terms of degree 2..3 per component."""
+    coef = (st.fractions(min_value=-2, max_value=2, max_denominator=3)
+            if frac else st.integers(-2, 2))
+    exps = st.lists(st.integers(0, n - 1), min_size=2, max_size=3).map(
+        lambda ks: tuple(ks.count(i) for i in range(n)))
+    comps = []
+    for i in range(n):
+        lin = {tuple(int(k == j) for k in range(n)): draw(coef)
+               for j in range(n)}
+        high = draw(st.dictionaries(exps, coef, max_size=2))
+        comps.append(JetSeries(n, order, {**lin, **high}))
+    try:
+        return JetAutomorphism(n, order, comps)
+    except InvertibilityError:
+        assume(False)
+
+
+@st.composite
+def automorphism_pairs(draw):
+    n = draw(st.integers(1, 4))
+    order = draw(st.integers(2, 3 if n == 4 else 4))
+    frac = draw(st.booleans())
+    return (draw(automorphisms(n, order, frac)),
+            draw(automorphisms(n, order, frac)))
+
+
+def _lifted(phi):
+    w = phi.order + 2
+    return JetAutomorphism(phi.n, w, [f.with_order(w) for f in phi.comps])
+
+
+def _wedge_currents(phi):
+    """(g^{-1} dg, dg g^{-1}) as matrices of one-forms, g = Jac(phi)."""
+    g = jacobian(phi)
+    ginv = jet_invert(g)
+    dg = FormMatrix.de_rham_of(g)
+    return dg.scale_jet_left(ginv), dg.scale_jet_right(ginv)
+
+
+def wedge_alpha3(phi):
+    """(1/3) tr(A ^ A ^ A) from whole matrix wedge products; it is zero
+    below rank three because the cube has degree 3."""
+    g = _lifted(phi)
+    cur, _ = _wedge_currents(g)
+    cube = cur.wedge_mul(cur).wedge_mul(cur).trace().scale(F(1, 3))
+    return cube.with_order(phi.order)
+
+
+def wedge_alpha2(f1, f2):
+    """tr(f1^*(g2^{-1} dg2) ^ dg1 g1^{-1}) from whole matrix products."""
+    g1, g2 = _lifted(f1), _lifted(f2)
+    left2, _ = _wedge_currents(g2)
+    _, right1 = _wedge_currents(g1)
+    pulled = left2.map_entries(lambda w: pullback_form(g1, w))
+    return pulled.wedge_mul(right1).trace().with_order(f1.order)
+
+
+class TestTraceComponents:
+    """alpha2 and alpha3 are taken by components; the whole-matrix wedge
+    products are the reference."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(automorphism_pairs())
+    def test_against_wedge_products(self, pair):
+        f1, f2 = pair
+        assert alpha3(f1) == wedge_alpha3(f1)
+        assert alpha2(f1, f2) == wedge_alpha2(f1, f2)
+
+    def test_rank_four_components(self):
+        f = auto("(t1+t2^2+t3*t4, t2+t3^2+t1*t4, t3+t4^2+t1*t2, "
+                 "t4+t1^2+t2*t3)", 4, 3)
+        a3 = alpha3(f)
+        assert len(a3.comps) == 4
+        assert a3 == wedge_alpha3(f)
+
+    def test_jacobian_inverse_counts(self, monkeypatch, rng):
+        calls = []
+        real = gms.jet_invert
+        monkeypatch.setattr(gms, "jet_invert",
+                            lambda m: calls.append(m) or real(m))
+        # below rank three alpha3 and mu are zero before any Jacobian work
+        f = auto("(2*t1+t2^2, t2-t1^2)", 2)
+        assert alpha3(f).is_zero() and mu(f).is_zero()
+        assert calls == []
+        alpha2(f, f)
+        assert len(calls) == 2
+        # one inverse per automorphism: f1, f2 and f2 o f1
+        del calls[:]
+        assert pw_check(random_unipotent(rng, 3, 4),
+                        random_unipotent(rng, 3, 4))[0]
+        assert len(calls) == 3
 
 
 class TestAlpha2:
@@ -158,6 +257,14 @@ class TestVanEst:
             x, y = rng.choice(fields), rng.choice(fields)
             lie, c2, ok = d1_compare(x, y)
             assert ok, (x, y)
+
+    def test_rank_three_value(self):
+        x = parse_vector_field("t1*t3 d1 + 1/2*t2^2 d3", 3, 4)
+        y = parse_vector_field("t2*t3 d2 + t1*t3 d3", 3, 4)
+        lie, c2, ok = d1_compare(x, y)
+        assert ok
+        assert c2 == FormalForm(3, 4, 2, {(1, 3): -JetSeries.one(3, 4)})
+        assert lie == c2.scale(GMS_D1_SCALE)
 
     def test_origin_precondition(self):
         const = parse_vector_field("d1", 2, 5)

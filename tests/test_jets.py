@@ -12,7 +12,8 @@ from formaldisk.jets import (FormalForm, FormalVectorField, JetAutomorphism,
                              contract, de_rham, integrate_var, jacobian,
                              jet_compose, jet_invert, jet_mul, jet_partial,
                              lie_derivative, poincare_homotopy, pullback_form,
-                             staircase_primitive, wedge)
+                             pullback_jet, staircase_primitive, wedge)
+from formaldisk.jets import Substitution
 
 T1 = JetSeries.variable(2, 3, 1)
 T2 = JetSeries.variable(2, 3, 2)
@@ -316,6 +317,105 @@ class TestHomotopy:
             staircase_primitive(FormalForm(3, 3, 2, {(1, 2): t3}))
 
 
+def naive_subs(f, args, order):
+    """sum_e c_e prod_i args_i ** e_i, each term built on its own."""
+    out = JetSeries.zero(args[0].n, order)
+    for e, c in f.coeffs.items():
+        term = JetSeries.one(args[0].n, order)
+        for g, k in zip(args, e):
+            term = term * g.with_order(order) ** k
+        out = out + term.scale(c)
+    return out
+
+
+@st.composite
+def substitutions(draw):
+    """(jets f, g in n variables, n args in m variables with zero constant
+    terms, order), with int or Fraction coefficients."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    order = draw(st.integers(2, 4))
+    coef = draw(st.sampled_from([
+        st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4)]))
+
+    def jet(rank, low, size):
+        exps = st.tuples(*[st.integers(0, order)] * rank).filter(
+            lambda e: low <= sum(e) <= order)
+        return JetSeries(rank, order,
+                         draw(st.dictionaries(exps, coef, max_size=size)))
+
+    args = tuple(jet(m, 1, 4) for _ in range(n))
+    return jet(n, 0, 6), jet(n, 0, 6), args, order
+
+
+class TestSubstitution:
+    @settings(max_examples=60, deadline=None)
+    @given(substitutions())
+    def test_against_naive_products(self, case):
+        f, g, args, order = case
+        sub = Substitution(args, order)
+        # the monomials f builds are reused for g
+        assert sub.jet(f) == naive_subs(f, args, order)
+        assert sub.jet(g) == naive_subs(g, args, order)
+        assert f.subs(args) == naive_subs(f, args, order)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_compose_and_pullback_against_naive(self, data):
+        n, order = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 4))
+        coef = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+        unit = st.sampled_from([-2, -1, F(1, 2), 1, 2])
+        exps = st.tuples(*[st.integers(0, order)] * n).filter(
+            lambda e: 2 <= sum(e) <= order)
+
+        def automorphism():
+            # lower-triangular linear part with a unit diagonal: invertible,
+            # not unipotent
+            comps = []
+            for i in range(n):
+                lin = {tuple(int(k == j) for k in range(n)):
+                       data.draw(unit if j == i else coef)
+                       for j in range(i + 1)}
+                high = data.draw(st.dictionaries(exps, coef, max_size=3))
+                comps.append(JetSeries(n, order, {**high, **lin}))
+            return JetAutomorphism(n, order, comps)
+
+        phi, outer = automorphism(), automorphism()
+        g = JetSeries(n, order, data.draw(st.dictionaries(
+            st.tuples(*[st.integers(0, order)] * n), coef, max_size=6)))
+        assert jet_compose(outer, phi).comps == \
+            [naive_subs(c, phi.comps, order) for c in outer.comps]
+        pulled = naive_subs(g, phi.comps, order)
+        assert pullback_jet(phi, g) == pulled
+        # phi^*(g dt_n) = (g o phi) sum_i d_i phi_n dt_i
+        w = FormalForm(n, order, 1, {(n,): g})
+        assert pullback_form(phi, w) == FormalForm(n, order, 1, {
+            (i,): pulled * phi.comps[n - 1].partial(i)
+            for i in range(1, n + 1)})
+
+    def test_constant_term_rejected(self):
+        t = JetSeries.variable(1, 3, 1)
+        f = t * t
+        for bad in (t + 1, t + F(1, 2), JetSeries.one(1, 3)):
+            with pytest.raises(InvertibilityError):
+                f.subs((bad,))
+            with pytest.raises(InvertibilityError):
+                Substitution((bad,), 3)
+        inner = JetAutomorphism(1, 3, [t])
+        inner.comps[0] = t + 1  # bypasses the constructor's check
+        with pytest.raises(InvertibilityError):
+            jet_compose(JetAutomorphism(1, 3, [t + f]), inner)
+
+    def test_shape_errors(self):
+        t1, t2 = JetSeries.variable(2, 3, 1), JetSeries.variable(2, 3, 2)
+        with pytest.raises(ShapeError):
+            t1.subs((t1,))
+        with pytest.raises(ShapeError):
+            Substitution((t1, JetSeries.variable(2, 4, 2)), 3)
+        with pytest.raises(ShapeError):
+            Substitution((t1, t2), 3).jet(JetSeries.variable(1, 3, 1))
+
+
 class TestPullback:
     def test_pullback_multiplicative(self, rng):
         from tests.conftest import random_unipotent
@@ -332,6 +432,15 @@ class TestPullback:
         lhs = de_rham(pullback_form(phi, w))
         rhs = pullback_form(phi, de_rham(w))
         assert lhs.with_order(3) == rhs.with_order(3)
+
+    def test_lower_form_order_keeps_high_terms_of_phi(self):
+        # d phi at order 3 needs phi's degree-4 terms: the pullback at the
+        # form's order is the order-5 pullback truncated
+        t1, t2 = T1.with_order(5), T2.with_order(5)
+        phi = JetAutomorphism(2, 5, [t1 + t2 ** 4, t2 - (t1 ** 3) * t2])
+        w = FormalForm(2, 3, 1, {(1,): ONE2 + T2, (2,): T1 * T2})
+        assert pullback_form(phi, w) == \
+            pullback_form(phi, w.with_order(5)).with_order(3)
 
     def test_contract_antiderivation(self):
         x = FormalVectorField.monomial(2, 4, (1, 0), 1)

@@ -230,6 +230,10 @@ class TestCoefficients:
             VAState(2, POL, {((KIND_C, 1, 0), (KIND_C, 2, 0)): F(1, 2),
                              ((KIND_C, 2, 0), (KIND_C, 1, 0)): F(1, 2)}),
             parse_state("2*c[1,0]", 2, POL),
+            # sums of non-integral coefficients
+            VAState(2, POL, {c1: F(1, 2)}) + VAState(2, POL, {c1: F(1, 2)}),
+            VAState(2, POL, {c1: F(5, 2)}) - VAState(2, POL, {c1: F(1, 2)}),
+            parse_state("1/2*c[1,0] + 1/2*c[1,0]", 2, POL),
         ]
         for v in states:
             (c,) = v.terms.values()
@@ -243,6 +247,7 @@ class TestCoefficients:
             VAState.generator(2, POL, KIND_C, 1, 0, coeff="1/3"),
             VAState(2, POL, {c1: 3}).scale(F(1, 2)),
             parse_state("2/3*c[1,0]", 2, POL),
+            VAState(2, POL, {c1: 1}) + VAState(2, POL, {c1: F(1, 2)}),
         ]
         for v in states:
             (c,) = v.terms.values()
