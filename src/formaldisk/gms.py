@@ -35,9 +35,9 @@ from itertools import combinations
 
 from .errors import ShapeError
 from .gf import ch2_gf
-from .jets import (FormalForm, FormalVectorField, JetAutomorphism, JetSeries,
-                   Substitution, de_rham, jacobian, jet_compose, jet_invert,
-                   poincare_homotopy)
+from .jets import (FormalForm, FormalVectorField, JetAutomorphism, JetMatrix,
+                   JetSeries, Substitution, de_rham, jacobian, jet_compose,
+                   jet_invert, poincare_homotopy)
 from .scalars import NilpotentPair
 
 _HEADROOM = 2
@@ -53,26 +53,16 @@ def _check_pair(f1, f2):
         raise ShapeError("automorphisms must share rank and order")
 
 
-def _dot(pairs, zero):
-    """Sum of x*y over the pairs; a pair with a zero factor costs nothing."""
-    acc = zero
-    for x, y in pairs:
-        if x and y:
-            acc = acc + x * y
-    return acc
-
-
-def _matmul(a, b, zero):
-    n = len(a)
-    return [[_dot(((a[i][k], b[k][j]) for k in range(n)), zero)
-             for j in range(n)] for i in range(n)]
-
-
-def _trace_mul(a, b, zero):
+def _trace_mul(a: JetMatrix, b: JetMatrix) -> JetSeries:
     """tr(ab), without the off-diagonal entries of ab."""
-    n = len(a)
-    return _dot(((a[i][j], b[j][i]) for i in range(n) for j in range(n)),
-                zero)
+    n = a.n
+    acc = JetSeries.zero(n, a.order)
+    for i in range(n):
+        for j in range(n):
+            x, y = a.entries[i][j], b.entries[j][i]
+            if x and y:
+                acc = acc + x * y
+    return acc
 
 
 class _Currents:
@@ -85,26 +75,23 @@ class _Currents:
 
     def __init__(self, phi: JetAutomorphism):
         self.phi = phi
-        self.zero = JetSeries.zero(phi.n, phi.order)
 
     @cached_property
     def _jacobian(self):
-        """(g^{-1}, [d_a g for each direction a]) as nested lists of jets."""
+        """(g^{-1}, [d_a g for each direction a])."""
         g = jacobian(self.phi)
-        ginv = jet_invert(g).entries
-        dg = [[[f.partial(a) for f in row] for row in g.entries]
-              for a in range(1, self.phi.n + 1)]
-        return ginv, dg
+        return jet_invert(g), [g.map_entries(lambda f, a=a: f.partial(a))
+                               for a in range(1, self.phi.n + 1)]
 
     @cached_property
     def left(self):
         ginv, dg = self._jacobian
-        return [_matmul(ginv, d, self.zero) for d in dg]
+        return [ginv * d for d in dg]
 
     @cached_property
     def right(self):
         ginv, dg = self._jacobian
-        return [_matmul(d, ginv, self.zero) for d in dg]
+        return [d * ginv for d in dg]
 
     @cached_property
     def sub(self) -> Substitution:
@@ -121,14 +108,11 @@ class _Currents:
         n, order = self.phi.n, self.phi.order
         if n < 3:
             return FormalForm.zero(n, order, min(3, n))
-        m, zero = self.left, self.zero
-        comm = {}
-        for a, b in combinations(range(n - 1), 2):
-            ab, ba = _matmul(m[a], m[b], zero), _matmul(m[b], m[a], zero)
-            comm[a, b] = [[x - y for x, y in zip(r, s)]
-                          for r, s in zip(ab, ba)]
+        m = self.left
+        comm = {(a, b): m[a] * m[b] - m[b] * m[a]
+                for a, b in combinations(range(n - 1), 2)}
         return FormalForm(n, order, 3, {
-            (a + 1, b + 1, c + 1): _trace_mul(comm[a, b], m[c], zero)
+            (a + 1, b + 1, c + 1): _trace_mul(comm[a, b], m[c])
             for a, b, c in combinations(range(n), 3)})
 
     @cached_property
@@ -147,17 +131,16 @@ def _alpha2(c1: _Currents, c2: _Currents) -> FormalForm:
     exactly (tests pin it down).  With P_a and R_b the dt-coefficients of
     the two factors, the (a<b) component is tr(P_a R_b) - tr(P_b R_a).
     """
-    n, zero, sub = c1.phi.n, c1.zero, c1.sub
+    n, order, sub = c1.phi.n, c1.phi.order, c1.sub
     # dphi[c][a] = d_a phi_c, and f1^*(N dt_c) = (N o f1) sum_a dphi[c][a] dt_a
     dphi = [[d.component((a,)) for a in range(1, n + 1)]
             for d in sub.differentials()]
-    pulled = [[[sub.jet(f) for f in row] for row in mc] for mc in c2.left]
-    p = [[[_dot(((pulled[c][i][j], dphi[c][a]) for c in range(n)), zero)
-           for j in range(n)] for i in range(n)] for a in range(n)]
+    pulled = [mc.map_entries(sub.jet) for mc in c2.left]
+    p = [sum((pulled[c].scale_jet(dphi[c][a]) for c in range(n)),
+             JetMatrix.zero(n, order)) for a in range(n)]
     r = c1.right
-    return FormalForm(n, c1.phi.order, min(2, n), {
-        (a + 1, b + 1): _trace_mul(p[a], r[b], zero)
-        - _trace_mul(p[b], r[a], zero)
+    return FormalForm(n, order, min(2, n), {
+        (a + 1, b + 1): _trace_mul(p[a], r[b]) - _trace_mul(p[b], r[a])
         for a, b in combinations(range(n), 2)})
 
 

@@ -553,6 +553,11 @@ class JetMatrix:
         self.entries = entries
 
     @classmethod
+    def zero(cls, n, order):
+        zero = JetSeries.zero(n, order)
+        return cls(n, order, [[zero] * n for _ in range(n)])
+
+    @classmethod
     def identity(cls, n, order):
         one, zero = JetSeries.one(n, order), JetSeries.zero(n, order)
         return cls(n, order, [[one if i == j else zero for j in range(n)]
@@ -580,6 +585,7 @@ class JetMatrix:
                          [[-a for a in row] for row in self.entries])
 
     def __mul__(self, other):
+        """Matrix product; an entry product with a zero factor is skipped."""
         _check_same(self, other)
         n = self.n
         out = []
@@ -588,10 +594,18 @@ class JetMatrix:
             for j in range(n):
                 acc = JetSeries.zero(n, self.order)
                 for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
+                    x, y = self.entries[i][k], other.entries[k][j]
+                    if x and y:
+                        acc = acc + x * y
                 row.append(acc)
             out.append(row)
         return JetMatrix(n, self.order, out)
+
+    def scale_jet(self, f: JetSeries):
+        """Every entry times the jet ``f``."""
+        if not f:
+            return JetMatrix.zero(self.n, self.order)
+        return self.map_entries(lambda g: g * f if g else g)
 
     def constant_matrix(self):
         return [[f.constant_term() for f in row] for row in self.entries]

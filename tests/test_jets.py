@@ -242,6 +242,37 @@ class TestAutomorphisms:
         with pytest.raises(InvertibilityError):
             JetAutomorphism(2, 3, [T1, T1])
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_matrix_product_against_entry_sums(self, data):
+        n = data.draw(st.integers(1, 3))
+        zero = JetSeries.zero(n, 2)
+        entry = st.one_of(st.just(zero), jets_strategy(n, 2))
+
+        def matrix():
+            return JetMatrix(n, 2, [[data.draw(entry) for _ in range(n)]
+                                    for _ in range(n)])
+
+        a, b, f = matrix(), matrix(), data.draw(entry)
+        rows = range(n)
+        assert (a * b).entries == [
+            [sum((a.entries[i][k] * b.entries[k][j] for k in rows), zero)
+             for j in rows] for i in rows]
+        assert a.scale_jet(f).entries == [[g * f for g in row]
+                                          for row in a.entries]
+        assert a + JetMatrix.zero(n, 2) == a
+
+    def test_matrix_product_skips_zero_factors(self, monkeypatch):
+        from formaldisk import _kernel
+        m = JetMatrix(2, 3, [[T1 + ONE2, T2], [T1 * T2, ONE2 - T2]])
+        calls = []
+        real = _kernel.poly_mul
+        monkeypatch.setattr(_kernel, "poly_mul",
+                            lambda *args: calls.append(1) or real(*args))
+        assert JetMatrix.identity(2, 3) * m == m
+        # one product per entry of m, none with an off-diagonal zero
+        assert len(calls) == 4
+
     def test_invert_compose_roundtrip(self, rng):
         from tests.conftest import random_unipotent
         for n in (1, 2, 3):
