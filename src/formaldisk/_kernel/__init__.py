@@ -1,32 +1,20 @@
-"""Kernel selection: compiled extension if built, pure Python otherwise.
+"""The hot inner loops, re-exported from :mod:`._pure`.
 
-Set ``FORMALDISK_PURE=1`` to force the pure fallback (used by the benchmark
-and by tests that compare the two implementations).
+Callers reach them as ``_kernel.poly_mul`` and so on, looked up on this
+module at call time, so a profiler can rebind them here; ``_impl`` names
+the module that holds the originals.
 """
 
-import os
-
-from . import _pure
-
-if os.environ.get("FORMALDISK_PURE"):
-    _impl = _pure
-    BACKEND = "pure"
-else:
-    try:
-        from . import _core as _impl  # type: ignore[attr-defined]
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _pure
-        BACKEND = "pure"
-
-poly_mul = _impl.poly_mul
-poly_axpy = _impl.poly_axpy
-state_mul_sym = _impl.state_mul_sym
-state_deriv_sym = _impl.state_deriv_sym
-state_axpy = _impl.state_axpy
+from . import _pure as _impl
+from ._pure import (
+    poly_axpy,
+    poly_mul,
+    state_axpy,
+    state_deriv_sym,
+    state_mul_sym,
+)
 
 __all__ = [
-    "BACKEND",
     "poly_mul",
     "poly_axpy",
     "state_mul_sym",

@@ -1,10 +1,6 @@
-"""Pure-Python implementations of the hot inner loops.
+"""The hot inner loops, in pure Python.
 
-The compiled extension ``formaldisk._kernel._core`` mirrors these functions
-one for one (its ``poly_mul`` is the schoolbook product, which may return
-an integral ``Fraction`` where this one returns an equal ``int``);
-``formaldisk._kernel`` picks whichever is importable.  Both operate on
-plain containers so they stay interchangeable:
+They operate on plain containers:
 
 * polynomials: dict mapping exponent tuples (length n) to coefficients,
 * states: dict mapping sorted tuples of mode symbols to coefficients,

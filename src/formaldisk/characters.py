@@ -46,6 +46,8 @@ def divisor_sigma(m: int, p: int) -> int:
 
 def _series_inverse(a, order):
     """Inverse of a univariate rational series given as a coefficient list."""
+    if order < 0:
+        raise ShapeError("truncation order must be >= 0")
     if not a[0]:
         raise ShapeError("series inverse needs a unit constant term")
     inv0 = Fraction(1) / a[0]
@@ -73,14 +75,6 @@ def a_hat_root_series(order) -> list[Fraction]:
 
 
 # -- the root ring ---------------------------------------------------------------
-
-
-def root_ring_one(n, degree) -> JetSeries:
-    return JetSeries.one(n, degree)
-
-
-def root_monomial(n, degree, i, power=1) -> JetSeries:
-    return JetSeries.variable(n, degree, i, power)
 
 
 def power_sum(n, degree, k) -> JetSeries:
@@ -155,6 +149,8 @@ class QSeries:
         coeffs = list(coeffs)
         if order is None:
             order = len(coeffs) - 1
+        if order < 0:
+            raise ShapeError("q-series order must be >= 0")
         if len(coeffs) != order + 1:
             raise ShapeError("need exactly order+1 coefficients")
         self.order = order
@@ -428,16 +424,28 @@ def specialize_roots_zero(qs: QSeries) -> QSeries:
 # -- lattice Eisenstein sums (numeric) -------------------------------------------
 
 
+# bound on the (m, n) candidates a lattice sum visits; at the bound its list
+# of about 1.6 M points takes some 130 MB and a second to build
+MAX_LATTICE_POINTS = 2_000_000
+
+
 class LatticeSpec:
     """Summation request: modulus tau (Im tau > 0) and disk cutoff radius."""
 
     __slots__ = ("tau", "cutoff")
 
     def __init__(self, tau: complex, cutoff: int):
+        if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
+            raise ShapeError("lattice modulus must be finite")
         if tau.imag <= 0:
             raise ShapeError("lattice modulus needs positive imaginary part")
         if cutoff < 1:
             raise ShapeError("cutoff must be >= 1")
+        # rows n with |n Im tau| <= cutoff, times the m range of each row
+        if (2 * cutoff / tau.imag + 3) * (2 * cutoff + 1) > MAX_LATTICE_POINTS:
+            raise ShapeError(
+                f"cutoff {cutoff} over Im tau {tau.imag:g} visits more than "
+                f"{MAX_LATTICE_POINTS} lattice points")
         self.tau = complex(tau)
         self.cutoff = int(cutoff)
 
@@ -448,8 +456,11 @@ class LatticeSpec:
         n_max = int(r_max / tau.imag) + 1
         pts = []
         for n in range(-n_max, n_max + 1):
+            y = n * tau.imag
+            if abs(y) > r_max:
+                continue
             center = -n * tau.real
-            half = math.sqrt(max(r_max * r_max - (n * tau.imag) ** 2, 0.0))
+            half = math.sqrt(r_max * r_max - y * y)
             m_lo = math.ceil(center - half)
             m_hi = math.floor(center + half)
             for m in range(m_lo, m_hi + 1):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -64,6 +65,28 @@ def _basis(args):
             f"no basis states with weight <= {args.max_weight} and "
             f"c0-degree <= {args.max_c0}")
     return monos
+
+
+def _floats(text, flag, count=None):
+    """The comma-separated finite numbers of a flag's value, ``count`` of
+    them when it is given."""
+    try:
+        values = [float(s) for s in text.split(",")]
+        if not all(map(math.isfinite, values)) or \
+                len(values) != (count or len(values)):
+            raise ValueError
+    except ValueError:
+        size = f"{count} " if count else ""
+        raise FormalDiskError(f"--{flag} expects {size}comma-separated "
+                              f"finite numbers, got {text!r}") from None
+    return values
+
+
+def _tolerance(args):
+    if not 0 < args.tolerance < math.inf:
+        raise FormalDiskError(f"--tolerance must be positive and finite, "
+                              f"got {args.tolerance}")
+    return args.tolerance
 
 
 def _finish(doc, args):
@@ -250,14 +273,14 @@ def cmd_witten_exp_check(args):
 
 
 def cmd_eisenstein(args):
-    re_part, im_part = (float(s) for s in args.tau.split(","))
-    tau = complex(re_part, im_part)
+    tol = _tolerance(args)
+    tau = complex(*_floats(args.tau, "tau", 2))
     spec = characters.LatticeSpec(tau, args.cutoff)
     value = characters.eisenstein_lattice(args.weight, spec)
     qval = characters.eisenstein_q_numeric(args.weight, tau, args.q_order)
     denom = max(abs(qval), 1e-30)
     rel = abs(value - qval) / denom
-    agree = rel < args.tolerance or abs(value - qval) < args.tolerance
+    agree = rel < tol or abs(value - qval) < tol
     doc = _document("eisenstein",
                     {"weight": args.weight, "tau": args.tau,
                      "cutoff": args.cutoff, "q_order": args.q_order,
@@ -289,7 +312,9 @@ def _read_profiles(path):
                 f"profile line {line_no}: expected "
                 "'F|G cx cy radius c1 [c2 ...]'", body, 0)
         try:
-            cx, cy, radius, *coeffs = (float(x) for x in parts[1:])
+            cx, cy, radius, *coeffs = nums = [float(x) for x in parts[1:]]
+            if not all(map(math.isfinite, nums)):
+                raise ValueError
         except ValueError:
             raise ParseError(f"profile line {line_no}: expected numbers "
                              f"after '{parts[0]}'", body, 0) from None
@@ -303,10 +328,11 @@ def _read_profiles(path):
 
 def cmd_feynman_wheel2(args):
     fields_f, fields_g = _read_profiles(args.profiles)
-    sched = [float(s) for s in args.eps_schedule.split(",")]
+    tol = _tolerance(args)
+    sched = _floats(args.eps_schedule, "eps-schedule")
     cfg = feynman.QuadConfig(grid_n=args.grid, eps_schedule=sched)
     rep = feynman.wheel2_check(fields_f, fields_g, cfg)
-    ok = rep["relative_error"] < args.tolerance
+    ok = rep["relative_error"] < tol
     doc = _document("feynman wheel2",
                     {"profiles": args.profiles, "grid": args.grid,
                      "eps_schedule": args.eps_schedule,

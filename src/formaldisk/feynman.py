@@ -113,6 +113,8 @@ class QuadConfig:
         if grid_n < 8 or t_nodes < 2:
             raise ShapeError("quadrature resolutions too small")
         sched = [float(e) for e in eps_schedule]
+        if len(sched) < 2:
+            raise ShapeError("eps schedule needs at least two entries")
         if any(e <= 0 for e in sched) or any(
                 later >= earlier for earlier, later in zip(sched, sched[1:])):
             raise ShapeError("eps schedule must be positive and strictly decreasing")

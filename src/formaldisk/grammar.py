@@ -104,9 +104,6 @@ class _Parser:
 
     # -- value helpers --------------------------------------------------------
 
-    def scalar_zero(self):
-        return _Val("scalar", JetSeries.zero(self.n, self.order))
-
     def promote(self, v, kind):
         if v.kind == kind:
             return v
@@ -316,7 +313,7 @@ class _Parser:
             if not self.accept_op(")"):
                 self.error("expected ')'")
             return val
-        self.error("expected a value")
+        self.error("expected a value", pos)
 
     def parse_complete(self):
         val = self.parse_expr()

@@ -240,16 +240,6 @@ class JetSeries:
             order = min(self.order, args[0].order)
         return Substitution(args, order).jet(self)
 
-    def eval_float(self, point):
-        """Evaluate the representative at a numeric point (testing aid)."""
-        total = 0.0
-        for e, c in self.coeffs.items():
-            v = float(c)
-            for x, k in zip(point, e):
-                v *= x ** k
-            total += v
-        return total
-
 
 # -- spec-named operations ----------------------------------------------------
 
@@ -563,11 +553,6 @@ class JetMatrix:
         return cls(n, order, [[one if i == j else zero for j in range(n)]
                               for i in range(n)])
 
-    @classmethod
-    def from_scalar_matrix(cls, n, order, rows):
-        return cls(n, order, [[JetSeries.const(n, order, rat(v)) for v in row]
-                              for row in rows])
-
     def __add__(self, other):
         _check_same(self, other)
         return JetMatrix(self.n, self.order,
@@ -661,11 +646,6 @@ class JetAutomorphism:
                 row.append(f.coeffs.get(e, Fraction(0)))
             out.append(row)
         return out
-
-    def is_unipotent(self):
-        lin = self.linear_part()
-        return all(lin[i][j] == (1 if i == j else 0)
-                   for i in range(self.n) for j in range(self.n))
 
     def __eq__(self, other):
         if not isinstance(other, JetAutomorphism):
@@ -965,11 +945,6 @@ class FormMatrix:
         self.n = n
         self.order = order
         self.entries = entries
-
-    @classmethod
-    def from_jet_matrix(cls, m: JetMatrix):
-        return cls(m.n, m.order,
-                   [[FormalForm.from_jet(f) for f in row] for row in m.entries])
 
     @classmethod
     def de_rham_of(cls, m: JetMatrix):

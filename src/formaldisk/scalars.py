@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def rat(x) -> Fraction:
     """Coerce ints, strings like '2/3', and Fractions to Fraction."""

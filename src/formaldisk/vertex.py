@@ -199,15 +199,9 @@ class VAState:
     def max_weight(self):
         return max((mono_weight(m) for m in self.terms), default=0)
 
-    def c0_degree(self):
-        return max((mono_c0_degree(m) for m in self.terms), default=0)
-
     def filtration_degree(self):
         """Number of b-symbols; max over monomials when inhomogeneous."""
         return max((mono_b_count(m) for m in self.terms), default=0)
-
-    def with_policy(self, policy):
-        return VAState(self.n, policy, dict(self.terms))
 
     # -- linear structure -------------------------------------------------------
 

@@ -17,6 +17,7 @@ from formaldisk.characters import (LatticeSpec, QSeries, a_hat,
                                    witten_exp_check, witten_exp_check_full)
 from formaldisk.errors import ShapeError
 from formaldisk.jets import JetSeries
+from formaldisk.vertex import KIND_B, KIND_C, enumerate_weight_monomials
 
 
 def two_colored_partitions(colors, top):
@@ -76,6 +77,24 @@ class TestChSym:
         vals = [c.constant_term() for c in cs.coeffs]
         assert vals == [1, 2, 5, 10, 20, 36]
         assert vals == two_colored_partitions(2, 5)
+
+    @pytest.mark.parametrize("n,degree,q_order", [(1, 4, 6), (2, 4, 6),
+                                                  (3, 3, 4)])
+    def test_graded_count_on_state_space(self, n, degree, q_order):
+        """The q^w coefficient is the torus character of the weight-w
+        states: e^{x_j} per b^j symbol and e^{-x_j} per c^j symbol."""
+        sign = {KIND_B: 1, KIND_C: -1}
+        weight = {(kind, j): jet_exp(JetSeries.variable(n, degree, j).scale(s))
+                  for kind, s in sign.items() for j in range(1, n + 1)}
+        cs = ch_sym_product(n, degree, q_order)
+        for w in range(q_order + 1):
+            total = JetSeries.zero(n, degree)
+            for mono in enumerate_weight_monomials(n, w):
+                term = JetSeries.one(n, degree)
+                for kind, j, _ in mono:
+                    term = term * weight[kind, j]
+                total = total + term
+            assert total == cs.coeffs[w], w
 
     def test_specialization_is_eta_power(self):
         for n in (1, 2):

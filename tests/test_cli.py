@@ -1,10 +1,13 @@
 """CLI: dispatch, document shape, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from formaldisk.cli import main
 
@@ -256,3 +259,167 @@ class TestContract:
         payload = doc["result"]["payload"]
         pol = TruncationPolicy(8, 10)
         assert parse_state(payload, 2, pol) is not None
+
+
+PROFILES = "F -0.3 0 1.0 0 1.0\nG 0.3 0 1.0 0 0.5 0.5\n"
+
+
+@pytest.fixture(scope="module")
+def profiles(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "profiles.txt"
+    path.write_text(PROFILES)
+    return str(path)
+
+
+def run_captured(argv):
+    """Exit code, stdout and stderr of one in-process run; argparse's own
+    usage errors arrive as ``SystemExit``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("flags,err", [
+        (["--eps-schedule", ""], "error: --eps-schedule expects "),
+        (["--eps-schedule", "abc"], "error: --eps-schedule expects "),
+        (["--eps-schedule", "0.1,inf"], "error: --eps-schedule expects "),
+        (["--eps-schedule", "0.1"],
+         "error: eps schedule needs at least two entries"),
+        (["--tolerance", "nan"], "error: --tolerance must be positive"),
+        (["--tolerance", "-1"], "error: --tolerance must be positive"),
+    ])
+    def test_wheel2(self, flags, err, profiles):
+        code, out, text = run_captured(
+            ["feynman", "wheel2", "--profiles", profiles, "--grid", "8"]
+            + flags)
+        assert (code, out) == (2, "")
+        assert text.startswith(err)
+
+    @pytest.mark.parametrize("body", ["F nan 0 1 1\nG 0 0 1 1\n",
+                                      "F 0 0 1 1\nG 0 0 inf 1\n"])
+    def test_non_finite_profile_number(self, body, tmp_path):
+        path = tmp_path / "profiles.txt"
+        path.write_text(body)
+        code, out, err = run_captured(["feynman", "wheel2", "--profiles",
+                                       str(path), "--grid", "8"])
+        assert (code, out) == (2, "")
+        assert "expected numbers after" in err
+
+    @pytest.mark.parametrize("flags,err", [
+        (["--tau", "abc"], "error: --tau expects 2 "),
+        (["--tau", "1"], "error: --tau expects 2 "),
+        (["--tau", "0,1,2"], "error: --tau expects 2 "),
+        (["--tau", "nan,1"], "error: --tau expects 2 "),
+        (["--tau", "inf,1"], "error: --tau expects 2 "),
+        (["--tau", "0,1e300"], None),
+        (["--tau", "0,1e-300"], "error: cutoff 200 over Im tau 1e-300 "),
+        (["--tau", "0,1", "--cutoff", "100000"], "error: cutoff 100000 "),
+        (["--tau", "0,1", "--tolerance", "nan"],
+         "error: --tolerance must be positive"),
+    ])
+    def test_eisenstein(self, flags, err):
+        code, out, text = run_captured(["eisenstein", "--weight", "6"]
+                                       + flags)
+        if err is None:
+            # a huge Im tau leaves one lattice row: the check runs
+            assert code == 0 and json.loads(out)["checks"][0]["ok"]
+        else:
+            assert (code, out) == (2, "")
+            assert text.startswith(err)
+
+    @pytest.mark.parametrize("argv", [
+        ["char-identity", "--rank", "1", "--chern-degree", "-1"],
+        ["char-identity", "--rank", "1", "--q-order", "-1"],
+        ["witten-exp-check", "--rank", "1", "--chern-degree", "2",
+         "--q-order", "-1"],
+        ["witten-log", "--rank", "1", "--chern-degree", "2",
+         "--q-order", "-1"],
+        ["witten-log", "--rank", "1", "--q-order", "-1"],
+    ])
+    def test_negative_orders(self, argv):
+        code, out, err = run_captured(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "must be >= 0" in err
+
+
+# Values drawn for the numeric flags: well-formed small ones and malformed
+# ones (empty, non-numeric, non-finite, negative, out of range).
+SMALL_INTS = ["0", "1", "2", "-1", "", "x", "1.5", "nan"]
+RANKS = ["1", "2", "0", "-1", "", "two"]
+ORDERS = ["0", "1", "2", "3", "-1", "-2", "", "abc", "inf"]
+FLOATS = ["0.5", "1e-7", "0", "-1", "", "abc", "nan", "inf", "-inf",
+          "1e-300", "1e300"]
+LISTS = ["0.1,0.05", "0.1,0.05,0.02", "0.1", "", "abc", "0.1,abc",
+         "0.05,0.1", "0.1,nan", "0.1,inf", "0,0", ",", "0.1,,0.05"]
+TAUS = ["0,1", "0.5,1", "0,2", "1", "", "abc", "0,0", "0,-1", "nan,1",
+        "inf,1", "0,nan", "0,1,2", "1e300,1", "0,1e300", "0,1e-300"]
+TOKENS = ["t1", "t2", "d1", "d2", "dt1", "dt2", "b[1,-1]", "c[1,0]",
+          "b[2,-2]", "vac", "2/3", "1/0", "3", "*", "+", "-", "^", " ",
+          "(", ")", ",", "^2", "%"]
+EXPRS = st.one_of(
+    st.sampled_from(["t1 d1", "t1*t2 d1", "t2^2 d2 + t1 d1", "d1",
+                     "c[1,0]*b[1,-1]", "b[1,-1]", "vac", "2/3*t1^2 d1",
+                     "(t1+t2^2, t2)", "(t1, t2+t1^2)", "(t1)"]),
+    st.lists(st.sampled_from(TOKENS), max_size=8).map("".join))
+
+SUBCOMMANDS = {
+    "mode-apply": dict(rank=RANKS, state=EXPRS, mode=SMALL_INTS, on=EXPRS,
+                       max_weight=SMALL_INTS, max_c0=SMALL_INTS),
+    "borcherds": dict(rank=RANKS, a=EXPRS, b=EXPRS, c=EXPRS, l=SMALL_INTS,
+                      m=SMALL_INTS, max_weight=SMALL_INTS),
+    "rho-w": dict(rank=RANKS, x=EXPRS, on=EXPRS, jet_order=ORDERS),
+    "msv-check": dict(rank=RANKS, x=EXPRS, y=EXPRS, jet_order=ORDERS,
+                      max_weight=SMALL_INTS, max_c0=SMALL_INTS),
+    "ch2": dict(rank=RANKS, x=EXPRS, y=EXPRS, jet_order=ORDERS),
+    "c1": dict(rank=RANKS, x=EXPRS, jet_order=ORDERS),
+    "atiyah": dict(rank=RANKS, x=EXPRS, jet_order=ORDERS),
+    "pw-check": dict(rank=RANKS, f1=EXPRS, f2=EXPRS, jet_order=ORDERS),
+    "gms-d1": dict(rank=RANKS, x=EXPRS, y=EXPRS, jet_order=ORDERS),
+    "conformal-check": dict(rank=RANKS, jet_order=ORDERS,
+                            max_weight=SMALL_INTS, max_c0=SMALL_INTS),
+    "char-identity": dict(rank=RANKS, chern_degree=ORDERS, q_order=ORDERS),
+    "witten-log": dict(rank=RANKS, chern_degree=ORDERS, q_order=ORDERS),
+    "witten-exp-check": dict(rank=RANKS, chern_degree=ORDERS,
+                             q_order=ORDERS),
+    "eisenstein": dict(weight=["4", "6", "2", "3", "-4", "", "x"], tau=TAUS,
+                       cutoff=["1", "5", "0", "-1", "", "nan"],
+                       q_order=ORDERS, tolerance=FLOATS),
+    "feynman wheel2": dict(profiles=["PROFILES", "missing.txt"],
+                           eps_schedule=LISTS, grid=["8", "0", "-1", "", "x"],
+                           tolerance=FLOATS),
+    "feynman t-limits": dict(eps=FLOATS),
+}
+
+
+@st.composite
+def cli_calls(draw):
+    """A subcommand with a random subset of its flags, each set with
+    ``--flag=value`` so that values beginning with '-' reach the program."""
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = command.split()
+    for name, values in SUBCOMMANDS[command].items():
+        if draw(st.integers(0, 5)) == 0:
+            continue
+        value = draw(values if isinstance(values, st.SearchStrategy)
+                     else st.sampled_from(values))
+        argv.append(f"--{name.replace('_', '-')}={value}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cli_calls())
+def test_fuzz_exit_codes_and_output(profiles, argv):
+    argv = [a.replace("PROFILES", profiles) for a in argv]
+    code, out, err = run_captured(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+    else:
+        json.loads(out)  # exactly one document: trailing text fails here

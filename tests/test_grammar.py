@@ -152,6 +152,13 @@ class TestDiagnostics:
         assert info.value.text == text
         assert info.value.pos == text.index("%")
 
+    def test_missing_value_points_at_end(self):
+        for text in ("", "t1 +", "t1*", "-", "(t1 d1) +"):
+            with pytest.raises(ParseError, match="expected a value") as info:
+                parse_vector_field(text, 2, 4) if "d1" in text else \
+                    parse_scalar(text, 2, 4)
+            assert info.value.pos == len(text), text
+
     def test_out_of_range_variable(self):
         with pytest.raises(ParseError):
             parse_scalar("t3", 2, 4)
