@@ -3,7 +3,8 @@
 Ring elements are truncated polynomials in the roots x_1..x_n (reusing
 JetSeries with x_i in the t_i slots); q-series are coefficient lists over
 that ring or over plain rationals.  Todd and A-hat come from exact
-univariate series inversion, the symmetric-power character from geometric
+univariate series inversion (rank-one jet inverses, as are q-series
+inverses), the symmetric-power character from geometric
 q-factors, and the Eisenstein series in their rational normalization
 
     R_{2k}(q) = -B_{2k}/(2k) + 2 sum_m sigma_{2k-1}(m) q^m
@@ -45,19 +46,10 @@ def divisor_sigma(m: int, p: int) -> int:
 
 
 def _series_inverse(a, order):
-    """Inverse of a univariate rational series given as a coefficient list."""
-    if order < 0:
-        raise ShapeError("truncation order must be >= 0")
-    if not a[0]:
-        raise ShapeError("series inverse needs a unit constant term")
-    inv0 = Fraction(1) / a[0]
-    out = [inv0] + [Fraction(0)] * order
-    for k in range(1, order + 1):
-        acc = Fraction(0)
-        for i in range(1, min(k, len(a) - 1) + 1):
-            acc += a[i] * out[k - i]
-        out[k] = -inv0 * acc
-    return out
+    """Inverse of a univariate rational series given as a coefficient list,
+    as the rank-one jet inverse."""
+    inv = JetSeries(1, order, {(d,): c for d, c in enumerate(a)}).inverse()
+    return [inv.coeffs.get((d,), 0) for d in range(order + 1)]
 
 
 def todd_root_series(order) -> list[Fraction]:
@@ -123,18 +115,23 @@ def a_hat(n, degree) -> JetSeries:
     return product_over_roots(n, degree, a_hat_root_series(degree))
 
 
-def jet_exp(f: JetSeries) -> JetSeries:
-    """exp of a jet with zero constant term (nilpotent at truncation)."""
-    if f.constant_term():
-        raise ShapeError("jet_exp requires zero constant term")
-    out = JetSeries.one(f.n, f.order)
-    term = JetSeries.one(f.n, f.order)
-    for j in range(1, f.order + 1):
-        term = term * f
+def _exp_nilpotent(x, one, bound):
+    """sum_{j <= bound} x^j / j!, which is exp(x) when x^(bound+1) = 0;
+    ``x`` is a jet or a q-series and ``one`` the unit of its ring."""
+    out = term = one
+    for j in range(1, bound + 1):
+        term = term * x
         if term.is_zero():
             break
         out = out + term.scale(Fraction(1, math.factorial(j)))
     return out
+
+
+def jet_exp(f: JetSeries) -> JetSeries:
+    """exp of a jet with zero constant term (nilpotent at truncation)."""
+    if f.constant_term():
+        raise ShapeError("jet_exp requires zero constant term")
+    return _exp_nilpotent(f, JetSeries.one(f.n, f.order), f.order)
 
 
 # -- q-series ------------------------------------------------------------------
@@ -215,29 +212,13 @@ class QSeries:
         c0 = self.coeffs[0]
         if not isinstance(c0, (int, Fraction)) or not c0:
             raise ShapeError("q-series inverse needs a rational unit constant")
-        out = [Fraction(1) / c0] + [Fraction(0)] * self.order
-        for k in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * out[k - i]
-            out[k] = -acc / c0
-        return QSeries(out, self.order)
+        return QSeries(_series_inverse(self.coeffs, self.order), self.order)
 
     def exp(self):
         """exp for series whose constant coefficient is nilpotent (either a
         zero rational or a ring element with zero constant term)."""
-        one = _coeff_one(self.coeffs[0])
-        zero = self.coeffs[0] * 0
-        out = QSeries([one] + [zero] * self.order, self.order)
-        term = QSeries([one] + [zero] * self.order, self.order)
-        fact = 1
-        for j in range(1, self._exp_bound() + 1):
-            term = term * self
-            fact *= j
-            if term.is_zero():
-                break
-            out = out + term.scale(Fraction(1, fact))
-        return out
+        one = QSeries.constant(self.coeffs[0] * 0 + 1, self.order)
+        return _exp_nilpotent(self, one, self._exp_bound())
 
     def _exp_bound(self):
         c0 = self.coeffs[0]
@@ -248,12 +229,6 @@ class QSeries:
         if c0.constant_term():
             raise ShapeError("q-series exp needs a nilpotent constant term")
         return self.order + c0.order
-
-
-def _coeff_one(sample):
-    if isinstance(sample, (int, Fraction)):
-        return Fraction(1)
-    return JetSeries.one(sample.n, sample.order)
 
 
 def qseries_eval_complex(qs: QSeries, q: complex) -> complex:
@@ -430,7 +405,8 @@ MAX_LATTICE_POINTS = 2_000_000
 
 
 class LatticeSpec:
-    """Summation request: modulus tau (Im tau > 0) and disk cutoff radius."""
+    """Summation request: modulus tau (Im tau > 0) and disk cutoff radius;
+    Re tau is kept modulo 1, a period of the lattice Z + tau Z."""
 
     __slots__ = ("tau", "cutoff")
 
@@ -446,7 +422,7 @@ class LatticeSpec:
             raise ShapeError(
                 f"cutoff {cutoff} over Im tau {tau.imag:g} visits more than "
                 f"{MAX_LATTICE_POINTS} lattice points")
-        self.tau = complex(tau)
+        self.tau = complex(tau.real % 1.0, tau.imag)
         self.cutoff = int(cutoff)
 
     def points(self):
@@ -491,9 +467,10 @@ def eisenstein_lattice(weight: int, spec: LatticeSpec) -> complex:
 
 def eisenstein_q_numeric(weight: int, tau: complex, q_order: int = 40) -> complex:
     """Numeric value of the full Eisenstein sum from its q-expansion:
-    (2 pi i)^{2k}/(2k-1)! * R_{2k}(e^{2 pi i tau})."""
-    q = complex(math.cos(2 * math.pi * tau.real),
-                math.sin(2 * math.pi * tau.real)) * math.exp(-2 * math.pi * tau.imag)
+    (2 pi i)^{2k}/(2k-1)! * R_{2k}(e^{2 pi i tau}), Re tau taken modulo 1."""
+    angle = 2 * math.pi * (tau.real % 1.0)
+    q = complex(math.cos(angle), math.sin(angle)) * \
+        math.exp(-2 * math.pi * tau.imag)
     series = eisenstein_q(weight, q_order)
     pref = (2j * math.pi) ** weight / math.factorial(weight - 1)
     return pref * qseries_eval_complex(series, q)

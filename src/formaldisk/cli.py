@@ -218,8 +218,7 @@ def cmd_conformal_check(args):
     states = [VAState(args.rank, pol, {m: Fraction(1)}) for m in monos]
     verdicts = conformal.conformal_axiom_check(args.rank, states)
     fields = basis_monomial_fields(args.rank, args.jet_order, 3)
-    defect_ok = all(conformal.c1_defect(x)[2] and conformal.c1_defect(x)[1]
-                    for x in fields)
+    defect_ok = all(d[2] and d[1] for d in map(conformal.c1_defect, fields))
     verdicts.append(("c1 defect matches divergence class", defect_ok,
                      f"{len(fields)} monomial fields"))
     doc = _document("conformal-check",

@@ -20,7 +20,9 @@ Richardson-extrapolated schedule against the right-hand side.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -151,15 +153,20 @@ def t_integral_limits(eps):
 def t_integral_quadrature(eps, n_nodes=512):
     """The same two integrals by Gauss-Legendre quadrature (cross-check).
 
-    Substitutes t = e^s so the eps-scale peak has O(1) width in s.
+    Substitutes t = e^s so the eps-scale peak has O(1) width in s; with
+    r = eps/(t+eps) the integrands are r(1-r) and eps r^2 (1-r), which do
+    not underflow.  Subnormal eps, where accuracy is lost, is refused.
     """
+    if not sys.float_info.min <= eps < 1:
+        raise ShapeError(f"quadrature eps must lie in "
+                         f"[{sys.float_info.min!r}, 1), got {eps!r}")
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     s0, s1 = math.log(eps), 0.0
     s = 0.5 * (s1 - s0) * x + 0.5 * (s1 + s0)
-    t = np.exp(s)
+    r = eps / (np.exp(s) + eps)
     scale = 0.5 * (s1 - s0)
-    first = float(np.sum(w * t * eps / (t + eps) ** 2) * scale)
-    second = float(np.sum(w * t * eps ** 3 / (t + eps) ** 3) * scale)
+    first = float(np.sum(w * r * (1.0 - r)) * scale)
+    second = float(np.sum(w * eps * r * r * (1.0 - r)) * scale)
     return first, second
 
 
@@ -271,22 +278,27 @@ def wheel2_check(fields_f, fields_g, config=DEFAULT_CONFIG):
     """Run the schedule, extrapolate, normalize, compare with the rhs.
 
     Returns a dict with the schedule values, the extrapolated and
-    normalized weight, the rhs, and the relative error.
+    normalized weight, the rhs, and the relative error; profiles so large
+    that one of these overflows are refused.
     """
     from .constants import WHEEL_NORMALIZATION
-    weights = [wheel2_weight(fields_f, fields_g, e, config)
-               for e in config.eps_schedule]
-    extrap = extrapolate_schedule(config.eps_schedule, weights)
-    lhs = WHEEL_NORMALIZATION * extrap
-    rhs = wheel2_rhs(fields_f, fields_g, config)
-    denom = max(abs(rhs), 1e-300)
+    with np.errstate(all="ignore"):
+        weights = [wheel2_weight(fields_f, fields_g, e, config)
+                   for e in config.eps_schedule]
+        extrap = extrapolate_schedule(config.eps_schedule, weights)
+        lhs = WHEEL_NORMALIZATION * extrap
+        rhs = wheel2_rhs(fields_f, fields_g, config)
+    rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+    if not all(map(cmath.isfinite, weights + [lhs, rhs, rel])):
+        raise ShapeError("wheel weight, contact term or relative error is "
+                         "not finite; the profile values are too large")
     return {
         "eps_schedule": list(config.eps_schedule),
         "weights": weights,
         "extrapolated": extrap,
         "normalized": lhs,
         "rhs": rhs,
-        "relative_error": abs(lhs - rhs) / denom,
+        "relative_error": rel,
     }
 
 

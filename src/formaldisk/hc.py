@@ -30,7 +30,7 @@ from .errors import ClosednessError, InvertibilityError, ShapeError
 from .gf import ch2_gf
 from .jets import (FormalForm, FormalVectorField, JetSeries, de_rham,
                    lie_derivative, poincare_homotopy, staircase_primitive,
-                   vf_bracket, _scalar_matrix_inverse)
+                   vf_bracket, _matrix_inverse)
 from .vertex import (KIND_B, KIND_C, VAState, mode_apply, on_cache_clear,
                      translate)
 
@@ -147,7 +147,7 @@ def gl_act(a_matrix, v: VAState) -> VAState:
     rows = [[Fraction(x) for x in row] for row in a_matrix]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ShapeError("matrix must be n x n")
-    inv = _scalar_matrix_inverse(rows)
+    inv = _matrix_inverse(rows)
     if inv is None:
         raise InvertibilityError("gl_act requires an invertible matrix")
     # substitution matrices, indexed [old j][new k]

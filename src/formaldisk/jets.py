@@ -14,6 +14,10 @@ exactly (``Fraction(c, m)``, never ``c / m`` on an ``int``).  The van Est
 check puts the square-zero pairs of :mod:`formaldisk.scalars` in the same
 slots; they take the kernel's generic path.
 
+A jet is a unit when its constant term is; :meth:`JetSeries.inverse`
+inverts it over any coefficient ring.  Matrices of scalars or of jets have
+one inverse, :func:`_matrix_inverse`, an elimination pivoting on units.
+
 Truncation semantics worth remembering:
 
 * products drop terms above order K (quotient semantics, exact);
@@ -75,7 +79,7 @@ class JetSeries:
                 if sum(e) > order or not c:
                     continue
                 clean[e] = (clean[e] + c) if e in clean else c
-            self.coeffs = {e: c for e, c in clean.items() if c}
+            self.coeffs = {e: norm_coeff(c) for e, c in clean.items() if c}
 
     # -- constructors -----------------------------------------------------
 
@@ -120,9 +124,25 @@ class JetSeries:
     def constant_term(self):
         return self.coeffs.get((0,) * self.n, Fraction(0))
 
-    def degree(self):
-        """Total degree of the stored representative (-1 when zero)."""
-        return max((sum(e) for e in self.coeffs), default=-1)
+    def is_unit(self):
+        """True when the constant term is a unit of the coefficient ring."""
+        return is_unit(self.constant_term())
+
+    def inverse(self):
+        """For self = c (1 + g) with g in the maximal ideal, the inverse
+        c^{-1} sum_k (-g)^k, in at most K products."""
+        c = self.constant_term()
+        if not is_unit(c):
+            raise InvertibilityError("jet with a non-unit constant term")
+        cinv = scalar_inv(c)
+        h = 1 - self.scale(cinv)  # -g
+        out = term = JetSeries.one(self.n, self.order)
+        for _ in range(self.order):
+            term = term * h
+            if not term:
+                break
+            out = out + term
+        return out.scale(cinv)
 
     def with_order(self, order):
         """Reinterpret the stored representative at another order.
@@ -592,9 +612,6 @@ class JetMatrix:
             return JetMatrix.zero(self.n, self.order)
         return self.map_entries(lambda g: g * f if g else g)
 
-    def constant_matrix(self):
-        return [[f.constant_term() for f in row] for row in self.entries]
-
     def map_entries(self, fn):
         return JetMatrix(self.n, self.order,
                          [[fn(f) for f in row] for row in self.entries])
@@ -628,8 +645,7 @@ class JetAutomorphism:
         self.n = n
         self.order = order
         self.comps = comps
-        lin = self.linear_part()
-        if not _scalar_matrix_invertible(lin):
+        if _matrix_inverse(self.linear_part()) is None:
             raise InvertibilityError("linear part is singular")
 
     @classmethod
@@ -659,36 +675,33 @@ class JetAutomorphism:
         return f"JetAutomorphism({self.n},{self.order}; ({body}))"
 
 
-def _scalar_matrix_invertible(rows):
-    return _scalar_matrix_inverse(rows) is not None
+def _matrix_inverse(rows):
+    """Gauss-Jordan elimination pivoting on units; None when singular.
 
-
-def _scalar_matrix_inverse(rows):
-    """Gaussian elimination over the scalar ring; None when singular."""
+    The entries may be rationals, square-zero pairs or jets.  These rings
+    are local, so an invertible matrix always offers a unit pivot.  Zero
+    and one come from the entries; a product with a zero factor is skipped.
+    """
     n = len(rows)
+    zero = rows[0][0] * 0
+    one = zero + 1
     a = [list(r) for r in rows]
-    inv = [[rat(1) if i == j else rat(0) for j in range(n)] for i in range(n)]
+    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if is_unit(a[r][col]):
-                piv = r
-                break
+        piv = next((r for r in range(col, n) if is_unit(a[r][col])), None)
         if piv is None:
             return None
         a[col], a[piv] = a[piv], a[col]
         inv[col], inv[piv] = inv[piv], inv[col]
         d = scalar_inv(a[col][col])
-        a[col] = [d * v for v in a[col]]
-        inv[col] = [d * v for v in inv[col]]
+        a[col] = [d * v if v else v for v in a[col]]
+        inv[col] = [d * v if v else v for v in inv[col]]
         for r in range(n):
-            if r == col:
-                continue
             f = a[r][col]
-            if not f:
+            if r == col or not f:
                 continue
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+            a[r] = [x - f * y if y else x for x, y in zip(a[r], a[col])]
+            inv[r] = [x - f * y if y else x for x, y in zip(inv[r], inv[col])]
     return inv
 
 
@@ -709,32 +722,10 @@ def jacobian(phi: JetAutomorphism) -> JetMatrix:
                       for i in range(n)])
 
 
-def _matrix_invert(m: JetMatrix) -> JetMatrix:
-    """Neumann series around the inverse of the constant-term matrix."""
-    inv0 = _scalar_matrix_inverse(m.constant_matrix())
-    if inv0 is None:
-        raise InvertibilityError("constant term of matrix is singular")
-    n, order = m.n, m.order
-    m0inv = JetMatrix(n, order,
-                      [[JetSeries.const(n, order, v) for v in row]
-                       for row in inv0])
-    nil = m0inv * m - JetMatrix.identity(n, order)  # entries in the ideal
-    acc = JetMatrix.identity(n, order)
-    power = JetMatrix.identity(n, order)
-    sign = 1
-    for _ in range(order):
-        power = power * nil
-        sign = -sign
-        if all(f.is_zero() for row in power.entries for f in row):
-            break
-        acc = acc + power.map_entries(lambda f, s=sign: f.scale(s))
-    return acc * m0inv
-
-
 def _automorphism_invert(phi: JetAutomorphism) -> JetAutomorphism:
     """Order-by-order solve of phi(psi(t)) = t from the linear part down."""
     n, order = phi.n, phi.order
-    ainv = _scalar_matrix_inverse(phi.linear_part())
+    ainv = _matrix_inverse(phi.linear_part())
     if ainv is None:
         raise InvertibilityError("linear part is singular")
     high = []  # degree >= 2 part of phi
@@ -761,7 +752,10 @@ def _automorphism_invert(phi: JetAutomorphism) -> JetAutomorphism:
 def jet_invert(x):
     """Two-sided inverse to order K of a JetMatrix or JetAutomorphism."""
     if isinstance(x, JetMatrix):
-        return _matrix_invert(x)
+        inv = _matrix_inverse(x.entries)
+        if inv is None:
+            raise InvertibilityError("constant term of matrix is singular")
+        return JetMatrix(x.n, x.order, inv)
     if isinstance(x, JetAutomorphism):
         return _automorphism_invert(x)
     raise ShapeError(f"cannot invert {type(x).__name__}")

@@ -7,6 +7,10 @@ Est derivative of group cochains we also need the rank-4 extension
 ``Q[s,u]/(s^2, u^2)``; :class:`NilpotentPair` models it exactly.  Jet and
 form arithmetic only uses ``+``, ``-``, ``*``, division by units and
 truthiness, so either ring can sit in a coefficient slot.
+
+Units and inverses are methods of the ring elements (``is_unit()`` and
+``inverse()`` of pairs and jets); :func:`is_unit` and :func:`scalar_inv`
+handle the rationals and defer to those methods for any other ring.
 """
 
 from __future__ import annotations
@@ -90,6 +94,9 @@ class NilpotentPair:
 
     __rmul__ = __mul__
 
+    def is_unit(self) -> bool:
+        return bool(self.a)
+
     def inverse(self) -> "NilpotentPair":
         if not self.a:
             raise ZeroDivisionError("NilpotentPair with zero body is not a unit")
@@ -117,13 +124,14 @@ NilpotentPair.U = NilpotentPair(0, 0, 1, 0)
 
 
 def is_unit(x) -> bool:
-    """True when x is invertible in its scalar ring."""
-    if isinstance(x, NilpotentPair):
-        return bool(x.a)
-    return bool(x)
+    """True when x is invertible in its ring."""
+    if isinstance(x, (int, Fraction)):
+        return bool(x)
+    return x.is_unit()
 
 
 def scalar_inv(x):
-    if isinstance(x, NilpotentPair):
-        return x.inverse()
-    return Fraction(1) / rat(x)
+    """The inverse of a unit of its ring."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(1) / x
+    return x.inverse()

@@ -29,6 +29,7 @@ per-operand memos of :mod:`formaldisk.hc`).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from . import _kernel
 from .errors import ShapeError, TruncationOverflowError
@@ -62,15 +63,12 @@ def sym_weight(s):
     return -s[2]
 
 
-_WEIGHT_CACHE: dict = {}
+_MODE_INDEX = itemgetter(2)
 
 
 def mono_weight(mono):
-    w = _WEIGHT_CACHE.get(mono)
-    if w is None:
-        w = sum(-s[2] for s in mono)
-        _WEIGHT_CACHE[mono] = w
-    return w
+    # map with a C getter: no memo is needed, the sum costs about a lookup
+    return -sum(map(_MODE_INDEX, mono))
 
 
 def mono_c0_degree(mono):
@@ -316,7 +314,6 @@ def on_cache_clear(hook):
 def clear_mode_cache():
     _MODE_CACHE.clear()
     _SYM_CACHE.clear()
-    _WEIGHT_CACHE.clear()
     for hook in _CLEAR_HOOKS:
         hook()
 

@@ -79,6 +79,18 @@ class TestDispatch:
                                capsys)
         assert code == 0 and all(c["ok"] for c in doc["checks"])
 
+    def test_conformal_check_computes_each_defect_once(self, monkeypatch,
+                                                       capsys):
+        from formaldisk import conformal
+        calls = []
+        real = conformal.c1_defect
+        monkeypatch.setattr(conformal, "c1_defect",
+                            lambda x: calls.append(x) or real(x))
+        code, doc = run_inproc(["conformal-check", "--rank", "1",
+                                "--max-weight", "1"], capsys)
+        assert code == 0
+        assert doc["checks"][-1]["detail"] == f"{len(calls)} monomial fields"
+
     def test_witten_log_table(self, capsys):
         code, doc = run_inproc(["witten-log", "--rank", "1",
                                 "--chern-degree", "4", "--q-order", "2"],
@@ -331,6 +343,39 @@ class TestNumericFlags:
         else:
             assert (code, out) == (2, "")
             assert text.startswith(err)
+
+    @pytest.mark.parametrize("weight", ["4", "6"])
+    def test_eisenstein_huge_real_part(self, weight):
+        # Z + tau Z is periodic in Re tau: 1e300 + i is the square lattice
+        docs = []
+        for tau in ("0,1", "1e300,1"):
+            code, out, _ = run_captured(["eisenstein", "--weight", weight,
+                                         "--tau", tau, "--cutoff", "50"])
+            assert code == 0
+            docs.append(json.loads(out))
+        assert docs[0]["result"] == docs[1]["result"]
+
+    def test_wheel2_overflow_is_usage_error(self, tmp_path):
+        path = tmp_path / "profiles.txt"
+        path.write_text("F 0 0 1 1e308 1e308\nG 0.3 0 1.0 0 0.5 0.5\n")
+        r = run_cli(["feynman", "wheel2", "--profiles", str(path),
+                     "--grid", "16"])
+        assert (r.returncode, r.stdout) == (2, "")
+        # one diagnostic line: no RuntimeWarning from numpy
+        assert r.stderr.startswith("error: wheel weight")
+        assert r.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("eps", ["1e-200", "1e-300",
+                                     "2.2250738585072014e-308"])
+    def test_t_limits_tiny_eps(self, eps):
+        code, out, _ = run_captured(["feynman", "t-limits", "--eps", eps])
+        assert code == 0 and json.loads(out)["checks"][0]["ok"]
+
+    @pytest.mark.parametrize("eps", ["1e-310", "5e-324"])
+    def test_t_limits_subnormal_eps(self, eps):
+        code, out, err = run_captured(["feynman", "t-limits", "--eps", eps])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: quadrature eps must lie in ")
 
     @pytest.mark.parametrize("argv", [
         ["char-identity", "--rank", "1", "--chern-degree", "-1"],

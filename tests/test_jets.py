@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from formaldisk.jets import (FormalForm, FormalVectorField, JetAutomorphism,
                              lie_derivative, poincare_homotopy, pullback_form,
                              pullback_jet, staircase_primitive, wedge)
 from formaldisk.jets import Substitution
+from formaldisk.scalars import NilpotentPair
 
 T1 = JetSeries.variable(2, 3, 1)
 T2 = JetSeries.variable(2, 3, 2)
@@ -78,6 +80,13 @@ class TestJetSeries:
         assert f.coeffs == {}
         g = JetSeries(2, 3, {(1, 0): F(0), (0, 1): F(2)})
         assert (1, 0) not in g.coeffs
+
+    def test_constructor_stores_integral_coefficients_as_int(self):
+        f = JetSeries.monomial(2, 3, (1, 1), F(2))
+        assert type(f.coeffs[(1, 1)]) is int
+        g = JetSeries(2, 3, {(0, 0): F(6, 3), (0, 1): F(1, 2), (1, 0): "4/2"})
+        assert [type(g.coeffs[e]) for e in ((0, 0), (0, 1), (1, 0))] == \
+            [int, F, int]
 
 
 class TestForms:
@@ -279,6 +288,84 @@ class TestAutomorphisms:
             phi = random_unipotent(rng, n, 4)
             assert jet_compose(phi, jet_invert(phi)) == \
                 JetAutomorphism.identity(n, 4)
+
+
+# coefficient rings of the inverse tests: Q as int and as Fraction, and the
+# square-zero pairs Q[s,u]/(s^2, u^2)
+RINGS = {
+    "int": st.integers(-2, 2),
+    "fraction": st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    "pair": st.builds(NilpotentPair, *[st.integers(-2, 2)] * 4),
+}
+
+
+def ring_jets(data, n, order):
+    """A strategy for jets over a drawn ring, constant term drawn apart so
+    that units are common."""
+    coef = RINGS[data.draw(st.sampled_from(sorted(RINGS)))]
+    exps = st.tuples(*[st.integers(0, order)] * n)
+    return st.tuples(st.dictionaries(exps, coef, max_size=3), coef).map(
+        lambda p: JetSeries(n, order, p[0]) + JetSeries.const(n, order, p[1]))
+
+
+def body(c):
+    """The residue of a coefficient in Q (the s,u-free part of a pair)."""
+    return c.a if isinstance(c, NilpotentPair) else c
+
+
+def leibniz_det(rows):
+    n = len(rows)
+    total = 0
+    for p in permutations(range(n)):
+        term = (-1) ** sum(p[i] > p[j] for i in range(n)
+                           for j in range(i + 1, n))
+        for i in range(n):
+            term *= rows[i][p[i]]
+        total += term
+    return total
+
+
+class TestInverse:
+    """Jet units and the one matrix inverse, over each coefficient ring."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matrix_inverse_over_each_ring(self, data):
+        n, order = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4))
+        entry = ring_jets(data, n, order)
+        rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+        if data.draw(st.booleans()):
+            # a zero constant at [0][0]: an invertible matrix needs a swap
+            f = rows[0][0]
+            rows[0][0] = f - JetSeries.const(n, order, f.constant_term())
+        m = JetMatrix(n, order, rows)
+        if not leibniz_det([[body(f.constant_term()) for f in row]
+                            for row in rows]):
+            with pytest.raises(InvertibilityError):
+                jet_invert(m)
+            return
+        inv = jet_invert(m)
+        ident = JetMatrix.identity(n, order)
+        assert m * inv == ident
+        assert inv * m == ident
+
+    def test_matrix_inverse_swaps_rows(self):
+        m = JetMatrix(2, 3, [[T1, ONE2 + T2], [ONE2.scale(2), T1 * T2]])
+        inv = jet_invert(m)
+        assert m * inv == JetMatrix.identity(2, 3) == inv * m
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_series_inverse_over_each_ring(self, data):
+        n, order = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4))
+        f = data.draw(ring_jets(data, n, order))
+        if not body(f.constant_term()):
+            assert not f.is_unit()
+            with pytest.raises(InvertibilityError):
+                f.inverse()
+            return
+        assert f.is_unit()
+        assert f * f.inverse() == JetSeries.one(n, order)
 
 
 class TestHomotopy:
