@@ -1,11 +1,12 @@
 """Characteristic-class q-series over Chern roots, all exact.
 
 Ring elements are truncated polynomials in the roots x_1..x_n (reusing
-JetSeries with x_i in the t_i slots); q-series are coefficient lists over
-that ring or over plain rationals.  Todd and A-hat come from exact
-univariate series inversion (rank-one jet inverses, as are q-series
-inverses), the symmetric-power character from geometric
-q-factors, and the Eisenstein series in their rational normalization
+JetSeries with x_i in the t_i slots).  A q-series truncated at q^Q is a
+rank-one JetSeries at order Q whose coefficients are rationals or root jets,
+so the jet product, inverse and exponential serve it too.  Todd and A-hat
+come from exact univariate series inversion, the symmetric-power character
+from geometric q-factors, and the Eisenstein series in their rational
+normalization
 
     R_{2k}(q) = -B_{2k}/(2k) + 2 sum_m sigma_{2k-1}(m) q^m
 
@@ -115,166 +116,65 @@ def a_hat(n, degree) -> JetSeries:
     return product_over_roots(n, degree, a_hat_root_series(degree))
 
 
-def _exp_nilpotent(x, one, bound):
-    """sum_{j <= bound} x^j / j!, which is exp(x) when x^(bound+1) = 0;
-    ``x`` is a jet or a q-series and ``one`` the unit of its ring."""
-    out = term = one
+def _nilpotency(c):
+    """The b with c^(b+1) = 0 that the truncation guarantees, for c a zero
+    rational (b = 0) or a jet whose constant term is nilpotent (b = its
+    order plus the constant term's b)."""
+    if isinstance(c, JetSeries):
+        return c.order + _nilpotency(c.constant_term())
+    if c:
+        raise ShapeError("jet_exp requires a nilpotent constant term")
+    return 0
+
+
+def jet_exp(f: JetSeries) -> JetSeries:
+    """exp(f) = sum_{j <= b} f^j / j! with f^(b+1) = 0: a jet with zero
+    constant term, or a q-series over the root ring whose constant term is
+    a root jet with zero constant term.  The zero series stores no
+    coefficient to read the ring from; its exp is the rational one."""
+    bound = _nilpotency(f)
+    # the one of the coefficient ring, read off a stored coefficient
+    unit = next(iter(f.coeffs.values()), 0) * 0 + 1
+    out = term = JetSeries.const(f.n, f.order, unit)
     for j in range(1, bound + 1):
-        term = term * x
+        term = term * f
         if term.is_zero():
             break
         out = out + term.scale(Fraction(1, math.factorial(j)))
     return out
 
 
-def jet_exp(f: JetSeries) -> JetSeries:
-    """exp of a jet with zero constant term (nilpotent at truncation)."""
-    if f.constant_term():
-        raise ShapeError("jet_exp requires zero constant term")
-    return _exp_nilpotent(f, JetSeries.one(f.n, f.order), f.order)
+# -- q-series --------------------------------------------------------------------
+#
+# A q-series truncated at q^Q is a rank-one jet at order Q whose coefficients
+# are rationals or root jets.  One over the root ring stores root jets only:
+# a root-ring scalar multiplies it through ``scale``, never ``*``.
 
 
-# -- q-series ------------------------------------------------------------------
-
-
-class QSeries:
-    """Truncated q-expansion with exact coefficients (rational or ring)."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order=None):
-        coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ShapeError("q-series order must be >= 0")
-        if len(coeffs) != order + 1:
-            raise ShapeError("need exactly order+1 coefficients")
-        self.order = order
-        self.coeffs = coeffs
-
-    @classmethod
-    def constant(cls, value, order):
-        zero = value * 0
-        return cls([value] + [zero] * order, order)
-
-    def __add__(self, other):
-        self._check(other)
-        return QSeries([a + b for a, b in zip(self.coeffs, other.coeffs)],
-                       self.order)
-
-    def __sub__(self, other):
-        self._check(other)
-        return QSeries([a - b for a, b in zip(self.coeffs, other.coeffs)],
-                       self.order)
-
-    def __neg__(self):
-        return QSeries([-a for a in self.coeffs], self.order)
-
-    def _check(self, other):
-        if not isinstance(other, QSeries) or other.order != self.order:
-            raise ShapeError("q-series order mismatch")
-
-    def __mul__(self, other):
-        self._check(other)
-        zero = self.coeffs[0] * 0
-        out = [zero for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(0, self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return QSeries(out, self.order)
-
-    def scale(self, scalar):
-        return QSeries([c * scalar if c else c for c in self.coeffs], self.order)
-
-    def map_coeffs(self, fn):
-        return QSeries([fn(c) for c in self.coeffs], self.order)
-
-    def is_zero(self):
-        return all(not c for c in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.order == other.order and \
-            all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __repr__(self):
-        return f"QSeries(order={self.order}, {self.coeffs[:3]}...)"
-
-    def inverse(self):
-        """Inverse when the constant coefficient is a rational unit."""
-        c0 = self.coeffs[0]
-        if not isinstance(c0, (int, Fraction)) or not c0:
-            raise ShapeError("q-series inverse needs a rational unit constant")
-        return QSeries(_series_inverse(self.coeffs, self.order), self.order)
-
-    def exp(self):
-        """exp for series whose constant coefficient is nilpotent (either a
-        zero rational or a ring element with zero constant term)."""
-        one = QSeries.constant(self.coeffs[0] * 0 + 1, self.order)
-        return _exp_nilpotent(self, one, self._exp_bound())
-
-    def _exp_bound(self):
-        c0 = self.coeffs[0]
-        if isinstance(c0, (int, Fraction)):
-            if c0:
-                raise ShapeError("q-series exp needs a nilpotent constant term")
-            return self.order
-        if c0.constant_term():
-            raise ShapeError("q-series exp needs a nilpotent constant term")
-        return self.order + c0.order
-
-
-def qseries_eval_complex(qs: QSeries, q: complex) -> complex:
+def qseries_eval_complex(qs: JetSeries, q: complex) -> complex:
     """Numeric evaluation of a rational q-series (testing/NUMERICS aid)."""
     acc = 0j
-    for m, c in enumerate(qs.coeffs):
+    for (m,), c in sorted(qs.coeffs.items()):
         acc += complex(c) * q ** m
     return acc
 
 
-def lift_to_ring(qs: QSeries, n, degree) -> QSeries:
-    """Embed a rational q-series as a constant-ring-valued one."""
-    return QSeries([JetSeries.const(n, degree, c) for c in qs.coeffs], qs.order)
-
-
-def eta_product(q_order, power) -> QSeries:
+def eta_product(q_order, power) -> JetSeries:
     """prod_{k>=1} (1-q^k)^power for a (possibly negative) integer power."""
-    one = QSeries([Fraction(1)] + [Fraction(0)] * q_order, q_order)
-    acc = one
+    acc = JetSeries.one(1, q_order)
     for k in range(1, q_order + 1):
-        factor = [Fraction(0)] * (q_order + 1)
-        factor[0] = Fraction(1)
-        if k <= q_order:
-            factor[k] = Fraction(-1)
-        acc = acc * QSeries(factor, q_order)
-    if power >= 0:
-        out = one
-        for _ in range(power):
-            out = out * acc
-        return out
-    inv = acc.inverse()
-    out = one
-    for _ in range(-power):
-        out = out * inv
-    return out
+        acc = acc * JetSeries(1, q_order, {(0,): 1, (k,): -1}, _clean=True)
+    return (acc if power >= 0 else acc.inverse()) ** abs(power)
 
 
 # -- the graded character and the Witten class ----------------------------------
 
 
-def ch_sym_product(n, degree, q_order) -> QSeries:
+def ch_sym_product(n, degree, q_order) -> JetSeries:
     """Character of the symmetric-power tower:
     prod_{l>=1} prod_i [(1 - q^l e^{x_i}) (1 - q^l e^{-x_i})]^{-1}."""
     one = JetSeries.one(n, degree)
-    zero = JetSeries.zero(n, degree)
-    out = QSeries([one] + [zero] * q_order, q_order)
+    out = JetSeries.const(1, q_order, one)
     exp_cache = {}
     for sign in (1, -1):
         for i in range(1, n + 1):
@@ -285,69 +185,62 @@ def ch_sym_product(n, degree, q_order) -> QSeries:
             for sign in (1, -1):
                 e = exp_cache[(i, sign)]
                 # geometric series sum_j q^{lj} e^{j x_i}
-                coeffs = [zero] * (q_order + 1)
-                coeffs[0] = one
+                coeffs = {(0,): one}
                 p = one
                 for j in range(1, q_order // l + 1):
                     p = p * e
-                    coeffs[l * j] = p
-                out = out * QSeries(coeffs, q_order)
+                    coeffs[(l * j,)] = p
+                out = out * JetSeries(1, q_order, coeffs, _clean=True)
     return out
 
 
-def witten_class(n, degree, q_order) -> QSeries:
+def witten_class(n, degree, q_order) -> JetSeries:
     """A-hat times the symmetric-power character times the eta factor."""
-    eta = lift_to_ring(eta_product(q_order, 2 * n), n, degree)
-    ahat = QSeries.constant(a_hat(n, degree),
-                            q_order)
-    return ahat * ch_sym_product(n, degree, q_order) * eta
+    return ch_sym_product(n, degree, q_order).scale(a_hat(n, degree)) * \
+        eta_product(q_order, 2 * n)
 
 
-def char_identity_check(n, degree, q_order) -> QSeries:
+def char_identity_check(n, degree, q_order) -> JetSeries:
     """Residual of: Td * ch(Sym-tower) - eta^{-2n} e^{c1/2} Wit; must vanish."""
-    lhs = QSeries.constant(todd(n, degree), q_order) * \
-        ch_sym_product(n, degree, q_order)
+    lhs = ch_sym_product(n, degree, q_order).scale(todd(n, degree))
     expc1 = jet_exp(c1(n, degree).scale(Fraction(1, 2)))
-    rhs = lift_to_ring(eta_product(q_order, -2 * n), n, degree) * \
-        QSeries.constant(expc1, q_order) * witten_class(n, degree, q_order)
+    rhs = witten_class(n, degree, q_order).scale(expc1) * \
+        eta_product(q_order, -2 * n)
     return lhs - rhs
 
 
-def eisenstein_q(weight: int, q_order: int) -> QSeries:
-    """The rational Eisenstein series R_{2k}(q) = -B_{2k}/(2k)
-    + 2 sum_{m>=1} sigma_{2k-1}(m) q^m, for weight = 2k >= 4."""
+def _eisenstein_rational(weight, q_order) -> JetSeries:
+    """R_{2k}(q) = -B_{2k}/(2k) + 2 sum_{m>=1} sigma_{2k-1}(m) q^m."""
+    coeffs = {(0,): -bernoulli(weight) / weight}
+    for m in range(1, q_order + 1):
+        coeffs[(m,)] = 2 * divisor_sigma(m, weight - 1)
+    return JetSeries(1, q_order, coeffs)
+
+
+def eisenstein_q(weight: int, q_order: int) -> JetSeries:
+    """The rational Eisenstein series R_{2k}(q), for weight = 2k >= 4."""
     if weight < 4 or weight % 2:
         raise ShapeError("eisenstein_q needs an even weight >= 4")
-    coeffs = [-bernoulli(weight) / weight]
-    for m in range(1, q_order + 1):
-        coeffs.append(Fraction(2 * divisor_sigma(m, weight - 1)))
-    return QSeries(coeffs, q_order)
+    return _eisenstein_rational(weight, q_order)
 
 
-def log_witten(n, degree, q_order) -> QSeries:
+def log_witten(n, degree, q_order) -> JetSeries:
     """sum_{k>=2} R_{2k}(q) ch_{2k}, truncated at (degree, q_order)."""
-    zero = JetSeries.zero(n, degree)
-    out = QSeries([zero] * (q_order + 1), q_order)
+    out = JetSeries.zero(1, q_order)
     for k2 in range(4, degree + 1, 2):
         ch = chern_character_component(n, degree, k2)
-        if ch.is_zero():
-            continue
-        r = eisenstein_q(k2, q_order)
-        out = out + QSeries([ch.scale(c) for c in r.coeffs], q_order)
+        out = out + eisenstein_q(k2, q_order).map_coeffs(ch.scale)
     return out
 
 
-def log_witten_full(n, degree, q_order) -> QSeries:
+def log_witten_full(n, degree, q_order) -> JetSeries:
     """Same sum including the weight-two quasi-modular term,
     R_2(q) = -B_2/2 + 2 sum sigma_1(m) q^m; then exp equals the Witten
     class in the full root ring, with no reduction."""
     out = log_witten(n, degree, q_order)
     if degree >= 2:
-        coeffs = [-bernoulli(2) / 2]
-        for m in range(1, q_order + 1):
-            coeffs.append(Fraction(2 * divisor_sigma(m, 1)))
         ch = chern_character_component(n, degree, 2)
-        out = out + QSeries([ch.scale(c) for c in coeffs], q_order)
+        out = out + _eisenstein_rational(2, q_order).map_coeffs(ch.scale)
     return out
 
 
@@ -372,7 +265,7 @@ def reduce_mod_p2(f: JetSeries) -> JetSeries:
                      _clean=True)
 
 
-def witten_exp_check(n, degree, q_order) -> QSeries:
+def witten_exp_check(n, degree, q_order) -> JetSeries:
     """Residual of exp(log Wit) - Wit in the root ring modulo (p_2).
 
     The reduction modulo p_2 = sum x_i^2 is the Chern-root avatar of the
@@ -380,20 +273,21 @@ def witten_exp_check(n, degree, q_order) -> QSeries:
     identity including the weight-two term is exp(log_witten_full) = Wit,
     which witten_exp_check_full verifies with no reduction.
     """
-    res = log_witten(n, degree, q_order).exp() - witten_class(n, degree, q_order)
+    res = jet_exp(log_witten(n, degree, q_order)) - \
+        witten_class(n, degree, q_order)
     return res.map_coeffs(reduce_mod_p2)
 
 
-def witten_exp_check_full(n, degree, q_order) -> QSeries:
+def witten_exp_check_full(n, degree, q_order) -> JetSeries:
     """Residual of exp(log_witten_full) - Wit in the full root ring."""
-    return log_witten_full(n, degree, q_order).exp() - \
+    return jet_exp(log_witten_full(n, degree, q_order)) - \
         witten_class(n, degree, q_order)
 
 
-def specialize_roots_zero(qs: QSeries) -> QSeries:
+def specialize_roots_zero(qs: JetSeries) -> JetSeries:
     """x -> 0 specialization: a rational q-series of constant terms."""
-    return QSeries([c.constant_term() if isinstance(c, JetSeries) else c
-                    for c in qs.coeffs], qs.order)
+    return qs.map_coeffs(
+        lambda c: c.constant_term() if isinstance(c, JetSeries) else c)
 
 
 # -- lattice Eisenstein sums (numeric) -------------------------------------------

@@ -18,7 +18,7 @@ from .constants import MSV_COCYCLE_SIGN
 from .errors import FormalDiskError, ParseError
 from .grammar import (format_form, format_state, parse_automorphism,
                       parse_state, parse_vector_field)
-from .jets import basis_monomial_fields
+from .jets import JetSeries, basis_monomial_fields
 from .vertex import TruncationPolicy, VAState
 
 SCHEMA = "formaldisk-result/1"
@@ -27,10 +27,6 @@ SCHEMA = "formaldisk-result/1"
 def _complex_out(z):
     z = complex(z)
     return {"im": z.imag, "re": z.real}
-
-
-def _form_table(w):
-    return format_form(w)
 
 
 def _emit(doc, out_path):
@@ -87,6 +83,14 @@ def _tolerance(args):
         raise FormalDiskError(f"--tolerance must be positive and finite, "
                               f"got {args.tolerance}")
     return args.tolerance
+
+
+def _check_truncation(args):
+    """A character check at chern degree 0 and q-order 0 compares only the
+    constant 1 that every factor is normalised to, so it is a usage error."""
+    if args.chern_degree == 0 and args.q_order == 0:
+        raise FormalDiskError("--chern-degree 0 with --q-order 0 leaves "
+                              "nothing to compare; raise either")
 
 
 def _finish(doc, args):
@@ -152,7 +156,7 @@ def cmd_msv_check(args):
     doc = _document("msv-check",
                     {"rank": args.rank, "x": args.x, "y": args.y,
                      "max_weight": args.max_weight, "max_c0": args.max_c0},
-                    {"cocycle": _form_table(cocycle), "states": len(monos),
+                    {"cocycle": format_form(cocycle), "states": len(monos),
                      "sign": MSV_COCYCLE_SIGN},
                     [("defect equals sign * rho_omega2(ch2)", bad == 0,
                       f"{len(monos) - bad}/{len(monos)} states")])
@@ -165,7 +169,7 @@ def cmd_ch2(args):
     w = gf.ch2_gf(x, y)
     doc = _document("ch2", {"rank": args.rank, "x": args.x, "y": args.y,
                             "jet_order": args.jet_order},
-                    {"form": _form_table(w)}, [])
+                    {"form": format_form(w)}, [])
     return _finish(doc, args)
 
 
@@ -173,7 +177,7 @@ def cmd_c1(args):
     x = parse_vector_field(args.x, args.rank, args.jet_order)
     doc = _document("c1", {"rank": args.rank, "x": args.x,
                            "jet_order": args.jet_order},
-                    {"form": _form_table(gf.c1_gf(x))}, [])
+                    {"form": format_form(gf.c1_gf(x))}, [])
     return _finish(doc, args)
 
 
@@ -182,7 +186,7 @@ def cmd_atiyah(args):
     mat = gf.atiyah_rep(x)
     doc = _document("atiyah", {"rank": args.rank, "x": args.x,
                                "jet_order": args.jet_order},
-                    {"matrix": [[_form_table(e) for e in row]
+                    {"matrix": [[format_form(e) for e in row]
                                 for row in mat.entries]}, [])
     return _finish(doc, args)
 
@@ -194,7 +198,7 @@ def cmd_pw_check(args):
     doc = _document("pw-check",
                     {"rank": args.rank, "f1": args.f1, "f2": args.f2,
                      "jet_order": args.jet_order},
-                    {"residual": _form_table(residual)},
+                    {"residual": format_form(residual)},
                     [("polyakov-wiegmann", ok, "exact at truncation")])
     return _finish(doc, args)
 
@@ -206,7 +210,7 @@ def cmd_gms_d1(args):
     doc = _document("gms-d1",
                     {"rank": args.rank, "x": args.x, "y": args.y,
                      "jet_order": args.jet_order},
-                    {"lie_level": _form_table(lie), "ch2": _form_table(c2)},
+                    {"lie_level": format_form(lie), "ch2": format_form(c2)},
                     [("derivative of lifted cocycle matches ch2", ok,
                       "global scale from constants.GMS_D1_SCALE")])
     return _finish(doc, args)
@@ -230,6 +234,7 @@ def cmd_conformal_check(args):
 
 
 def cmd_char_identity(args):
+    _check_truncation(args)
     res = characters.char_identity_check(args.rank, args.chern_degree,
                                          args.q_order)
     doc = _document("char-identity",
@@ -242,9 +247,11 @@ def cmd_char_identity(args):
 
 
 def cmd_witten_log(args):
+    zero = JetSeries.zero(args.rank, args.chern_degree)
     lw = characters.log_witten(args.rank, args.chern_degree, args.q_order)
     table = {}
-    for m, coeff in enumerate(lw.coeffs):
+    for m in range(lw.order + 1):
+        coeff = lw.coeffs.get((m,), zero)
         entries = {}
         for e in sorted(coeff.coeffs, key=lambda e: (sum(e), e)):
             mono = "*".join(f"x{i + 1}^{k}" for i, k in enumerate(e) if k) or "1"
@@ -258,6 +265,7 @@ def cmd_witten_log(args):
 
 
 def cmd_witten_exp_check(args):
+    _check_truncation(args)
     res = characters.witten_exp_check(args.rank, args.chern_degree, args.q_order)
     full = characters.witten_exp_check_full(args.rank, args.chern_degree,
                                             args.q_order)

@@ -406,8 +406,10 @@ def _format_terms(terms):
         return "0"
     chunks = []
     for idx, (coef, body) in enumerate(terms):
-        mag = abs(coef)
-        neg = coef < 0
+        if isinstance(coef, (int, Fraction)):
+            mag, neg = abs(coef), coef < 0
+        else:  # another ring (square-zero pairs, root jets) has no sign
+            mag, neg = f"({coef!r})", False
         if body:
             txt = body if mag == 1 else f"{mag}*{body}"
         else:

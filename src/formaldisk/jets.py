@@ -12,7 +12,8 @@ constructors, :meth:`JetSeries.scale` and the product kernel store integral
 coefficients as ``int``, so code that divides a coefficient must divide
 exactly (``Fraction(c, m)``, never ``c / m`` on an ``int``).  The van Est
 check puts the square-zero pairs of :mod:`formaldisk.scalars` in the same
-slots; they take the kernel's generic path.
+slots, and the q-series of :mod:`formaldisk.characters` put jets over the
+Chern roots there; both take the kernel's generic path.
 
 A jet is a unit when its constant term is; :meth:`JetSeries.inverse`
 inverts it over any coefficient ring.  Matrices of scalars or of jets have

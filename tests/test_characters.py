@@ -1,11 +1,13 @@
 """Exact q-series identities and the Eisenstein numerics."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from formaldisk.characters import (LatticeSpec, QSeries, a_hat,
+from formaldisk.characters import (LatticeSpec, a_hat,
                                    a_hat_root_series, bernoulli, c1,
                                    ch_sym_product, char_identity_check,
                                    chern_character_component, divisor_sigma,
@@ -18,6 +20,12 @@ from formaldisk.characters import (LatticeSpec, QSeries, a_hat,
 from formaldisk.errors import ShapeError
 from formaldisk.jets import JetSeries
 from formaldisk.vertex import KIND_B, KIND_C, enumerate_weight_monomials
+
+
+def q_coeffs(series, zero=0):
+    """The q^0..q^Q coefficients of a q-series, ``zero`` where none is
+    stored."""
+    return [series.coeffs.get((m,), zero) for m in range(series.order + 1)]
 
 
 def two_colored_partitions(colors, top):
@@ -70,11 +78,11 @@ class TestToddAHat:
 class TestChSym:
     def test_constant_term_one(self):
         cs = ch_sym_product(2, 3, 4)
-        assert cs.coeffs[0] == JetSeries.one(2, 3)
+        assert q_coeffs(cs)[0] == JetSeries.one(2, 3)
 
     def test_two_colored_partition_coefficients(self):
         cs = ch_sym_product(1, 0, 5)
-        vals = [c.constant_term() for c in cs.coeffs]
+        vals = [c.constant_term() for c in q_coeffs(cs)]
         assert vals == [1, 2, 5, 10, 20, 36]
         assert vals == two_colored_partitions(2, 5)
 
@@ -94,25 +102,25 @@ class TestChSym:
                 for kind, j, _ in mono:
                     term = term * weight[kind, j]
                 total = total + term
-            assert total == cs.coeffs[w], w
+            assert total == q_coeffs(cs, JetSeries.zero(n, degree))[w], w
 
     def test_specialization_is_eta_power(self):
         for n in (1, 2):
             spec = specialize_roots_zero(ch_sym_product(n, 3, 5))
             assert spec == eta_product(5, -2 * n)
             oracle = two_colored_partitions(2 * n, 5)
-            assert [int(c) for c in spec.coeffs] == oracle
+            assert [int(c) for c in q_coeffs(spec)] == oracle
 
 
 class TestWittenClass:
     def test_leading_coefficient(self):
         for n, d, q in [(1, 4, 3), (2, 4, 3)]:
-            assert witten_class(n, d, q).coeffs[0] == a_hat(n, d)
+            assert q_coeffs(witten_class(n, d, q))[0] == a_hat(n, d)
 
     def test_specialization_trivial(self):
         sp = specialize_roots_zero(witten_class(2, 4, 4))
-        assert sp.coeffs[0] == 1
-        assert all(not c for c in sp.coeffs[1:])
+        assert q_coeffs(sp)[0] == 1
+        assert all(not c for c in q_coeffs(sp)[1:])
 
     def test_char_identity(self):
         assert char_identity_check(1, 4, 6).is_zero()
@@ -122,14 +130,14 @@ class TestWittenClass:
 
 class TestEisensteinQ:
     def test_r4(self):
-        assert eisenstein_q(4, 3).coeffs == [F(1, 120), F(2), F(18), F(56)]
+        assert q_coeffs(eisenstein_q(4, 3)) == [F(1, 120), F(2), F(18), F(56)]
 
     def test_r6_constant(self):
-        assert eisenstein_q(6, 0).coeffs[0] == F(-1, 252)
+        assert q_coeffs(eisenstein_q(6, 0))[0] == F(-1, 252)
 
     def test_q1_always_two(self):
         for k2 in (4, 6, 8, 10, 12):
-            assert eisenstein_q(k2, 1).coeffs[1] == 2
+            assert q_coeffs(eisenstein_q(k2, 1))[1] == 2
 
     def test_weight_validation(self):
         with pytest.raises(ShapeError):
@@ -141,7 +149,7 @@ class TestEisensteinQ:
 class TestLogWitten:
     def test_low_degree_vanishes(self):
         lw = log_witten(2, 6, 3)
-        for coeff in lw.coeffs:
+        for coeff in lw.coeffs.values():
             assert all(sum(e) >= 4 for e in coeff.coeffs)
 
     def test_ch4_coefficient_is_r4(self):
@@ -149,7 +157,8 @@ class TestLogWitten:
         r4 = eisenstein_q(4, 3)
         ch4 = chern_character_component(1, 4, 4)
         for m in range(4):
-            assert lw.coeffs[m] == ch4.scale(r4.coeffs[m])
+            assert q_coeffs(lw, JetSeries.zero(1, 4))[m] == \
+                ch4.scale(q_coeffs(r4)[m])
 
     def test_exponential_identity_mod_p2(self):
         assert witten_exp_check(2, 6, 4).is_zero()
@@ -164,8 +173,8 @@ class TestLogWitten:
         lwf = log_witten_full(2, 4, 3)
         diff = lwf - lw
         ch2 = chern_character_component(2, 4, 2)
-        assert diff.coeffs[0] == ch2.scale(F(-1, 12))
-        assert diff.coeffs[1] == ch2.scale(2)
+        assert q_coeffs(diff)[0] == ch2.scale(F(-1, 12))
+        assert q_coeffs(diff)[1] == ch2.scale(2)
 
 
 class TestReduceModP2:
@@ -217,14 +226,97 @@ class TestLattice:
 
 
 class TestQSeries:
+    """q-series are rank-one jets in q; over the root ring their
+    coefficients are root jets."""
+
     def test_inverse_roundtrip(self):
         s = eta_product(8, 3)
-        one = QSeries([F(1)] + [F(0)] * 8, 8)
-        assert s * s.inverse() == one
+        assert s * s.inverse() == JetSeries.one(1, 8)
 
     def test_exp_of_nilpotent(self):
-        zero = JetSeries.zero(1, 3)
         x = JetSeries.variable(1, 3, 1)
-        a = QSeries([x, x.scale(2), zero, zero], 3)
-        e = a.exp()
-        assert e.coeffs[0] == jet_exp(x)
+        a = JetSeries(1, 3, {(0,): x, (1,): x.scale(2)})
+        e = jet_exp(a)
+        assert q_coeffs(e)[0] == jet_exp(x)
+        # with no q^0 coefficient the one is still the root ring's
+        e = jet_exp(JetSeries(1, 3, {(1,): x}))
+        assert q_coeffs(e)[0] == JetSeries.one(1, 3)
+
+    def test_exp_needs_nilpotent_constant(self):
+        with pytest.raises(ShapeError):
+            jet_exp(JetSeries.const(1, 3, F(1, 2)))
+        root = JetSeries.variable(1, 3, 1) + 1
+        with pytest.raises(ShapeError):
+            jet_exp(JetSeries.const(1, 3, root))
+
+
+# hypothesis: q-series at order 0..4 over root rings of rank 1..2 and
+# order 0..3, the arithmetic that characters runs on them
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def root_jets(draw, n, d, constant=None):
+    """A root jet of rank n and order d; ``constant``, when given, is its
+    constant term."""
+    monos = [e for e in itertools.product(range(d + 1), repeat=n)
+             if sum(e) <= d and (constant is None or any(e))]
+    data = {e: draw(RATIONALS) for e in monos if draw(st.booleans())}
+    if constant is not None:
+        data[(0,) * n] = constant
+    return JetSeries(n, d, data)
+
+
+@st.composite
+def root_series(draw, n, d, q, constant=None):
+    """A q-series over the root ring (n, d); ``constant`` fixes the
+    constant term of its q^0 coefficient."""
+    data = {(m,): draw(root_jets(n, d)) for m in range(1, q + 1)}
+    data[(0,)] = draw(root_jets(n, d, constant))
+    return JetSeries(1, q, data)
+
+
+SHAPES = st.tuples(st.integers(1, 2), st.integers(0, 3), st.integers(0, 4))
+
+
+class TestRootRingSeries:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), SHAPES)
+    def test_product_is_convolution(self, data, shape):
+        n, d, q = shape
+        a = data.draw(root_series(n, d, q))
+        b = data.draw(root_series(n, d, q))
+        zero = JetSeries.zero(n, d)
+        ab = q_coeffs(a * b, zero)
+        ca, cb = q_coeffs(a, zero), q_coeffs(b, zero)
+        for m in range(q + 1):
+            conv = zero
+            for i in range(m + 1):
+                conv = conv + ca[i] * cb[m - i]
+            assert ab[m] == conv, m
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), SHAPES, RATIONALS.filter(bool))
+    def test_inverse_of_unit(self, data, shape, c):
+        n, d, q = shape
+        a = data.draw(root_series(n, d, q, constant=c))
+        assert a * a.inverse() == JetSeries.const(1, q, JetSeries.one(n, d))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), SHAPES)
+    def test_exp_is_additive(self, data, shape):
+        n, d, q = shape
+        a = data.draw(root_series(n, d, q, constant=0))
+        b = data.draw(root_series(n, d, q, constant=0))
+        # compared as a residual: exp of the zero series is the rational one
+        assert (jet_exp(a + b) - jet_exp(a) * jet_exp(b)).is_zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), SHAPES)
+    def test_rational_times_root_series(self, data, shape):
+        n, d, q = shape
+        r = JetSeries(1, q, {(m,): data.draw(RATIONALS)
+                             for m in range(q + 1)})
+        a = data.draw(root_series(n, d, q))
+        lifted = r.map_coeffs(lambda c: JetSeries.const(n, d, c))
+        assert r * a == lifted * a == a * r

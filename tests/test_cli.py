@@ -391,6 +391,16 @@ class TestNumericFlags:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "must be >= 0" in err
 
+    @pytest.mark.parametrize("command", ["char-identity", "witten-exp-check"])
+    @pytest.mark.parametrize("rank", ["1", "2"])
+    def test_constant_truncation_is_usage_error(self, command, rank):
+        # at chern degree 0 and q-order 0 every factor is its normalised 1
+        code, out, err = run_captured([command, "--rank", rank,
+                                       "--chern-degree", "0", "--q-order", "0"])
+        assert (code, out) == (2, "")
+        assert err == ("error: --chern-degree 0 with --q-order 0 leaves "
+                       "nothing to compare; raise either\n")
+
 
 # Values drawn for the numeric flags: well-formed small ones and malformed
 # ones (empty, non-numeric, non-finite, negative, out of range).

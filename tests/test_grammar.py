@@ -12,6 +12,7 @@ from formaldisk.grammar import (format_automorphism, format_form, format_jet,
                                 parse_vector_field)
 from formaldisk.jets import (FormalForm, FormalVectorField, JetAutomorphism,
                              JetSeries)
+from formaldisk.scalars import NilpotentPair
 from formaldisk.vertex import KIND_B, KIND_C, TruncationPolicy, VAState
 
 POL = TruncationPolicy(10, 10)
@@ -33,6 +34,16 @@ class TestScalars:
         for text in ("0", "1", "-2/3", "t1^3 - 2*t1*t2 + 5"):
             f = parse_scalar(text, 2, 5)
             assert parse_scalar(format_jet(f), 2, 5) == f
+
+    def test_repr_of_other_coefficient_rings(self):
+        pair = JetSeries(1, 2, {(0,): NilpotentPair(1, 0, 1),
+                                (1,): NilpotentPair(0, F(-1, 2))})
+        assert repr(pair) == ("JetSeries(1,2; (NilpotentPair(1, 0, 1, 0)) "
+                              "+ (NilpotentPair(0, -1/2, 0, 0))*t1)")
+        root = JetSeries(1, 1, {(1,): JetSeries.variable(2, 1, 2, 1) - 1})
+        assert repr(root) == "JetSeries(1,1; (JetSeries(2,1; -1 + t2))*t1)"
+        rational = JetSeries(2, 2, {(0, 0): -1, (1, 1): F(-2, 3), (0, 1): 1})
+        assert repr(rational) == "JetSeries(2,2; -1 + t2 - 2/3*t1*t2)"
 
 
 class TestVectorFields:
