@@ -194,17 +194,23 @@ def ch_sym_product(n, degree, q_order) -> JetSeries:
     return out
 
 
+def _witten_from(ch, n, degree, q_order) -> JetSeries:
+    """A-hat times the symmetric-power character ``ch`` times the eta
+    factor."""
+    return ch.scale(a_hat(n, degree)) * eta_product(q_order, 2 * n)
+
+
 def witten_class(n, degree, q_order) -> JetSeries:
     """A-hat times the symmetric-power character times the eta factor."""
-    return ch_sym_product(n, degree, q_order).scale(a_hat(n, degree)) * \
-        eta_product(q_order, 2 * n)
+    return _witten_from(ch_sym_product(n, degree, q_order), n, degree, q_order)
 
 
 def char_identity_check(n, degree, q_order) -> JetSeries:
     """Residual of: Td * ch(Sym-tower) - eta^{-2n} e^{c1/2} Wit; must vanish."""
-    lhs = ch_sym_product(n, degree, q_order).scale(todd(n, degree))
+    ch = ch_sym_product(n, degree, q_order)
+    lhs = ch.scale(todd(n, degree))
     expc1 = jet_exp(c1(n, degree).scale(Fraction(1, 2)))
-    rhs = witten_class(n, degree, q_order).scale(expc1) * \
+    rhs = _witten_from(ch, n, degree, q_order).scale(expc1) * \
         eta_product(q_order, -2 * n)
     return lhs - rhs
 
@@ -233,15 +239,20 @@ def log_witten(n, degree, q_order) -> JetSeries:
     return out
 
 
+def _weight_two(n, degree, q_order) -> JetSeries:
+    """R_2(q) ch_2, the weight-two quasi-modular term; zero below degree
+    two."""
+    if degree < 2:
+        return JetSeries.zero(1, q_order)
+    ch = chern_character_component(n, degree, 2)
+    return _eisenstein_rational(2, q_order).map_coeffs(ch.scale)
+
+
 def log_witten_full(n, degree, q_order) -> JetSeries:
     """Same sum including the weight-two quasi-modular term,
     R_2(q) = -B_2/2 + 2 sum sigma_1(m) q^m; then exp equals the Witten
     class in the full root ring, with no reduction."""
-    out = log_witten(n, degree, q_order)
-    if degree >= 2:
-        ch = chern_character_component(n, degree, 2)
-        out = out + _eisenstein_rational(2, q_order).map_coeffs(ch.scale)
-    return out
+    return log_witten(n, degree, q_order) + _weight_two(n, degree, q_order)
 
 
 def reduce_mod_p2(f: JetSeries) -> JetSeries:
@@ -265,6 +276,14 @@ def reduce_mod_p2(f: JetSeries) -> JetSeries:
                      _clean=True)
 
 
+def witten_exp_residuals(n, degree, q_order):
+    """The residuals of :func:`witten_exp_check` and
+    :func:`witten_exp_check_full`, building log Wit and Wit once for both."""
+    log, wit = log_witten(n, degree, q_order), witten_class(n, degree, q_order)
+    return ((jet_exp(log) - wit).map_coeffs(reduce_mod_p2),
+            jet_exp(log + _weight_two(n, degree, q_order)) - wit)
+
+
 def witten_exp_check(n, degree, q_order) -> JetSeries:
     """Residual of exp(log Wit) - Wit in the root ring modulo (p_2).
 
@@ -273,15 +292,12 @@ def witten_exp_check(n, degree, q_order) -> JetSeries:
     identity including the weight-two term is exp(log_witten_full) = Wit,
     which witten_exp_check_full verifies with no reduction.
     """
-    res = jet_exp(log_witten(n, degree, q_order)) - \
-        witten_class(n, degree, q_order)
-    return res.map_coeffs(reduce_mod_p2)
+    return witten_exp_residuals(n, degree, q_order)[0]
 
 
 def witten_exp_check_full(n, degree, q_order) -> JetSeries:
     """Residual of exp(log_witten_full) - Wit in the full root ring."""
-    return jet_exp(log_witten_full(n, degree, q_order)) - \
-        witten_class(n, degree, q_order)
+    return witten_exp_residuals(n, degree, q_order)[1]
 
 
 def specialize_roots_zero(qs: JetSeries) -> JetSeries:

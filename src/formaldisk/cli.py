@@ -85,9 +85,17 @@ def _tolerance(args):
     return args.tolerance
 
 
+def _check_orders(args):
+    """A negative truncation order is a usage error naming its flag."""
+    for flag in ("chern_degree", "q_order"):
+        if getattr(args, flag) < 0:
+            raise FormalDiskError(f"--{flag.replace('_', '-')} must be >= 0")
+
+
 def _check_truncation(args):
     """A character check at chern degree 0 and q-order 0 compares only the
     constant 1 that every factor is normalised to, so it is a usage error."""
+    _check_orders(args)
     if args.chern_degree == 0 and args.q_order == 0:
         raise FormalDiskError("--chern-degree 0 with --q-order 0 leaves "
                               "nothing to compare; raise either")
@@ -247,6 +255,7 @@ def cmd_char_identity(args):
 
 
 def cmd_witten_log(args):
+    _check_orders(args)
     zero = JetSeries.zero(args.rank, args.chern_degree)
     lw = characters.log_witten(args.rank, args.chern_degree, args.q_order)
     table = {}
@@ -266,9 +275,8 @@ def cmd_witten_log(args):
 
 def cmd_witten_exp_check(args):
     _check_truncation(args)
-    res = characters.witten_exp_check(args.rank, args.chern_degree, args.q_order)
-    full = characters.witten_exp_check_full(args.rank, args.chern_degree,
-                                            args.q_order)
+    res, full = characters.witten_exp_residuals(args.rank, args.chern_degree,
+                                                args.q_order)
     doc = _document("witten-exp-check",
                     {"rank": args.rank, "chern_degree": args.chern_degree,
                      "q_order": args.q_order},

@@ -7,9 +7,18 @@ lifted cocycle combines them so that the Polyakov-Wiegmann identity makes
 it closed.  The derivative at the identity is taken with two square-zero
 parameters and lands on the Lie-level cocycle up to one calibrated scale.
 
-Everything is computed at a raised working order internally so that the
-exterior derivatives lose nothing below the reported truncation; reported
-residuals are then exactly zero, not zero-up-to-top-degree.
+Each factor runs at the least order that keeps the reported residual, at
+the input order K, exact.  Truncation commutes with products, and with
+substitution along jets that vanish at the origin, but not with
+derivatives: a derivative of a jet known to order k is known to order k-1.
+So the Jacobian g = Jac(phi) and its partials d_a g are taken from phi known
+to order K+3 (an input is an exact polynomial, so lifting it is free; a
+composition f2 o f1 is formed at K+3) and then truncated.  The inverse, the
+currents, the substitution and alpha2 are formed at K+1, because d alpha2
+enters the Polyakov-Wiegmann residual; alpha3's products run at K, and mu,
+its radial primitive, comes out at K+1.  Every value is then exact at the
+order it is reported, and the residuals are exactly zero, not
+zero-up-to-top-degree.
 
 Each automorphism a check uses gets one :class:`_Currents`, which builds
 its Jacobian inverse, the current sides that are read and its substitution
@@ -40,8 +49,6 @@ from .jets import (FormalForm, FormalVectorField, JetAutomorphism, JetMatrix,
                    jet_invert, poincare_homotopy)
 from .scalars import NilpotentPair
 
-_HEADROOM = 2
-
 
 def _lift(phi: JetAutomorphism, order) -> JetAutomorphism:
     return JetAutomorphism(phi.n, order,
@@ -65,23 +72,34 @@ def _trace_mul(a: JetMatrix, b: JetMatrix) -> JetSeries:
     return acc
 
 
+def _truncate(m: JetMatrix, order) -> JetMatrix:
+    return JetMatrix(m.n, order, [[f.with_order(order) for f in row]
+                                  for row in m.entries])
+
+
 class _Currents:
     """One automorphism's Jacobian data, each part built once, on first use.
 
-    With g = Jac(phi): ``left[a]`` and ``right[a]`` are the jet matrices of
-    dt_a-coefficients of g^{-1} dg and dg g^{-1}, and ``sub`` pulls jets
-    and forms back along phi.
+    ``phi`` is known to order ``order + 2`` or more, so that the partials of
+    its Jacobian are exact at the working order ``order`` (K+1 for a check
+    reported at K).  With g = Jac(phi): ``left[a]`` and ``right[a]`` are the
+    jet matrices of dt_a-coefficients of g^{-1} dg and dg g^{-1}, and
+    ``sub`` pulls jets and forms back along phi, all at the working order.
     """
 
-    def __init__(self, phi: JetAutomorphism):
+    def __init__(self, phi: JetAutomorphism, order):
         self.phi = phi
+        self.order = order
 
     @cached_property
     def _jacobian(self):
-        """(g^{-1}, [d_a g for each direction a])."""
+        """(g^{-1}, [d_a g for each direction a]): the partials are taken
+        before truncating to the working order."""
         g = jacobian(self.phi)
-        return jet_invert(g), [g.map_entries(lambda f, a=a: f.partial(a))
-                               for a in range(1, self.phi.n + 1)]
+        dg = [g.map_entries(lambda f, a=a: f.partial(a))
+              for a in range(1, self.phi.n + 1)]
+        return (jet_invert(_truncate(g, self.order)),
+                [_truncate(d, self.order) for d in dg])
 
     @cached_property
     def left(self):
@@ -95,20 +113,21 @@ class _Currents:
 
     @cached_property
     def sub(self) -> Substitution:
-        return Substitution(self.phi.comps, self.phi.order)
+        return Substitution(self.phi.comps, self.order)
 
     @cached_property
     def alpha3(self) -> FormalForm:
-        """(1/3) tr(A^3) for A = g^{-1} dg = sum_a M_a dt_a, by components.
+        """(1/3) tr(A^3) for A = g^{-1} dg = sum_a M_a dt_a, by components,
+        one order below the working order: no derivative of it is taken.
 
         The trace is cyclic, so of the six orderings of M_a M_b M_c the
         three even ones have one trace and the three odd ones another, and
         the (a<b<c) component is tr([M_a, M_b] M_c).
         """
-        n, order = self.phi.n, self.phi.order
+        n, order = self.phi.n, self.order - 1
         if n < 3:
             return FormalForm.zero(n, order, min(3, n))
-        m = self.left
+        m = [_truncate(x, order) for x in self.left]
         comm = {(a, b): m[a] * m[b] - m[b] * m[a]
                 for a, b in combinations(range(n - 1), 2)}
         return FormalForm(n, order, 3, {
@@ -117,11 +136,24 @@ class _Currents:
 
     @cached_property
     def mu(self) -> FormalForm:
-        """The radial primitive of alpha3, at the working order."""
+        """The radial primitive of alpha3; the homotopy raises its order
+        back to the working order."""
         a3 = self.alpha3
         if a3.is_zero():
-            return FormalForm.zero(self.phi.n, self.phi.order, 2)
-        return poincare_homotopy(a3, check=False).with_order(self.phi.order)
+            return FormalForm.zero(self.phi.n, self.order, 2)
+        return poincare_homotopy(a3, check=False)
+
+
+def _currents(phi: JetAutomorphism) -> _Currents:
+    """The currents of an automorphism given at order K, at working order
+    K+1.  Its components are exact polynomials, so lifting them is free."""
+    return _Currents(_lift(phi, phi.order + 3), phi.order + 1)
+
+
+def _compose(c1: _Currents, c2: _Currents) -> _Currents:
+    """The currents of f2 o f1, composed at the order the factors are known
+    to, which truncation commutes with."""
+    return _Currents(jet_compose(c2.phi, c1.phi), c1.order)
 
 
 def _alpha2(c1: _Currents, c2: _Currents) -> FormalForm:
@@ -131,7 +163,7 @@ def _alpha2(c1: _Currents, c2: _Currents) -> FormalForm:
     exactly (tests pin it down).  With P_a and R_b the dt-coefficients of
     the two factors, the (a<b) component is tr(P_a R_b) - tr(P_b R_a).
     """
-    n, order, sub = c1.phi.n, c1.phi.order, c1.sub
+    n, order, sub = c1.phi.n, c1.order, c1.sub
     # dphi[c][a] = d_a phi_c, and f1^*(N dt_c) = (N o f1) sum_a dphi[c][a] dt_a
     dphi = [[d.component((a,)) for a in range(1, n + 1)]
             for d in sub.differentials()]
@@ -152,16 +184,12 @@ def _alpha_tilde(c1: _Currents, c2: _Currents, c21: _Currents) -> FormalForm:
 def alpha2(f1: JetAutomorphism, f2: JetAutomorphism) -> FormalForm:
     """Two-argument Jacobian-current pairing; bilinear in the jets."""
     _check_pair(f1, f2)
-    order = f1.order
-    w = order + _HEADROOM
-    return _alpha2(_Currents(_lift(f1, w)),
-                   _Currents(_lift(f2, w))).with_order(order)
+    return _alpha2(_currents(f1), _currents(f2)).with_order(f1.order)
 
 
 def alpha3(phi: JetAutomorphism) -> FormalForm:
     """(1/3) tr((g^{-1} dg)^3); zero below rank three, de Rham closed."""
-    w = phi.order + _HEADROOM
-    return _Currents(_lift(phi, w)).alpha3.with_order(phi.order)
+    return _currents(phi).alpha3
 
 
 def mu(phi: JetAutomorphism) -> FormalForm:
@@ -169,23 +197,27 @@ def mu(phi: JetAutomorphism) -> FormalForm:
 
     Reported at order K+1, like the homotopy it is built from.
     """
-    a3 = alpha3(phi)
-    if a3.is_zero():
-        return FormalForm.zero(phi.n, phi.order + 1, 2)
-    return poincare_homotopy(a3, check=False)
+    return _currents(phi).mu
+
+
+def _pw_terms(f1: JetAutomorphism, f2: JetAutomorphism):
+    """alpha3(f2 o f1), alpha3(f1), f1^* alpha3(f2) and d alpha2(f1, f2),
+    each at the input order K."""
+    _check_pair(f1, f2)
+    order = f1.order
+    c1, c2 = _currents(f1), _currents(f2)
+    # alpha3(f2) is known to order K, so its pullback is exact to order K
+    return (_compose(c1, c2).alpha3, c1.alpha3,
+            c1.sub.form(c2.alpha3).with_order(order),
+            de_rham(_alpha2(c1, c2)).with_order(order))
 
 
 def pw_check(f1: JetAutomorphism, f2: JetAutomorphism):
     """Polyakov-Wiegmann identity
         alpha3(f2 o f1) = alpha3(f1) + f1^* alpha3(f2) - d alpha2(f1, f2);
     returns (holds, residual-at-input-order)."""
-    _check_pair(f1, f2)
-    order = f1.order
-    w = order + _HEADROOM
-    c1, c2 = _Currents(_lift(f1, w)), _Currents(_lift(f2, w))
-    lhs = _Currents(jet_compose(c2.phi, c1.phi)).alpha3
-    rhs = c1.alpha3 + c1.sub.form(c2.alpha3) - de_rham(_alpha2(c1, c2))
-    residual = (lhs - rhs).with_order(order)
+    lhs, a3, pulled, d_a2 = _pw_terms(f1, f2)
+    residual = lhs - (a3 + pulled - d_a2)
     return residual.is_zero(), residual
 
 
@@ -200,11 +232,8 @@ def alpha_tilde(f1: JetAutomorphism, f2: JetAutomorphism) -> FormalForm:
     group cocycle for the pullback-twisted product
     (f1, w1)(f2, w2) = (f2 o f1, w1 + f1^* w2 + alpha~(f1,f2))."""
     _check_pair(f1, f2)
-    order = f1.order
-    w = order + _HEADROOM
-    c1, c2 = _Currents(_lift(f1, w)), _Currents(_lift(f2, w))
-    c21 = _Currents(jet_compose(c2.phi, c1.phi))
-    return _alpha_tilde(c1, c2, c21).with_order(order)
+    c1, c2 = _currents(f1), _currents(f2)
+    return _alpha_tilde(c1, c2, _compose(c1, c2)).with_order(f1.order)
 
 
 def group_cocycle_residual(f1, f2, f3) -> FormalForm:
@@ -213,17 +242,14 @@ def group_cocycle_residual(f1, f2, f3) -> FormalForm:
           - alpha~(f1, f3 o f2)."""
     _check_pair(f1, f2)
     _check_pair(f2, f3)
-    order = f1.order
-    w = order + _HEADROOM
-    c1, c2, c3 = (_Currents(_lift(f, w)) for f in (f1, f2, f3))
-    c21 = _Currents(jet_compose(c2.phi, c1.phi))
-    c32 = _Currents(jet_compose(c3.phi, c2.phi))
+    c1, c2, c3 = (_currents(f) for f in (f1, f2, f3))
+    c21, c32 = _compose(c1, c2), _compose(c2, c3)
     # composition is associative on jets: f3 o (f2 o f1) = (f3 o f2) o f1
-    c321 = _Currents(jet_compose(c32.phi, c1.phi))
+    c321 = _compose(c1, c32)
     res = _alpha_tilde(c1, c2, c21) + _alpha_tilde(c21, c3, c321) \
         - c1.sub.form(_alpha_tilde(c2, c3, c32)) \
         - _alpha_tilde(c1, c32, c321)
-    return res.with_order(order)
+    return res.with_order(f1.order)
 
 
 def _nilpotent_deform(x: FormalVectorField, which) -> JetAutomorphism:

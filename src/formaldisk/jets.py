@@ -205,7 +205,8 @@ class JetSeries:
         for e, c in self.coeffs.items():
             v = scalar * c
             if v:
-                out[e] = v
+                # only a Fraction product can be an integral Fraction
+                out[e] = norm_coeff(v) if type(v) is Fraction else v
         return JetSeries(self.n, self.order, out, _clean=True)
 
     def __pow__(self, k):
@@ -929,7 +930,11 @@ class Substitution:
 
 
 class FormMatrix:
-    """n x n matrix of FormalForms (mixed degrees allowed per entry)."""
+    """n x n matrix of FormalForms (mixed degrees allowed per entry).
+
+    The products form each entry's first term, which fixes its degree and
+    order, and after it skip the terms with a zero factor.
+    """
 
     __slots__ = ("n", "order", "entries")
 
@@ -955,8 +960,11 @@ class FormMatrix:
             for j in range(n):
                 acc = None
                 for k in range(n):
-                    term = wedge(self.entries[i][k], other.entries[k][j])
-                    acc = term if acc is None else acc + term
+                    x, y = self.entries[i][k], other.entries[k][j]
+                    if acc is None:
+                        acc = wedge(x, y)
+                    elif x and y:
+                        acc = acc + wedge(x, y)
                 row.append(acc)
             out.append(row)
         return FormMatrix(n, self.order, out)
@@ -976,8 +984,11 @@ class FormMatrix:
             for j in range(n):
                 acc = None
                 for k in range(n):
-                    term = self.entries[k][j].scale_jet(m.entries[i][k])
-                    acc = term if acc is None else acc + term
+                    w, f = self.entries[k][j], m.entries[i][k]
+                    if acc is None:
+                        acc = w.scale_jet(f)
+                    elif w and f:
+                        acc = acc + w.scale_jet(f)
                 row.append(acc)
             out.append(row)
         return FormMatrix(n, self.order, out)
@@ -991,8 +1002,11 @@ class FormMatrix:
             for j in range(n):
                 acc = None
                 for k in range(n):
-                    term = self.entries[i][k].scale_jet(m.entries[k][j])
-                    acc = term if acc is None else acc + term
+                    w, f = self.entries[i][k], m.entries[k][j]
+                    if acc is None:
+                        acc = w.scale_jet(f)
+                    elif w and f:
+                        acc = acc + w.scale_jet(f)
                 row.append(acc)
             out.append(row)
         return FormMatrix(n, self.order, out)

@@ -391,6 +391,18 @@ class TestNumericFlags:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "must be >= 0" in err
 
+    @pytest.mark.parametrize("command", ["char-identity", "witten-log",
+                                         "witten-exp-check"])
+    @pytest.mark.parametrize("flags, named", [
+        (["--chern-degree", "-1"], "--chern-degree"),
+        (["--q-order", "-2"], "--q-order"),
+        (["--chern-degree", "-1", "--q-order", "-1"], "--chern-degree"),
+        (["--chern-degree", "0", "--q-order", "-1"], "--q-order"),
+    ])
+    def test_negative_order_names_flag(self, command, flags, named):
+        code, out, err = run_captured([command, "--rank", "1", *flags])
+        assert (code, out, err) == (2, "", f"error: {named} must be >= 0\n")
+
     @pytest.mark.parametrize("command", ["char-identity", "witten-exp-check"])
     @pytest.mark.parametrize("rank", ["1", "2"])
     def test_constant_truncation_is_usage_error(self, command, rank):

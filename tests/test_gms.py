@@ -12,9 +12,10 @@ from formaldisk.gf import ch2_gf
 from formaldisk.gms import (alpha2, alpha3, alpha_tilde, d1_compare,
                             group_cocycle_residual, mu, pw_check)
 from formaldisk.jets import (FormalForm, FormalVectorField, FormMatrix,
-                             JetAutomorphism, JetSeries,
+                             JetAutomorphism, JetSeries, Substitution,
                              basis_monomial_fields, de_rham, jacobian,
-                             jet_compose, jet_invert, pullback_form)
+                             jet_compose, jet_invert, poincare_homotopy,
+                             pullback_form)
 from formaldisk.grammar import parse_automorphism, parse_vector_field
 from tests.conftest import random_unipotent
 
@@ -44,9 +45,9 @@ def automorphisms(draw, n, order, frac):
 
 
 @st.composite
-def automorphism_pairs(draw):
+def automorphism_pairs(draw, min_order=2, rank4_max_order=3):
     n = draw(st.integers(1, 4))
-    order = draw(st.integers(2, 3 if n == 4 else 4))
+    order = draw(st.integers(min_order, rank4_max_order if n == 4 else 4))
     frac = draw(st.booleans())
     return (draw(automorphisms(n, order, frac)),
             draw(automorphisms(n, order, frac)))
@@ -65,22 +66,27 @@ def _wedge_currents(phi):
     return dg.scale_jet_left(ginv), dg.scale_jet_right(ginv)
 
 
-def wedge_alpha3(phi):
-    """(1/3) tr(A ^ A ^ A) from whole matrix wedge products; it is zero
-    below rank three because the cube has degree 3."""
-    g = _lifted(phi)
+def _cube(g):
+    """(1/3) tr(A ^ A ^ A) at the order of g, from whole matrix wedge
+    products; it is zero below rank three because the cube has degree 3."""
     cur, _ = _wedge_currents(g)
-    cube = cur.wedge_mul(cur).wedge_mul(cur).trace().scale(F(1, 3))
-    return cube.with_order(phi.order)
+    return cur.wedge_mul(cur).wedge_mul(cur).trace().scale(F(1, 3))
+
+
+def _pairing(g1, g2):
+    """tr(g1^*(g2^{-1} dg2) ^ dg1 g1^{-1}) at the order of g1 and g2."""
+    left2, _ = _wedge_currents(g2)
+    _, right1 = _wedge_currents(g1)
+    pulled = left2.map_entries(Substitution(g1.comps, g1.order).form)
+    return pulled.wedge_mul(right1).trace()
+
+
+def wedge_alpha3(phi):
+    return _cube(_lifted(phi)).with_order(phi.order)
 
 
 def wedge_alpha2(f1, f2):
-    """tr(f1^*(g2^{-1} dg2) ^ dg1 g1^{-1}) from whole matrix products."""
-    g1, g2 = _lifted(f1), _lifted(f2)
-    left2, _ = _wedge_currents(g2)
-    _, right1 = _wedge_currents(g1)
-    pulled = left2.map_entries(lambda w: pullback_form(g1, w))
-    return pulled.wedge_mul(right1).trace().with_order(f1.order)
+    return _pairing(_lifted(f1), _lifted(f2)).with_order(f1.order)
 
 
 class TestTraceComponents:
@@ -117,6 +123,37 @@ class TestTraceComponents:
         assert pw_check(random_unipotent(rng, 3, 4),
                         random_unipotent(rng, 3, 4))[0]
         assert len(calls) == 3
+
+
+class TestWorkingOrder:
+    """gms runs each factor at the least order that keeps the residual at
+    the input order K exact.  Every term is held to the same term computed
+    at K+2 with the whole-matrix wedge products and truncated to K: there
+    the composition, the Jacobians and alpha2 all carry two orders of
+    headroom.  Rank four stops at order two to keep the reference quick."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(automorphism_pairs(min_order=1, rank4_max_order=2))
+    def test_terms_against_headroom(self, pair):
+        f1, f2 = pair
+        order = f1.order
+        g1, g2 = _lifted(f1), _lifted(f2)
+        g21 = jet_compose(g2, g1)
+        cube1, cube2, cube21 = _cube(g1), _cube(g2), _cube(g21)
+        pairing = _pairing(g1, g2)
+        expected = [cube21, cube1, pullback_form(g1, cube2), de_rham(pairing)]
+        for got, want in zip(gms._pw_terms(f1, f2), expected, strict=True):
+            assert got == want.with_order(order)
+
+        def radial(cube):  # mu at order K+2, exact to order K+1
+            if cube.is_zero():
+                return FormalForm.zero(f1.n, order + 2, 2)
+            return poincare_homotopy(cube, check=False).with_order(order + 2)
+
+        mu1, mu2, mu21 = radial(cube1), radial(cube2), radial(cube21)
+        assert mu(f1) == mu1.with_order(order + 1)
+        tilde = pairing - mu1 - pullback_form(g1, mu2) + mu21
+        assert alpha_tilde(f1, f2) == tilde.with_order(order)
 
 
 class TestAlpha2:

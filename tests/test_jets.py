@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from formaldisk.errors import ClosednessError, InvertibilityError, ShapeError
-from formaldisk.jets import (FormalForm, FormalVectorField, JetAutomorphism,
-                             JetMatrix, JetSeries, basis_monomial_fields,
-                             contract, de_rham, integrate_var, jacobian,
-                             jet_compose, jet_invert, jet_mul, jet_partial,
-                             lie_derivative, poincare_homotopy, pullback_form,
-                             pullback_jet, staircase_primitive, wedge)
+from formaldisk.jets import (FormalForm, FormalVectorField, FormMatrix,
+                             JetAutomorphism, JetMatrix, JetSeries,
+                             basis_monomial_fields, contract, de_rham,
+                             integrate_var, jacobian, jet_compose, jet_invert,
+                             jet_mul, jet_partial, lie_derivative,
+                             poincare_homotopy, pullback_form, pullback_jet,
+                             staircase_primitive, wedge)
 from formaldisk.jets import Substitution
 from formaldisk.scalars import NilpotentPair
 
@@ -87,6 +88,12 @@ class TestJetSeries:
         g = JetSeries(2, 3, {(0, 0): F(6, 3), (0, 1): F(1, 2), (1, 0): "4/2"})
         assert [type(g.coeffs[e]) for e in ((0, 0), (0, 1), (1, 0))] == \
             [int, F, int]
+
+    def test_scale_stores_integral_coefficients_as_int(self):
+        f = JetSeries.variable(1, 2, 1).scale(F(1, 2)).scale(2)
+        assert f.coeffs == {(1,): 1} and type(f.coeffs[(1,)]) is int
+        g = JetSeries(2, 3, {(0, 0): F(2, 3), (0, 1): F(1, 3)}).scale(F(3, 2))
+        assert [type(g.coeffs[e]) for e in ((0, 0), (0, 1))] == [int, F]
 
 
 class TestForms:
@@ -567,3 +574,54 @@ class TestPullback:
         lhs = contract(x, wedge(w, v))
         rhs = wedge(contract(x, w), v) - wedge(w, contract(x, v))
         assert lhs == rhs
+
+
+@st.composite
+def form_matrix_pair(draw):
+    """A matrix of one-forms, one of zero-forms and a jet matrix, rank 2 or
+    3, with most entries zero."""
+    n = draw(st.integers(2, 3))
+    jet = jets_strategy(n, 2, max_terms=2)
+    maybe = st.one_of(st.just(JetSeries.zero(n, 2)), jet)
+
+    def forms(degree):
+        idx = [(i,) for i in range(1, n + 1)] if degree else [()]
+        return FormMatrix(n, 2, [
+            [FormalForm(n, 2, degree, {i: draw(maybe) for i in idx})
+             for _ in range(n)] for _ in range(n)])
+
+    m = JetMatrix(n, 2, [[draw(maybe) for _ in range(n)] for _ in range(n)])
+    return forms(1), forms(0), m
+
+
+class TestFormMatrix:
+    """The products against explicit entry sums over every k."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(form_matrix_pair())
+    def test_products_are_entry_sums(self, mats):
+        a, b, m = mats
+        n, order = a.n, a.order
+        rng = range(n)
+
+        def total(terms):
+            return sum(terms[1:], terms[0])
+
+        for x, y in ((a, a), (a, b), (b, a)):
+            prod = x.wedge_mul(y)
+            for i in rng:
+                for j in rng:
+                    assert prod.entries[i][j] == total(
+                        [wedge(x.entries[i][k], y.entries[k][j])
+                         for k in rng])
+        left, right = a.scale_jet_left(m), a.scale_jet_right(m)
+        for i in rng:
+            for j in rng:
+                assert left.entries[i][j] == total(
+                    [a.entries[k][j].scale_jet(m.entries[i][k]) for k in rng])
+                assert right.entries[i][j] == total(
+                    [a.entries[i][k].scale_jet(m.entries[k][j]) for k in rng])
+                for p in (left, right):
+                    assert (p.entries[i][j].n, p.entries[i][j].order) == \
+                        (n, order)
+                    assert p.entries[i][j].degree == 1
