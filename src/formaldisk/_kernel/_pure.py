@@ -12,8 +12,9 @@ Coefficient contract.  The main code path stores exact rationals: ``int``
 or ``fractions.Fraction``.  :func:`poly_mul` multiplies such operands as
 integers -- numerators over one common denominator per operand -- and
 returns every coefficient as ``int`` when it is integral and as
-``Fraction`` otherwise.  Any other coefficient ring (such as the
-square-zero pairs of the van Est check) takes the schoolbook product
+``Fraction`` otherwise; :func:`poly_axpy` stores its sums the same way.
+Jet coefficients (the root jets of the q-series, the jets in two
+parameters of the van Est derivative) take the schoolbook product
 :func:`_poly_mul_generic`, which uses only ``+``, ``*`` and truthiness and
 is also the reference the integer product is tested against.  The other
 functions here are ring-agnostic in the same way.
@@ -156,14 +157,20 @@ def _poly_mul_generic(a, b, order):
 
 
 def poly_axpy(acc, data, coef):
-    """In-place ``acc += coef * data`` for exponent-dict polynomials."""
+    """In-place ``acc += coef * data`` for exponent-dict polynomials; an
+    integral rational is stored as ``int``, like :func:`poly_mul` does."""
+    get = acc.get
     for key, c in data.items():
         v = coef * c
-        if key in acc:
-            v = acc[key] + v
+        old = get(key)
+        if old is not None:
+            v = old + v
         if v:
+            # only a Fraction can be an integral Fraction
+            if type(v) is Fraction and v.denominator == 1:
+                v = v.numerator
             acc[key] = v
-        elif key in acc:
+        elif old is not None:
             del acc[key]
     return acc
 

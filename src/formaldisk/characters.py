@@ -127,15 +127,14 @@ def _nilpotency(c):
     return 0
 
 
-def jet_exp(f: JetSeries) -> JetSeries:
+def jet_exp(f: JetSeries, one) -> JetSeries:
     """exp(f) = sum_{j <= b} f^j / j! with f^(b+1) = 0: a jet with zero
     constant term, or a q-series over the root ring whose constant term is
-    a root jet with zero constant term.  The zero series stores no
-    coefficient to read the ring from; its exp is the rational one."""
+    a root jet with zero constant term.  ``one`` is the one of the
+    coefficient ring (``1`` for Q, ``JetSeries.one(n, degree)`` for the
+    root ring), which a series need not store, the zero series least."""
     bound = _nilpotency(f)
-    # the one of the coefficient ring, read off a stored coefficient
-    unit = next(iter(f.coeffs.values()), 0) * 0 + 1
-    out = term = JetSeries.const(f.n, f.order, unit)
+    out = term = JetSeries.const(f.n, f.order, one)
     for j in range(1, bound + 1):
         term = term * f
         if term.is_zero():
@@ -209,7 +208,7 @@ def char_identity_check(n, degree, q_order) -> JetSeries:
     """Residual of: Td * ch(Sym-tower) - eta^{-2n} e^{c1/2} Wit; must vanish."""
     ch = ch_sym_product(n, degree, q_order)
     lhs = ch.scale(todd(n, degree))
-    expc1 = jet_exp(c1(n, degree).scale(Fraction(1, 2)))
+    expc1 = jet_exp(c1(n, degree).scale(Fraction(1, 2)), 1)
     rhs = _witten_from(ch, n, degree, q_order).scale(expc1) * \
         eta_product(q_order, -2 * n)
     return lhs - rhs
@@ -267,21 +266,20 @@ def reduce_mod_p2(f: JetSeries) -> JetSeries:
             base = (e[0] - 2,) + e[1:]
             for i in range(1, n):
                 e2 = base[:i] + (base[i] + 2,) + base[i + 1:]
-                work[e2] = work.get(e2, Fraction(0)) - c
-                if not work[e2]:
-                    del work[e2]
+                work[e2] = work.get(e2, 0) - c
         else:
-            out[e] = out.get(e, Fraction(0)) + c
-    return JetSeries(f.n, f.order, {e: c for e, c in out.items() if c},
-                     _clean=True)
+            out[e] = out.get(e, 0) + c
+    # the constructor stores integral sums as int and drops zero ones
+    return JetSeries(f.n, f.order, out)
 
 
 def witten_exp_residuals(n, degree, q_order):
     """The residuals of :func:`witten_exp_check` and
     :func:`witten_exp_check_full`, building log Wit and Wit once for both."""
     log, wit = log_witten(n, degree, q_order), witten_class(n, degree, q_order)
-    return ((jet_exp(log) - wit).map_coeffs(reduce_mod_p2),
-            jet_exp(log + _weight_two(n, degree, q_order)) - wit)
+    one = JetSeries.one(n, degree)
+    return ((jet_exp(log, one) - wit).map_coeffs(reduce_mod_p2),
+            jet_exp(log + _weight_two(n, degree, q_order), one) - wit)
 
 
 def witten_exp_check(n, degree, q_order) -> JetSeries:

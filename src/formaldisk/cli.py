@@ -87,15 +87,14 @@ def _tolerance(args):
 
 def _check_orders(args):
     """A negative truncation order is a usage error naming its flag."""
-    for flag in ("chern_degree", "q_order"):
-        if getattr(args, flag) < 0:
+    for flag in ("jet_order", "chern_degree", "q_order"):
+        if getattr(args, flag, 0) < 0:
             raise FormalDiskError(f"--{flag.replace('_', '-')} must be >= 0")
 
 
 def _check_truncation(args):
     """A character check at chern degree 0 and q-order 0 compares only the
     constant 1 that every factor is normalised to, so it is a usage error."""
-    _check_orders(args)
     if args.chern_degree == 0 and args.q_order == 0:
         raise FormalDiskError("--chern-degree 0 with --q-order 0 leaves "
                               "nothing to compare; raise either")
@@ -255,7 +254,6 @@ def cmd_char_identity(args):
 
 
 def cmd_witten_log(args):
-    _check_orders(args)
     zero = JetSeries.zero(args.rank, args.chern_degree)
     lw = characters.log_witten(args.rank, args.chern_degree, args.q_order)
     table = {}
@@ -506,6 +504,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_orders(args)
         return args.fn(args)
     except ParseError as exc:
         sys.stderr.write(exc.caret_diagnostic() + "\n")

@@ -4,8 +4,9 @@ Built from Jacobian currents: with g the Jacobian jet of an automorphism,
 alpha3 is the Chern-Simons-type 3-form (1/3) tr((g^{-1} dg)^3), alpha2 the
 two-argument current pairing, mu a radial primitive of alpha3, and the
 lifted cocycle combines them so that the Polyakov-Wiegmann identity makes
-it closed.  The derivative at the identity is taken with two square-zero
-parameters and lands on the Lie-level cocycle up to one calibrated scale.
+it closed.  The derivative at the identity is taken over the jets in two
+parameters s, u (the s*u coefficient of id + sX, id + uY) and lands on the
+Lie-level cocycle up to one calibrated scale.
 
 Each factor runs at the least order that keeps the reported residual, at
 the input order K, exact.  Truncation commutes with products, and with
@@ -38,7 +39,6 @@ reference the tests hold these to.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
@@ -47,7 +47,6 @@ from .gf import ch2_gf
 from .jets import (FormalForm, FormalVectorField, JetAutomorphism, JetMatrix,
                    JetSeries, Substitution, de_rham, jacobian, jet_compose,
                    jet_invert, poincare_homotopy)
-from .scalars import NilpotentPair
 
 
 def _lift(phi: JetAutomorphism, order) -> JetAutomorphism:
@@ -253,23 +252,29 @@ def group_cocycle_residual(f1, f2, f3) -> FormalForm:
 
 
 def _nilpotent_deform(x: FormalVectorField, which) -> JetAutomorphism:
-    """id + s X (which='s') or id + u X (which='u') over Q[s,u]/(s^2,u^2)."""
-    unit = NilpotentPair.S if which == "s" else NilpotentPair.U
+    """id + s X (which='s') or id + u X (which='u'), where s and u are the
+    variables of ``JetSeries(2, 2)``, the coefficient ring Q[s,u]/(s,u)^3."""
+    unit = JetSeries.variable(2, 2, 1 if which == "s" else 2)
     n, order = x.n, x.order
-    comps = []
-    for i in range(1, n + 1):
-        f = JetSeries.variable(n, order, i) + x.comps[i - 1].map_coeffs(
-            lambda c: unit * c)
-        comps.append(f)
-    return JetAutomorphism(n, order, comps)
+    return JetAutomorphism(n, order, [
+        JetSeries.variable(n, order, i + 1) + f.map_coeffs(unit.scale)
+        for i, f in enumerate(x.comps)])
 
 
 def d1_compare(x: FormalVectorField, y: FormalVectorField):
     """Van Est derivative of alpha_tilde at the identity against ch2.
 
-    Deforms along (id + sX, id + uY) with s^2 = u^2 = 0, extracts the s*u
-    coefficient, antisymmetrizes in (X, Y), and compares with the calibrated
-    multiple of ch2(X,Y).  Both fields must vanish at the origin.
+    Deforms along (id + sX, id + uY) over the jets Q[s,u]/(s,u)^3,
+    extracts the s*u coefficient, antisymmetrizes in (X, Y), and compares
+    with the calibrated multiple of ch2(X,Y).  Both fields must vanish at
+    the origin.
+
+    The derivative lives over Q[s,u]/(s^2,u^2), and the jets compute it
+    exactly: (s,u)^3 lies in (s^2,u^2), so reducing modulo (s^2,u^2) is a
+    ring map that keeps the s*u coordinate; every step of alpha~ is a ring
+    operation, a rational scaling or the inverse of a unit; and both rings
+    call an element a unit exactly when its constant term is nonzero, so
+    the Jacobian inverse pivots alike in both.
     Returns (lie_level_form, ch2_form, verdict).
     """
     from .constants import GMS_D1_SCALE
@@ -279,8 +284,10 @@ def d1_compare(x: FormalVectorField, y: FormalVectorField):
         raise ShapeError("rank/order mismatch")
 
     def su_part(form: FormalForm) -> FormalForm:
+        # a rational coefficient has no s*u part
         return form.map_coeffs(
-            lambda c: c.d if isinstance(c, NilpotentPair) else Fraction(0))
+            lambda c: c.coeffs.get((1, 1), 0) if isinstance(c, JetSeries)
+            else 0)
 
     mxy = su_part(alpha_tilde(_nilpotent_deform(x, "s"),
                               _nilpotent_deform(y, "u")))

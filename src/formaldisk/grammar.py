@@ -408,7 +408,7 @@ def _format_terms(terms):
     for idx, (coef, body) in enumerate(terms):
         if isinstance(coef, (int, Fraction)):
             mag, neg = abs(coef), coef < 0
-        else:  # another ring (square-zero pairs, root jets) has no sign
+        else:  # a jet coefficient has no sign
             mag, neg = f"({coef!r})", False
         if body:
             txt = body if mag == 1 else f"{mag}*{body}"

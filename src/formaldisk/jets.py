@@ -7,13 +7,14 @@ requires matching rank n and truncation order K.  Forms, vector fields,
 matrices and automorphism jets are thin containers over JetSeries with
 the usual Cartan calculus.
 
-Coefficients are exact rationals: ``int`` or ``fractions.Fraction``.  The
-constructors, :meth:`JetSeries.scale` and the product kernel store integral
-coefficients as ``int``, so code that divides a coefficient must divide
-exactly (``Fraction(c, m)``, never ``c / m`` on an ``int``).  The van Est
-check puts the square-zero pairs of :mod:`formaldisk.scalars` in the same
-slots, and the q-series of :mod:`formaldisk.characters` put jets over the
-Chern roots there; both take the kernel's generic path.
+Coefficients are exact rationals: ``int`` or ``fractions.Fraction``, and
+every operation here stores an integral one as ``int`` (``map_coeffs``
+stores what its function returns).  Code that divides a coefficient must
+divide exactly (``Fraction(c, m)``, never ``c / m`` on an ``int``).  Jets
+can be coefficients too: the q-series of :mod:`formaldisk.characters` put
+jets over the Chern roots in the slots, and the van Est derivative of
+:mod:`formaldisk.gms` puts jets in two parameters s, u there; both take
+the kernel's generic path.
 
 A jet is a unit when its constant term is; :meth:`JetSeries.inverse`
 inverts it over any coefficient ring.  Matrices of scalars or of jets have
@@ -45,8 +46,11 @@ from .scalars import is_unit, norm_coeff, rat, scalar_inv
 
 
 def _div_exact(c, m):
-    """Exact quotient of a coefficient by a positive integer."""
-    return Fraction(c, m) if type(c) is int else c / m
+    """Exact quotient of a coefficient by a positive integer: an integral
+    quotient of an ``int`` is an ``int``, and a jet coefficient is scaled."""
+    if type(c) is int:
+        return c // m if not c % m else Fraction(c, m)
+    return c * Fraction(1, m)
 
 
 def _check_same(a, b):
@@ -245,12 +249,10 @@ class JetSeries:
         for e, c in self.coeffs.items():
             if e[k] == 0:
                 continue
-            e2 = e[:k] + (e[k] - 1,) + e[k + 1:]
             v = e[k] * c
-            if e2 in out:
-                v = out[e2] + v
-            if v:
-                out[e2] = v
+            # only a Fraction product can be an integral Fraction
+            out[e[:k] + (e[k] - 1,) + e[k + 1:]] = \
+                norm_coeff(v) if type(v) is Fraction else v
         return JetSeries(self.n, self.order, out, _clean=True)
 
     def subs(self, args, order=None):
@@ -680,9 +682,10 @@ class JetAutomorphism:
 def _matrix_inverse(rows):
     """Gauss-Jordan elimination pivoting on units; None when singular.
 
-    The entries may be rationals, square-zero pairs or jets.  These rings
-    are local, so an invertible matrix always offers a unit pivot.  Zero
-    and one come from the entries; a product with a zero factor is skipped.
+    The entries may be rationals or jets, over rationals or over jets.
+    These rings are local, so an invertible matrix always offers a unit
+    pivot.  Zero and one come from the entries; a product with a zero
+    factor is skipped.
     """
     n = len(rows)
     zero = rows[0][0] * 0

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from formaldisk.jets import JetAutomorphism, JetSeries
 from formaldisk.vertex import TruncationPolicy, VAState, enumerate_basis
@@ -42,3 +43,11 @@ def random_unipotent(rng, n, order, max_degree=2, extra_terms=3):
                                        Fraction(rng.randint(-2, 2)))
         comps.append(f)
     return JetAutomorphism(n, order, comps)
+
+
+# jets in (s, u) at order 2, the coefficients of the van Est derivative, at
+# one rank and order so that they add and multiply; the exponents are those
+# of 1, s, u, s^2, s*u, u^2
+SU_EXPS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+SU_JETS = st.builds(lambda *cs: JetSeries(2, 2, dict(zip(SU_EXPS, cs))),
+                    *[st.integers(-2, 2)] * len(SU_EXPS))

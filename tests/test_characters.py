@@ -71,7 +71,7 @@ class TestToddAHat:
     def test_todd_factorization(self):
         for n, degree in [(1, 6), (2, 5), (3, 4)]:
             lhs = todd(n, degree)
-            rhs = jet_exp(c1(n, degree).scale(F(1, 2))) * a_hat(n, degree)
+            rhs = jet_exp(c1(n, degree).scale(F(1, 2)), 1) * a_hat(n, degree)
             assert lhs == rhs
 
 
@@ -92,7 +92,7 @@ class TestChSym:
         """The q^w coefficient is the torus character of the weight-w
         states: e^{x_j} per b^j symbol and e^{-x_j} per c^j symbol."""
         sign = {KIND_B: 1, KIND_C: -1}
-        weight = {(kind, j): jet_exp(JetSeries.variable(n, degree, j).scale(s))
+        weight = {(kind, j): jet_exp(JetSeries.variable(n, degree, j).scale(s), 1)
                   for kind, s in sign.items() for j in range(1, n + 1)}
         cs = ch_sym_product(n, degree, q_order)
         for w in range(q_order + 1):
@@ -184,6 +184,8 @@ class TestReduceModP2:
         g = JetSeries.monomial(2, 4, (3, 1))
         red = reduce_mod_p2(g)
         assert red == JetSeries.monomial(2, 4, (1, 3), F(-1))
+        # integral coefficients are stored as int, like every jet's
+        assert type(red.coeffs[(1, 3)]) is int
 
     def test_rank_one(self):
         f = JetSeries.monomial(1, 4, (2,)) + JetSeries.variable(1, 4, 1)
@@ -235,19 +237,26 @@ class TestQSeries:
 
     def test_exp_of_nilpotent(self):
         x = JetSeries.variable(1, 3, 1)
+        one = JetSeries.one(1, 3)
         a = JetSeries(1, 3, {(0,): x, (1,): x.scale(2)})
-        e = jet_exp(a)
-        assert q_coeffs(e)[0] == jet_exp(x)
+        e = jet_exp(a, one)
+        assert q_coeffs(e)[0] == jet_exp(x, 1)
         # with no q^0 coefficient the one is still the root ring's
-        e = jet_exp(JetSeries(1, 3, {(1,): x}))
-        assert q_coeffs(e)[0] == JetSeries.one(1, 3)
+        e = jet_exp(JetSeries(1, 3, {(1,): x}), one)
+        assert q_coeffs(e)[0] == one
+
+    def test_exp_of_zero_is_the_rings_one(self):
+        # the zero series stores no coefficient; the one comes from the call
+        one = JetSeries.one(1, 3)
+        assert jet_exp(JetSeries.zero(1, 3), one) == JetSeries.const(1, 3, one)
+        assert jet_exp(JetSeries.zero(2, 3), 1) == JetSeries.one(2, 3)
 
     def test_exp_needs_nilpotent_constant(self):
         with pytest.raises(ShapeError):
-            jet_exp(JetSeries.const(1, 3, F(1, 2)))
+            jet_exp(JetSeries.const(1, 3, F(1, 2)), 1)
         root = JetSeries.variable(1, 3, 1) + 1
         with pytest.raises(ShapeError):
-            jet_exp(JetSeries.const(1, 3, root))
+            jet_exp(JetSeries.const(1, 3, root), JetSeries.one(1, 3))
 
 
 # hypothesis: q-series at order 0..4 over root rings of rank 1..2 and
@@ -308,8 +317,8 @@ class TestRootRingSeries:
         n, d, q = shape
         a = data.draw(root_series(n, d, q, constant=0))
         b = data.draw(root_series(n, d, q, constant=0))
-        # compared as a residual: exp of the zero series is the rational one
-        assert (jet_exp(a + b) - jet_exp(a) * jet_exp(b)).is_zero()
+        one = JetSeries.one(n, d)
+        assert jet_exp(a + b, one) == jet_exp(a, one) * jet_exp(b, one)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), SHAPES)

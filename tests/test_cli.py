@@ -403,6 +403,29 @@ class TestNumericFlags:
         code, out, err = run_captured([command, "--rank", "1", *flags])
         assert (code, out, err) == (2, "", f"error: {named} must be >= 0\n")
 
+    @pytest.mark.parametrize("argv, named", [
+        (["eisenstein", "--weight", "4", "--tau", "0,1", "--q-order", "-1"],
+         "--q-order"),
+        (["ch2", "--rank", "2", "--x", "t1*t2 d1", "--y", "t2 d2"],
+         "--jet-order"),
+        (["rho-w", "--rank", "1", "--x", "t1 d1", "--on", "1"],
+         "--jet-order"),
+        (["msv-check", "--rank", "1", "--x", "t1 d1", "--y", "t1 d1"],
+         "--jet-order"),
+        (["c1", "--rank", "1", "--x", "t1 d1"], "--jet-order"),
+        (["atiyah", "--rank", "1", "--x", "t1 d1"], "--jet-order"),
+        (["pw-check", "--rank", "2", "--f1", "(t1,t2)", "--f2", "(t1,t2)"],
+         "--jet-order"),
+        (["gms-d1", "--rank", "2", "--x", "t1*t2 d1", "--y", "t2 d2"],
+         "--jet-order"),
+        (["conformal-check", "--rank", "1"], "--jet-order"),
+    ])
+    def test_negative_jet_or_q_order_names_flag(self, argv, named):
+        if named == "--jet-order":
+            argv = [*argv, "--jet-order", "-1"]
+        code, out, err = run_captured(argv)
+        assert (code, out, err) == (2, "", f"error: {named} must be >= 0\n")
+
     @pytest.mark.parametrize("command", ["char-identity", "witten-exp-check"])
     @pytest.mark.parametrize("rank", ["1", "2"])
     def test_constant_truncation_is_usage_error(self, command, rank):

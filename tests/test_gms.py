@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from formaldisk import gms
 from formaldisk.constants import GMS_D1_SCALE
@@ -45,12 +45,31 @@ def automorphisms(draw, n, order, frac):
 
 
 @st.composite
+def fields(draw, n, order):
+    """A vector field vanishing at the origin, with one to three terms of
+    degree 1..3 per component."""
+    coef = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    exps = st.lists(st.integers(0, n - 1), min_size=1, max_size=3).map(
+        lambda ks: tuple(ks.count(i) for i in range(n)))
+    return FormalVectorField(n, order, [
+        JetSeries(n, order, draw(st.dictionaries(exps, coef, min_size=1,
+                                                 max_size=3)))
+        for _ in range(n)])
+
+
+@st.composite
 def automorphism_pairs(draw, min_order=2, rank4_max_order=3):
     n = draw(st.integers(1, 4))
     order = draw(st.integers(min_order, rank4_max_order if n == 4 else 4))
     frac = draw(st.booleans())
     return (draw(automorphisms(n, order, frac)),
             draw(automorphisms(n, order, frac)))
+
+
+# The K+2 wedge references and the van Est derivative are slow, so these
+# tests report a failure as found: shrinking it would re-run them at every
+# step, for minutes.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 def _lifted(phi):
@@ -93,7 +112,7 @@ class TestTraceComponents:
     """alpha2 and alpha3 are taken by components; the whole-matrix wedge
     products are the reference."""
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, phases=NO_SHRINK)
     @given(automorphism_pairs())
     def test_against_wedge_products(self, pair):
         f1, f2 = pair
@@ -132,7 +151,7 @@ class TestWorkingOrder:
     the composition, the Jacobians and alpha2 all carry two orders of
     headroom.  Rank four stops at order two to keep the reference quick."""
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, deadline=None, phases=NO_SHRINK)
     @given(automorphism_pairs(min_order=1, rank4_max_order=2))
     def test_terms_against_headroom(self, pair):
         f1, f2 = pair
@@ -302,6 +321,22 @@ class TestVanEst:
         assert ok
         assert c2 == FormalForm(3, 4, 2, {(1, 3): -JetSeries.one(3, 4)})
         assert lie == c2.scale(GMS_D1_SCALE)
+
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+    @given(st.data())
+    def test_bilinear(self, data):
+        n, order = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 4))
+        x1, x2, y1, y2 = (data.draw(fields(n, order)) for _ in range(4))
+        a = data.draw(st.fractions(min_value=-2, max_value=2,
+                                   max_denominator=3))
+
+        def lie(x, y):
+            return d1_compare(x, y)[0]
+
+        assert lie(x1.scale(a) + x2, y1) == \
+            lie(x1, y1).scale(a) + lie(x2, y1)
+        assert lie(x1, y1.scale(a) + y2) == \
+            lie(x1, y1).scale(a) + lie(x1, y2)
 
     def test_origin_precondition(self):
         const = parse_vector_field("d1", 2, 5)

@@ -12,7 +12,6 @@ from formaldisk.grammar import (format_automorphism, format_form, format_jet,
                                 parse_vector_field)
 from formaldisk.jets import (FormalForm, FormalVectorField, JetAutomorphism,
                              JetSeries)
-from formaldisk.scalars import NilpotentPair
 from formaldisk.vertex import KIND_B, KIND_C, TruncationPolicy, VAState
 
 POL = TruncationPolicy(10, 10)
@@ -36,10 +35,10 @@ class TestScalars:
             assert parse_scalar(format_jet(f), 2, 5) == f
 
     def test_repr_of_other_coefficient_rings(self):
-        pair = JetSeries(1, 2, {(0,): NilpotentPair(1, 0, 1),
-                                (1,): NilpotentPair(0, F(-1, 2))})
-        assert repr(pair) == ("JetSeries(1,2; (NilpotentPair(1, 0, 1, 0)) "
-                              "+ (NilpotentPair(0, -1/2, 0, 0))*t1)")
+        s, u = JetSeries.variable(2, 2, 1), JetSeries.variable(2, 2, 2)
+        su = JetSeries(1, 2, {(0,): u + 1, (1,): s.scale(F(-1, 2))})
+        assert repr(su) == ("JetSeries(1,2; (JetSeries(2,2; 1 + t2)) "
+                            "+ (JetSeries(2,2; -1/2*t1))*t1)")
         root = JetSeries(1, 1, {(1,): JetSeries.variable(2, 1, 2, 1) - 1})
         assert repr(root) == "JetSeries(1,1; (JetSeries(2,1; -1 + t2))*t1)"
         rational = JetSeries(2, 2, {(0, 0): -1, (1, 1): F(-2, 3), (0, 1): 1})

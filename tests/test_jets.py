@@ -16,7 +16,7 @@ from formaldisk.jets import (FormalForm, FormalVectorField, FormMatrix,
                              poincare_homotopy, pullback_form, pullback_jet,
                              staircase_primitive, wedge)
 from formaldisk.jets import Substitution
-from formaldisk.scalars import NilpotentPair
+from tests.conftest import SU_JETS
 
 T1 = JetSeries.variable(2, 3, 1)
 T2 = JetSeries.variable(2, 3, 2)
@@ -94,6 +94,24 @@ class TestJetSeries:
         assert f.coeffs == {(1,): 1} and type(f.coeffs[(1,)]) is int
         g = JetSeries(2, 3, {(0, 0): F(2, 3), (0, 1): F(1, 3)}).scale(F(3, 2))
         assert [type(g.coeffs[e]) for e in ((0, 0), (0, 1))] == [int, F]
+
+    def test_every_operation_stores_integral_coefficients_as_int(self):
+        half = JetSeries(1, 3, {(1,): F(1, 2)})
+        t = JetSeries.variable(1, 3, 1)
+        w = FormalForm(2, 3, 2, {(1, 2): JetSeries(2, 3, {(1, 0): 2})})
+        cases = {
+            "sum": (half + half, {(1,): 1}),
+            "partial": (JetSeries(1, 3, {(2,): F(1, 2)}).partial(1),
+                        {(1,): 1}),
+            "integral": (integrate_var(JetSeries(1, 3, {(1,): 2}), 1),
+                         {(2,): 1}),
+            "staircase": (staircase_primitive(w).component((2,)),
+                          {(2, 0): 1}),
+            "substitution": (half.subs((t.scale(2),)), {(1,): 1}),
+        }
+        for name, (f, coeffs) in cases.items():
+            assert f.coeffs == coeffs, name
+            assert all(type(c) is int for c in f.coeffs.values()), name
 
 
 class TestForms:
@@ -297,27 +315,29 @@ class TestAutomorphisms:
                 JetAutomorphism.identity(n, 4)
 
 
-# coefficient rings of the inverse tests: Q as int and as Fraction, and the
-# square-zero pairs Q[s,u]/(s^2, u^2)
+# coefficient rings of the inverse tests, each with its one: Q as int and as
+# Fraction, and the jets in (s, u) at order 2
 RINGS = {
-    "int": st.integers(-2, 2),
-    "fraction": st.fractions(min_value=-2, max_value=2, max_denominator=3),
-    "pair": st.builds(NilpotentPair, *[st.integers(-2, 2)] * 4),
+    "int": (st.integers(-2, 2), 1),
+    "fraction": (st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                 1),
+    "su": (SU_JETS, JetSeries.one(2, 2)),
 }
 
 
 def ring_jets(data, n, order):
     """A strategy for jets over a drawn ring, constant term drawn apart so
-    that units are common."""
-    coef = RINGS[data.draw(st.sampled_from(sorted(RINGS)))]
+    that units are common, and the ring's one."""
+    coef, one = RINGS[data.draw(st.sampled_from(sorted(RINGS)))]
     exps = st.tuples(*[st.integers(0, order)] * n)
-    return st.tuples(st.dictionaries(exps, coef, max_size=3), coef).map(
+    jets = st.tuples(st.dictionaries(exps, coef, max_size=3), coef).map(
         lambda p: JetSeries(n, order, p[0]) + JetSeries.const(n, order, p[1]))
+    return jets, one
 
 
 def body(c):
-    """The residue of a coefficient in Q (the s,u-free part of a pair)."""
-    return c.a if isinstance(c, NilpotentPair) else c
+    """The residue of a coefficient in Q (the constant term of a jet)."""
+    return c.constant_term() if isinstance(c, JetSeries) else c
 
 
 def leibniz_det(rows):
@@ -339,7 +359,7 @@ class TestInverse:
     @given(st.data())
     def test_matrix_inverse_over_each_ring(self, data):
         n, order = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4))
-        entry = ring_jets(data, n, order)
+        entry, one = ring_jets(data, n, order)
         rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
         if data.draw(st.booleans()):
             # a zero constant at [0][0]: an invertible matrix needs a swap
@@ -352,7 +372,9 @@ class TestInverse:
                 jet_invert(m)
             return
         inv = jet_invert(m)
-        ident = JetMatrix.identity(n, order)
+        ident = JetMatrix(n, order, [[JetSeries.const(n, order, one)
+                                      if i == j else JetSeries.zero(n, order)
+                                      for j in range(n)] for i in range(n)])
         assert m * inv == ident
         assert inv * m == ident
 
@@ -365,14 +387,15 @@ class TestInverse:
     @given(st.data())
     def test_series_inverse_over_each_ring(self, data):
         n, order = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4))
-        f = data.draw(ring_jets(data, n, order))
+        entry, one = ring_jets(data, n, order)
+        f = data.draw(entry)
         if not body(f.constant_term()):
             assert not f.is_unit()
             with pytest.raises(InvertibilityError):
                 f.inverse()
             return
         assert f.is_unit()
-        assert f * f.inverse() == JetSeries.one(n, order)
+        assert f * f.inverse() == JetSeries.const(n, order, one)
 
 
 class TestHomotopy:
@@ -431,6 +454,20 @@ class TestHomotopy:
             for prim in (poincare_homotopy(w), staircase_primitive(w)):
                 assert all(type(c) in (int, F) for c in coeffs(prim))
                 assert de_rham(prim) == w.with_order(5)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_primitives_over_jet_coefficients(self, data):
+        # the coefficients are jets in (s, u), divided by scaling them
+        n = data.draw(st.integers(2, 3))
+        exps = st.tuples(*[st.integers(0, 2)] * n)
+        theta = FormalForm(n, 3, 1, {
+            (i,): JetSeries(n, 3, data.draw(
+                st.dictionaries(exps, SU_JETS, max_size=3)))
+            for i in range(1, n + 1)})
+        w = de_rham(theta)
+        for prim in (poincare_homotopy(w), staircase_primitive(w)):
+            assert de_rham(prim) == w.with_order(4)
 
     def test_closedness_enforced(self):
         w = FormalForm(2, 3, 1, {(1,): T2})  # t2 dt1 is not closed

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 import formaldisk
 from formaldisk import _kernel
 from formaldisk._kernel import _pure
-from formaldisk.scalars import NilpotentPair
+from formaldisk.jets import JetSeries
+from tests.conftest import SU_JETS
 
 
 def test_backend_reported():
@@ -31,7 +32,7 @@ RATIONALS = st.one_of(
     st.integers(-3, 3),
     st.integers(-3, 3).map(F),
     st.fractions(min_value=-3, max_value=3, max_denominator=6))
-SQUARE_ZERO = st.builds(NilpotentPair, *[st.integers(-2, 2)] * 4)
+S, U = JetSeries.variable(2, 2, 1), JetSeries.variable(2, 2, 2)
 
 
 @st.composite
@@ -40,13 +41,13 @@ def operand_pairs(draw):
 
     Exponents may exceed the order; coefficients are ints, integral and
     non-integral Fractions, mixed within an operand, or (in some draws)
-    square-zero pairs mixed with rationals.  The second operand is often
+    jets in (s, u) mixed with rationals.  The second operand is often
     the first with some signs flipped, so that products cancel.
     """
     n = draw(st.integers(1, 3))
     order = draw(st.integers(0, 6))
     coef = RATIONALS if draw(st.booleans()) else \
-        st.one_of(RATIONALS, SQUARE_ZERO)
+        st.one_of(RATIONALS, SU_JETS)
     exps = st.tuples(*[st.integers(0, order + 1)] * n)
     poly = st.dictionaries(exps, coef, max_size=8)
     a = draw(poly)
@@ -62,8 +63,8 @@ def operand_pairs(draw):
 @settings(max_examples=400, deadline=None)
 @given(operand_pairs())
 @example(({(1, 0): 1, (0, 1): F(1, 2)}, {(1, 0): 1, (0, 1): F(-1, 2)}, 2))
-@example(({(0,): NilpotentPair.S, (1,): NilpotentPair.S},
-          {(0,): NilpotentPair.S, (2,): NilpotentPair.U}, 3))
+# nilpotent coefficients: s * s*u = 0 in (s, u)-jets at order 2
+@example(({(0,): S, (1,): S}, {(0,): S * U, (2,): U}, 3))
 @example(({(3, 0): 2, (0, 1): 1}, {(0, 0): 1, (1, 1): -1}, 2))
 @example(({}, {(0, 0): 1}, 2))
 def test_poly_mul_matches_schoolbook(case):
