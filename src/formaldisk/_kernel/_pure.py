@@ -6,7 +6,8 @@ They operate on plain containers:
 * states: dict mapping sorted tuples of mode symbols to coefficients,
 
 where a mode symbol is an int triple ``(kind, j, m)`` with kind 0 for b,
-1 for c.
+1 for c.  :func:`state_axpy` only adds, so it also serves states keyed by
+the monomial ids of :mod:`formaldisk.vertex`.
 
 Coefficient contract.  The main code path stores exact rationals: ``int``
 or ``fractions.Fraction``.  :func:`poly_mul` multiplies such operands as
@@ -221,13 +222,15 @@ def state_deriv_sym(data, sym, sign):
 
 
 def state_axpy(acc, data, coef):
-    """In-place ``acc += coef * data`` for symbol-monomial states."""
+    """In-place ``acc += coef * data`` for states (tuple- or id-keyed)."""
+    get = acc.get
     for key, c in data.items():
         v = coef * c
-        if key in acc:
-            v = acc[key] + v
+        old = get(key)
+        if old is not None:
+            v = old + v
         if v:
             acc[key] = v
-        elif key in acc:
+        elif old is not None:
             del acc[key]
     return acc

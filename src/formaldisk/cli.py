@@ -52,17 +52,6 @@ def _policy(args):
     return TruncationPolicy(args.max_weight, args.max_c0)
 
 
-def _basis(args):
-    """The basis monomials a state check runs over; none is a usage error,
-    since a check over zero states would pass vacuously."""
-    monos = vertex.enumerate_basis(args.rank, args.max_weight, args.max_c0)
-    if not monos:
-        raise FormalDiskError(
-            f"no basis states with weight <= {args.max_weight} and "
-            f"c0-degree <= {args.max_c0}")
-    return monos
-
-
 def _floats(text, flag, count=None):
     """The comma-separated finite numbers of a flag's value, ``count`` of
     them when it is given."""
@@ -86,8 +75,10 @@ def _tolerance(args):
 
 
 def _check_orders(args):
-    """A negative truncation order is a usage error naming its flag."""
-    for flag in ("jet_order", "chern_degree", "q_order"):
+    """A negative truncation order or policy bound is a usage error naming
+    its flag."""
+    for flag in ("jet_order", "chern_degree", "q_order", "max_weight",
+                 "max_c0"):
         if getattr(args, flag, 0) < 0:
             raise FormalDiskError(f"--{flag.replace('_', '-')} must be >= 0")
 
@@ -152,7 +143,7 @@ def cmd_msv_check(args):
     y = parse_vector_field(args.y, args.rank, args.jet_order)
     cocycle = gf.ch2_gf(x, y)
     pol = TruncationPolicy(args.max_weight + 4, args.max_c0 + 8)
-    monos = _basis(args)
+    monos = vertex.enumerate_basis(args.rank, args.max_weight, args.max_c0)
     bad = 0
     for mono in monos:
         v = VAState(args.rank, pol, {mono: Fraction(1)})
@@ -225,7 +216,7 @@ def cmd_gms_d1(args):
 
 def cmd_conformal_check(args):
     pol = TruncationPolicy(args.max_weight + 4, args.max_c0 + 4)
-    monos = _basis(args)
+    monos = vertex.enumerate_basis(args.rank, args.max_weight, args.max_c0)
     states = [VAState(args.rank, pol, {m: Fraction(1)}) for m in monos]
     verdicts = conformal.conformal_axiom_check(args.rank, states)
     fields = basis_monomial_fields(args.rank, args.jet_order, 3)

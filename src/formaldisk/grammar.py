@@ -466,8 +466,9 @@ def format_state(v: VAState) -> str:
     def mono_key(mo):
         return (sum(-s[2] for s in mo), len(mo), tuple(sym_key(s) for s in mo))
 
+    by_mono = v.mono_terms()
     terms = []
-    for mono in sorted(v.terms, key=mono_key):
+    for mono in sorted(by_mono, key=mono_key):
         if not mono:
             body = "vac"
         else:
@@ -476,7 +477,7 @@ def format_state(v: VAState) -> str:
                 letter = "b" if kind == KIND_B else "c"
                 parts.append(f"{letter}[{j},{m}]")
             body = "*".join(parts)
-        terms.append((v.terms[mono], body))
+        terms.append((by_mono[mono], body))
     return _format_terms(terms)
 
 

@@ -52,7 +52,7 @@ def jet_to_state(f: JetSeries, policy) -> VAState:
 def state_to_jet(v: VAState, order) -> JetSeries:
     """Inverse of jet_to_state on weight-zero states."""
     coeffs = {}
-    for mono, c in v.terms.items():
+    for mono, c in v.mono_terms().items():
         e = [0] * v.n
         for kind, j, m in mono:
             if kind != KIND_C or m != 0:
@@ -154,8 +154,8 @@ def gl_act(a_matrix, v: VAState) -> VAState:
     c_sub = [[rows[k][j] for k in range(n)] for j in range(n)]
     b_sub = [[inv[j][k] for k in range(n)] for j in range(n)]
     out = VAState.zero(n, v.policy)
-    for mono, coef in v.terms.items():
-        acc = VAState(n, v.policy, {(): coef}, _clean=True)
+    for mono, coef in v.mono_terms().items():
+        acc = VAState(n, v.policy, {(): coef})
         for kind, j, m in mono:
             mat = c_sub if kind == KIND_C else b_sub
             sym_sum = VAState.zero(n, v.policy)

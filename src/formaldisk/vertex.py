@@ -18,18 +18,39 @@ Bookkeeping bounds on conformal weight and c_0-degree model the completed
 algebra at finite size; all arithmetic below the bounds is exact, and the
 strict policy turns any overflow into an error rather than silent loss.
 
-States are immutable and operations pure.  The recursion memoizes on
-module-level dicts whose entries are deterministic and policy-independent,
-so concurrent use can at worst duplicate a computation (individual dict
-reads/writes are atomic under the GIL); ``clear_mode_cache`` resets them,
-together with every memo registered through ``on_cache_clear`` (the
-per-operand memos of :mod:`formaldisk.hc`).
+Monomials are interned (hash-consed): the canonically sorted symbol tuple
+of a monomial gets an int id from one module-level table, which also
+stores its weight, its c_0-degree, its leading symbol and the id of the
+rest, so the recursion peels symbols and reads weights by list index.
+:attr:`VAState.terms` maps ids to coefficients.  Tuples appear only where
+symbols are inserted, removed or read: the checked constructor, the
+multiset product, translation, a single-symbol mode on a cache miss, and
+conversion and printing (:meth:`VAState.mono_terms`).  Equal monomials have
+equal ids, so equal states have equal ``terms``.  The table is append-only
+and is never cleared, not even by ``clear_mode_cache``: live states, and
+the memos of :mod:`formaldisk.hc`, hold ids, and an id handed out again
+would silently rename their monomials.  It grows with the distinct
+monomials a process meets, a finite number under any fixed policy bounds.
+
+States are immutable and operations pure.  The recursion memoizes on two
+module-level dicts whose entries are deterministic and policy-independent:
+``_MODE_CACHE`` maps ``(id, m, id)`` to a monomial's m-th product on a
+monomial and ``_SYM_CACHE`` maps ``(symbol, i, id)`` to a symbol's i-th
+mode on a monomial.  Each holds at most ``MODE_CACHE_SIZE`` and
+``SYM_CACHE_SIZE`` entries: a miss that finds its cache full empties that
+cache before it stores, which costs only recomputation.  Concurrent use
+can at worst duplicate a computation (individual dict reads/writes are
+atomic under the GIL, and a lock makes adding an id atomic);
+``clear_mode_cache`` empties both caches, together with every memo
+registered through ``on_cache_clear`` (the per-operand memos of
+:mod:`formaldisk.hc`).
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
-from operator import itemgetter
+from types import MappingProxyType
 
 from . import _kernel
 from .errors import ShapeError, TruncationOverflowError
@@ -63,24 +84,57 @@ def sym_weight(s):
     return -s[2]
 
 
-_MODE_INDEX = itemgetter(2)
-
-
-def mono_weight(mono):
-    # map with a C getter: no memo is needed, the sum costs about a lookup
-    return -sum(map(_MODE_INDEX, mono))
-
-
-def mono_c0_degree(mono):
-    return sum(1 for s in mono if s[0] == KIND_C and s[2] == 0)
-
-
 def mono_b_count(mono):
     return sum(1 for s in mono if s[0] == KIND_B)
 
 
 def _sorted_mono(syms):
     return tuple(sorted(syms, key=sym_key))
+
+
+# -- the intern table: one row per id, never cleared (module docstring) -------
+
+_IDS: dict = {}  # canonically sorted monomial tuple -> id
+_MONO: list = []  # id -> monomial tuple
+_LEAD: list = []  # id -> leading symbol (None for the empty monomial)
+_REST: list = []  # id -> id of the monomial without its leading symbol
+_WEIGHT: list = []  # id -> conformal weight
+_C0: list = []  # id -> c_0-degree
+_INTERN_LOCK = threading.Lock()
+
+
+def _add_row(mono, lead, rest, weight, c0):
+    i = len(_MONO)
+    _MONO.append(mono)
+    _LEAD.append(lead)
+    _REST.append(rest)
+    _WEIGHT.append(weight)
+    _C0.append(c0)
+    # published last: a reader that finds the id finds its whole row
+    _IDS[mono] = i
+    return i
+
+
+_EMPTY = _add_row((), None, -1, 0, 0)
+
+
+def _intern_locked(mono):
+    i = _IDS.get(mono)
+    if i is None:
+        lead = mono[0]
+        rest = _intern_locked(mono[1:])
+        i = _add_row(mono, lead, rest, _WEIGHT[rest] - lead[2],
+                     _C0[rest] + (lead[0] == KIND_C and lead[2] == 0))
+    return i
+
+
+def _intern(mono):
+    """Id of a canonically sorted monomial tuple, added on first sight."""
+    i = _IDS.get(mono)
+    if i is None:
+        with _INTERN_LOCK:
+            i = _intern_locked(mono)
+    return i
 
 
 class TruncationPolicy:
@@ -94,10 +148,6 @@ class TruncationPolicy:
         self.max_weight = max_weight
         self.max_c0 = max_c0
         self.strict = strict
-
-    def admits(self, mono):
-        return mono_weight(mono) <= self.max_weight and \
-            mono_c0_degree(mono) <= self.max_c0
 
     def reject(self, what):
         if self.strict:
@@ -120,12 +170,17 @@ class TruncationPolicy:
 def _check_compatible(a, b):
     if a.n != b.n:
         raise ShapeError("states have different rank")
-    if a.policy != b.policy:
+    if a.policy is not b.policy and a.policy != b.policy:
         raise ShapeError("states carry different truncation policies")
 
 
 class VAState:
-    """Exact element of the (truncated) chiral-differential-operator space."""
+    """Exact element of the (truncated) chiral-differential-operator space.
+
+    ``terms`` maps monomial ids (see the module docstring) to nonzero
+    coefficients.  The checked constructor takes monomial tuples in any
+    symbol order; ``_clean=True`` takes ids and trusts them.
+    """
 
     __slots__ = ("n", "policy", "terms")
 
@@ -149,11 +204,12 @@ class VAState:
                 if not 1 <= s[1] <= n:
                     raise ShapeError(f"symbol index {s[1]} out of range 1..{n}")
                 make_sym(*s)
-            if not policy.admits(mono):
+            k = _intern(mono)
+            if _WEIGHT[k] > policy.max_weight or _C0[k] > policy.max_c0:
                 policy.reject(f"monomial exceeds policy: {mono}")
                 continue
-            clean[mono] = clean[mono] + c if mono in clean else c
-        self.terms = {m: norm_coeff(c) for m, c in clean.items() if c}
+            clean[k] = clean[k] + c if k in clean else c
+        self.terms = {k: norm_coeff(c) for k, c in clean.items() if c}
 
     # -- constructors -------------------------------------------------------
 
@@ -163,7 +219,7 @@ class VAState:
 
     @classmethod
     def vacuum(cls, n, policy):
-        return cls(n, policy, {(): ONE}, _clean=True)
+        return cls(n, policy, {_EMPTY: ONE}, _clean=True)
 
     @classmethod
     def generator(cls, n, policy, kind, j, m, coeff=ONE):
@@ -174,20 +230,25 @@ class VAState:
     def is_zero(self):
         return not self.terms
 
+    def mono_terms(self):
+        """The terms keyed by canonically sorted monomial tuples."""
+        mono = _MONO
+        return {mono[k]: c for k, c in self.terms.items()}
+
     def coefficient(self, syms):
-        return self.terms.get(_sorted_mono(syms), Fraction(0))
+        return self.terms.get(_IDS.get(_sorted_mono(syms)), Fraction(0))
 
     def weight_decomposition(self):
         """Map conformal weight -> homogeneous component."""
         buckets = {}
-        for mono, c in self.terms.items():
-            buckets.setdefault(mono_weight(mono), {})[mono] = c
+        for k, c in self.terms.items():
+            buckets.setdefault(_WEIGHT[k], {})[k] = c
         return {w: VAState(self.n, self.policy, t, _clean=True)
                 for w, t in sorted(buckets.items())}
 
     def weight(self):
         """Weight of a homogeneous state (error otherwise, -1 for zero)."""
-        ws = {mono_weight(m) for m in self.terms}
+        ws = {_WEIGHT[k] for k in self.terms}
         if not ws:
             return -1
         if len(ws) > 1:
@@ -195,11 +256,11 @@ class VAState:
         return ws.pop()
 
     def max_weight(self):
-        return max((mono_weight(m) for m in self.terms), default=0)
+        return max((_WEIGHT[k] for k in self.terms), default=0)
 
     def filtration_degree(self):
         """Number of b-symbols; max over monomials when inhomogeneous."""
-        return max((mono_b_count(m) for m in self.terms), default=0)
+        return max((mono_b_count(_MONO[k]) for k in self.terms), default=0)
 
     # -- linear structure -------------------------------------------------------
 
@@ -207,16 +268,16 @@ class VAState:
         _check_compatible(self, other)
         out = dict(self.terms)
         _kernel.state_axpy(out, other.terms, 1)
-        for m, c in other.terms.items():
+        for k, c in other.terms.items():
             # the terms are normalised, so only adding a Fraction can leave
             # an integral Fraction behind
-            if type(c) is Fraction and m in out:
-                out[m] = norm_coeff(out[m])
+            if type(c) is Fraction and k in out:
+                out[k] = norm_coeff(out[k])
         return VAState(self.n, self.policy, out, _clean=True)
 
     def __neg__(self):
         return VAState(self.n, self.policy,
-                       {m: -c for m, c in self.terms.items()}, _clean=True)
+                       {k: -c for k, c in self.terms.items()}, _clean=True)
 
     def __sub__(self, other):
         return self + (-other)
@@ -226,7 +287,7 @@ class VAState:
         if not scalar:
             return VAState.zero(self.n, self.policy)
         return VAState(self.n, self.policy,
-                       {m: norm_coeff(scalar * c) for m, c in self.terms.items()},
+                       {k: norm_coeff(scalar * c) for k, c in self.terms.items()},
                        _clean=True)
 
     def __mul__(self, other):
@@ -235,8 +296,9 @@ class VAState:
             return self.scale(other)
         _check_compatible(self, other)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        right = other.mono_terms().items()
+        for m1, c1 in self.mono_terms().items():
+            for m2, c2 in right:
                 key = _sorted_mono(m1 + m2)
                 c = c1 * c2
                 out[key] = out[key] + c if key in out else c
@@ -275,7 +337,8 @@ def _binom(i, k):
 
 
 def _apply_gen_mode(kind, j, i, data):
-    """Mode i of the generating state (b^j_{-1} or c^j_0) on a raw dict."""
+    """Mode i of the generating state (b^j_{-1} or c^j_0) on a dict keyed
+    by monomial tuples."""
     if kind == KIND_B:
         if i < 0:
             return _kernel.state_mul_sym(data, (KIND_B, j, i))
@@ -301,8 +364,15 @@ def _apply_sym_mode(sym, i, data):
     return out
 
 
+# each cache's bound, in entries; the acceptance test of the extension
+# cocycle (criterion 2) fills 191,729 mode and 43,063 sym entries
+MODE_CACHE_SIZE = 1 << 18
+SYM_CACHE_SIZE = 1 << 18
+
 _MODE_CACHE: dict = {}
 _SYM_CACHE: dict = {}
+# about half of all cached results are empty; they share one read-only map
+_NO_TERMS = MappingProxyType({})
 _CLEAR_HOOKS: list = []
 
 
@@ -312,55 +382,63 @@ def on_cache_clear(hook):
 
 
 def clear_mode_cache():
+    """Empty the two mode caches and the registered memos.  The intern table
+    stays: live states hold its ids."""
     _MODE_CACHE.clear()
     _SYM_CACHE.clear()
     for hook in _CLEAR_HOOKS:
         hook()
 
 
-def _sym_mode_mono(sym, i, vmono):
-    """Memoized single-symbol mode on a single monomial."""
-    key = (sym, i, vmono)
+def _sym_mode_mono(sym, i, vid):
+    """Memoized single-symbol mode on the monomial with id ``vid``."""
+    key = (sym, i, vid)
     hit = _SYM_CACHE.get(key)
     if hit is None:
-        hit = _apply_sym_mode(sym, i, {vmono: ONE})
+        raw = _apply_sym_mode(sym, i, {_MONO[vid]: ONE})
+        hit = {_intern(mo): c for mo, c in raw.items()} or _NO_TERMS
+        if len(_SYM_CACHE) >= SYM_CACHE_SIZE:
+            _SYM_CACHE.clear()
         _SYM_CACHE[key] = hit
     return hit
 
 
-def _mode_mono(amono, m, vmono):
-    """Raw m-th product (monomial a)_(m) (monomial v) as a dict."""
-    key = (amono, m, vmono)
+def _mode_mono(aid, m, vid):
+    """Raw m-th product (monomial aid)_(m) (monomial vid), id-keyed; the
+    result is cached, so callers only read it."""
+    key = (aid, m, vid)
     hit = _MODE_CACHE.get(key)
     if hit is not None:
         return hit
-    if not amono:
-        out = {vmono: ONE} if m == -1 else {}
-    elif len(amono) == 1:
-        out = _sym_mode_mono(amono[0], m, vmono)
+    s = _LEAD[aid]
+    rest = _REST[aid]
+    if s is None:
+        out = {vid: ONE} if m == -1 else {}
+    elif rest == _EMPTY:
+        out = _sym_mode_mono(s, m, vid)
     else:
-        s = amono[0]
-        rest = amono[1:]
         out = {}
         sym_cache = _SYM_CACHE
         axpy = _kernel.state_axpy
         # sum_i S_(-1-i) (R_(m+i) v): R_(m+i) v = 0 once m+i >= wt(R)+wt(v)
-        top = mono_weight(rest) + mono_weight(vmono) - m
+        top = _WEIGHT[rest] + _WEIGHT[vid] - m
         for i in range(0, top):
-            inner = _mode_mono(rest, m + i, vmono)
+            inner = _mode_mono(rest, m + i, vid)
             for mono2, c2 in inner.items():
-                skey = (s, -1 - i, mono2)
-                sv = sym_cache.get(skey)
+                sv = sym_cache.get((s, -1 - i, mono2))
                 if sv is None:
-                    sv = _apply_sym_mode(s, -1 - i, {mono2: ONE})
-                    sym_cache[skey] = sv
+                    sv = _sym_mode_mono(s, -1 - i, mono2)
                 axpy(out, sv, c2)
         # sum_i R_(m-1-i) (S_(i) v): S_(i) v = 0 once i >= wt(S)+wt(v)
-        top = sym_weight(s) + mono_weight(vmono)
+        top = sym_weight(s) + _WEIGHT[vid]
         for i in range(0, top):
-            sv = _sym_mode_mono(s, i, vmono)
+            sv = _sym_mode_mono(s, i, vid)
             for mono2, c2 in sv.items():
                 axpy(out, _mode_mono(rest, m - 1 - i, mono2), c2)
+    if not out:
+        out = _NO_TERMS
+    if len(_MODE_CACHE) >= MODE_CACHE_SIZE:
+        _MODE_CACHE.clear()
     _MODE_CACHE[key] = out
     return out
 
@@ -374,25 +452,23 @@ def mode_apply(a: VAState, m: int, v: VAState) -> VAState:
     _check_compatible(a, v)
     policy = a.policy
     acc = {}
-    for amono, ac in a.terms.items():
-        wa = mono_weight(amono)
-        for vmono, vc in v.terms.items():
-            w = wa + mono_weight(vmono) - m - 1
+    for aid, ac in a.terms.items():
+        wa = _WEIGHT[aid]
+        for vid, vc in v.terms.items():
+            w = wa + _WEIGHT[vid] - m - 1
             if w > policy.max_weight:
                 policy.reject(
                     f"mode product weight {w} exceeds bound {policy.max_weight}")
                 continue
-            res = _mode_mono(amono, m, vmono)
+            res = _mode_mono(aid, m, vid)
             if res:
                 _kernel.state_axpy(acc, res, ac * vc)
-    # monomials arrive canonically sorted; only the c0 bound can still trip,
-    # and only on a monomial with more symbols than the bound
+    # the weights are within the bound; only the c0 bound can still trip
     max_c0 = policy.max_c0
-    over = [mo for mo in acc
-            if len(mo) > max_c0 and mono_c0_degree(mo) > max_c0]
-    for mo in over:
-        policy.reject(f"mode product exceeds c0 bound: {mo}")
-        del acc[mo]
+    over = [k for k in acc if _C0[k] > max_c0]
+    for k in over:
+        policy.reject(f"mode product exceeds c0 bound: {_MONO[k]}")
+        del acc[k]
     return VAState(a.n, policy, acc, _clean=True)
 
 
@@ -400,7 +476,7 @@ def translate(v: VAState) -> VAState:
     """Translation operator T: b_m -> -m b_{m-1}, c_m -> -(m-1) c_{m-1},
     extended as a derivation; T|0> = 0."""
     out = {}
-    for mono, c in v.terms.items():
+    for mono, c in v.mono_terms().items():
         for pos, s in enumerate(mono):
             kind, j, m = s
             factor = -m if kind == KIND_B else -(m - 1)
@@ -416,10 +492,8 @@ def translate(v: VAState) -> VAState:
 def generator_mode(kind, j, i):
     """The endomorphism (generator)_(i) as a function on states."""
     def op(v: VAState) -> VAState:
-        acc = {}
-        for mono, c in v.terms.items():
-            _kernel.state_axpy(acc, _apply_gen_mode(kind, j, i, {mono: ONE}), c)
-        return VAState(v.n, v.policy, acc)
+        return VAState(v.n, v.policy,
+                       _apply_gen_mode(kind, j, i, v.mono_terms()))
     return op
 
 

@@ -250,17 +250,6 @@ class TestContract:
         assert captured.out == ""
         assert captured.err == err
 
-    @pytest.mark.parametrize("args", [
-        ["msv-check", "--rank", "2", "--x", "t1*t2 d1", "--y", "t1^2*t2 d2",
-         "--max-weight", "-1", "--max-c0", "2"],
-        ["conformal-check", "--rank", "1", "--max-weight", "-1"],
-    ])
-    def test_empty_basis_is_exit_two(self, args, capsys):
-        assert main(args) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "no basis states" in captured.err
-
     def test_payload_roundtrip(self, capsys):
         from formaldisk.grammar import parse_state
         from formaldisk.vertex import TruncationPolicy
@@ -424,6 +413,24 @@ class TestNumericFlags:
         if named == "--jet-order":
             argv = [*argv, "--jet-order", "-1"]
         code, out, err = run_captured(argv)
+        assert (code, out, err) == (2, "", f"error: {named} must be >= 0\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["mode-apply", "--rank", "1", "--state", "b[1,-1]", "--mode", "0",
+         "--on", "c[1,0]"],
+        ["borcherds", "--rank", "1", "--a", "b[1,-1]", "--b", "c[1,0]",
+         "--c", "vac", "--l", "0", "--m", "-1"],
+        ["rho-w", "--rank", "1", "--x", "t1 d1", "--on", "c[1,0]"],
+        ["msv-check", "--rank", "1", "--x", "t1 d1", "--y", "t1 d1"],
+        ["conformal-check", "--rank", "1"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("flags, named", [
+        (["--max-weight", "-1"], "--max-weight"),
+        (["--max-c0", "-1"], "--max-c0"),
+        (["--max-weight", "-1", "--max-c0", "-2"], "--max-weight"),
+    ], ids=["weight", "c0", "both"])
+    def test_negative_policy_bound_names_flag(self, argv, flags, named):
+        code, out, err = run_captured([*argv, *flags])
         assert (code, out, err) == (2, "", f"error: {named} must be >= 0\n")
 
     @pytest.mark.parametrize("command", ["char-identity", "witten-exp-check"])

@@ -1,16 +1,22 @@
 """Mode calculus: vacuum, translation, products, composition identity."""
 
+import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
 
+from formaldisk import vertex
 from formaldisk.errors import ShapeError, TruncationOverflowError
+from formaldisk.grammar import format_state, parse_state, parse_vector_field
+from formaldisk.hc import msv_defect
 from formaldisk.vertex import (KIND_B, KIND_C, TruncationPolicy, VAState,
-                               borcherds_check, enumerate_basis,
-                               enumerate_weight_monomials, filtration_degree,
-                               generator_mode, mode_apply, translate, vacuum,
-                               weight_of)
-from tests.conftest import random_state
+                               borcherds_check, clear_mode_cache,
+                               enumerate_basis, enumerate_weight_monomials,
+                               filtration_degree, generator_mode, mode_apply,
+                               translate, vacuum, weight_of)
+from tests.conftest import monomial_states, random_state
 
 POL = TruncationPolicy(12, 10)
 
@@ -273,3 +279,114 @@ class TestEnumeration:
     def test_basis_is_deduplicated(self):
         basis = enumerate_basis(2, 2, 2)
         assert len(basis) == len(set(basis))
+
+
+class _PeakDict(dict):
+    """A cache stand-in that records its largest size and its clears."""
+
+    def __init__(self):
+        super().__init__()
+        self.peak = 0
+        self.clears = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+class TestInterning:
+    """States hold monomial ids from a table that no cache clear touches
+    and that gives one id per monomial, also under threads; the mode
+    caches are bounded; printing does not depend on ids."""
+
+    X = "t1*t2 d1 + t2^2 d2"
+    Y = "t1^2 d2 - t2 d1"
+
+    def test_ids_outlive_cache_clear(self, rng):
+        x = parse_vector_field(self.X, 2, 6)
+        y = parse_vector_field(self.Y, 2, 6)
+        cases = [(random_state(rng, 2, POL, terms=3), rng.randint(-3, 3),
+                  random_state(rng, 2, POL, terms=3)) for _ in range(20)]
+        before = [format_state(mode_apply(a, m, v)) for a, m, v in cases]
+        defect = format_state(msv_defect(x, y, cases[0][2]))
+        clear_mode_cache()
+        for (a, m, v), text in zip(cases, before):
+            fresh_a = VAState(2, POL, a.mono_terms())
+            fresh_v = VAState(2, POL, v.mono_terms())
+            product = mode_apply(a, m, v)
+            assert product == mode_apply(fresh_a, m, fresh_v)
+            assert format_state(product) == text
+        fresh_v = VAState(2, POL, cases[0][2].mono_terms())
+        assert msv_defect(x, y, cases[0][2]) == msv_defect(x, y, fresh_v)
+        assert format_state(msv_defect(x, y, fresh_v)) == defect
+
+    def test_bounded_caches_evict_without_changing_results(self,
+                                                           monkeypatch):
+        x = parse_vector_field(self.X, 2, 6)
+        y = parse_vector_field(self.Y, 2, 6)
+        pol = TruncationPolicy(8, 14)
+        states = monomial_states(2, pol, 2, 2)
+        clear_mode_cache()
+        unbounded = [msv_defect(x, y, v) for v in states]
+        mode_cache, sym_cache = _PeakDict(), _PeakDict()
+        monkeypatch.setattr(vertex, "MODE_CACHE_SIZE", 40)
+        monkeypatch.setattr(vertex, "SYM_CACHE_SIZE", 16)
+        monkeypatch.setattr(vertex, "_MODE_CACHE", mode_cache)
+        monkeypatch.setattr(vertex, "_SYM_CACHE", sym_cache)
+        clear_mode_cache()
+        clears = mode_cache.clears, sym_cache.clears
+        assert [msv_defect(x, y, v) for v in states] == unbounded
+        assert mode_cache.clears > clears[0] and sym_cache.clears > clears[1]
+        assert 0 < mode_cache.peak <= 40 and 0 < sym_cache.peak <= 16
+
+    def test_format_parse_round_trip(self, rng):
+        for _ in range(60):
+            n = rng.choice([1, 2, 3])
+            v = random_state(rng, n, POL, max_weight=4, terms=4)
+            text = format_state(v)
+            assert format_state(parse_state(text, n, POL)) == text
+            reordered = VAState(n, POL,
+                                dict(reversed(list(v.mono_terms().items()))))
+            assert format_state(reordered) == text
+
+    def test_print_order_is_canonical_not_id_order(self):
+        # built in reverse canonical order, so new ids run against it
+        state = VAState.zero(3, POL)
+        for k in (3, 2, 1):
+            state = state + parse_state(f"b[3,-{k}]*c[3,-{12 - k}]", 3, POL)
+        assert format_state(state) == ("b[3,-1]*c[3,-11] + b[3,-2]*c[3,-10]"
+                                       " + b[3,-3]*c[3,-9]")
+
+    def test_concurrent_interning_gives_one_id_per_monomial(self):
+        # monomials of rank 8, which no other test builds, so most are new
+        monos = enumerate_weight_monomials(8, 4)
+        pol = TruncationPolicy(4, 0)
+        built = {}
+        start = threading.Barrier(8, timeout=60)
+
+        def build(seed):
+            order = list(monos)
+            random.Random(seed).shuffle(order)
+            start.wait()
+            built[seed] = {m: VAState(8, pol, {m: 1}).terms for m in order}
+
+        threads = [threading.Thread(target=build, args=(seed,))
+                   for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(built) == 8
+        assert all(b == built[0] for b in built.values())
+        assert len(vertex._IDS) == len(vertex._MONO)
+        assert all(vertex._IDS[m] == i for i, m in enumerate(vertex._MONO))
