@@ -6,8 +6,8 @@ They operate on plain containers:
 * states: dict mapping sorted tuples of mode symbols to coefficients,
 
 where a mode symbol is an int triple ``(kind, j, m)`` with kind 0 for b,
-1 for c.  :func:`state_axpy` only adds, so it also serves states keyed by
-the monomial ids of :mod:`formaldisk.vertex`.
+1 for c.  The two axpys only add, so they also serve states keyed by the
+monomial ids of :mod:`formaldisk.vertex`.
 
 Coefficient contract.  The main code path stores exact rationals: ``int``
 or ``fractions.Fraction``.  :func:`poly_mul` multiplies such operands as
@@ -158,7 +158,7 @@ def _poly_mul_generic(a, b, order):
 
 
 def poly_axpy(acc, data, coef):
-    """In-place ``acc += coef * data`` for exponent-dict polynomials; an
+    """In-place ``acc += coef * data`` for polynomials (or states); an
     integral rational is stored as ``int``, like :func:`poly_mul` does."""
     get = acc.get
     for key, c in data.items():
@@ -222,7 +222,8 @@ def state_deriv_sym(data, sym, sign):
 
 
 def state_axpy(acc, data, coef):
-    """In-place ``acc += coef * data`` for states (tuple- or id-keyed)."""
+    """In-place ``acc += coef * data`` for states (tuple- or id-keyed),
+    storing sums as they come: the mode recursion is integral."""
     get = acc.get
     for key, c in data.items():
         v = coef * c

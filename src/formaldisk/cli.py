@@ -2,7 +2,8 @@
 
 Every run emits a single JSON document (sorted keys, canonical term order)
 on stdout; ``--out`` writes the same bytes to a file.  Exit status is 0 on
-success, 1 when a verification check fails, 2 on usage or parse errors.
+success, 1 when a verification check fails, 2 on usage or parse errors
+and on any unexpected error, reported on one line.
 """
 
 from __future__ import annotations
@@ -502,6 +503,10 @@ def main(argv=None):
         return 2
     except FormalDiskError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except Exception as exc:
+        # a fault of the program is no failed check: exit 1 would say so
+        sys.stderr.write(f"error: unexpected {exc!r}\n")
         return 2
 
 

@@ -16,7 +16,7 @@ from itertools import permutations
 
 from .errors import ShapeError
 from .jets import (FormalForm, FormalVectorField, FormMatrix, JetSeries,
-                   de_rham, vf_bracket)
+                   de_rham, vf_bracket, wedge)
 
 
 def atiyah_rep(x: FormalVectorField) -> FormMatrix:
@@ -61,7 +61,6 @@ def ch2_gf(x: FormalVectorField, y: FormalVectorField) -> FormalForm:
             gji = y.comps[j - 1].partial(i)
             dd = de_rham(FormalForm.from_jet(fij))
             dg = de_rham(FormalForm.from_jet(gji))
-            from .jets import wedge
             out = out - wedge(dd, dg)
     return out
 
@@ -112,7 +111,7 @@ def chk_gf(k: int, fields) -> tuple[FormalForm, ScaleTag]:
     """k-th trace power of the connection-failure cocycle, antisymmetrized
     over its k vector-field slots, as (exact rational k-form, scale tag).
 
-    Degrees above the rank give the zero form.  For k = 1 and k = 2 the
+    Above the rank the form is the zero k-form.  For k = 1 and k = 2 the
     exact form equals c1_gf and ch2_gf respectively.
     """
     fields = list(fields)
@@ -124,8 +123,6 @@ def chk_gf(k: int, fields) -> tuple[FormalForm, ScaleTag]:
     for f in fields:
         if f.n != n or f.order != order:
             raise ShapeError("rank/order mismatch")
-    if k > n:
-        return FormalForm.zero(n, order, min(k, n)), ScaleTag(k)
     mats = [atiyah_rep(f) for f in fields]
     acc = FormalForm.zero(n, order, k)
     for perm in permutations(range(k)):

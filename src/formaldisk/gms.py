@@ -32,9 +32,9 @@ jets; the trace is cyclic and the jets commute, so
 * the (a<b) component of alpha2 = tr(P ^ R) is tr(P_a R_b) - tr(P_b R_a),
 
 and no off-diagonal entry of a matrix product is formed only to be
-dropped by the trace.  The whole-matrix wedge products of
-:class:`~formaldisk.jets.FormMatrix` compute the same forms and are the
-reference the tests hold these to.
+dropped by the trace.  The whole-matrix product
+:meth:`~formaldisk.jets.FormMatrix.wedge_mul` computes the same forms and
+is the reference the tests hold these to.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class _Currents:
         """
         n, order = self.phi.n, self.order - 1
         if n < 3:
-            return FormalForm.zero(n, order, min(3, n))
+            return FormalForm.zero(n, order, 3)
         m = [_truncate(x, order) for x in self.left]
         comm = {(a, b): m[a] * m[b] - m[b] * m[a]
                 for a, b in combinations(range(n - 1), 2)}
@@ -137,10 +137,7 @@ class _Currents:
     def mu(self) -> FormalForm:
         """The radial primitive of alpha3; the homotopy raises its order
         back to the working order."""
-        a3 = self.alpha3
-        if a3.is_zero():
-            return FormalForm.zero(self.phi.n, self.order, 2)
-        return poincare_homotopy(a3, check=False)
+        return poincare_homotopy(self.alpha3, check=False)
 
 
 def _currents(phi: JetAutomorphism) -> _Currents:
@@ -170,7 +167,7 @@ def _alpha2(c1: _Currents, c2: _Currents) -> FormalForm:
     p = [sum((pulled[c].scale_jet(dphi[c][a]) for c in range(n)),
              JetMatrix.zero(n, order)) for a in range(n)]
     r = c1.right
-    return FormalForm(n, order, min(2, n), {
+    return FormalForm(n, order, 2, {
         (a + 1, b + 1): _trace_mul(p[a], r[b]) - _trace_mul(p[b], r[a])
         for a, b in combinations(range(n), 2)})
 

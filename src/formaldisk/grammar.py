@@ -20,7 +20,8 @@ can do that, and a check run on the lost value would pass vacuously.  So is
 a variable ``t_i`` at jet order 0 (in a state, where the order is 0, a
 variable is refused outright).  Form products are exempt, since
 ``dt1^dt1 = 0`` is genuine.  Errors inside an automorphism component point
-into the full parenthesized text.
+into the full parenthesized text.  Parentheses nest at most
+``MAX_NESTING`` deep; a deeper ``(`` is a :class:`ParseError` at it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ from fractions import Fraction
 from .errors import ParseError, ShapeError
 from .jets import FormalForm, FormalVectorField, JetAutomorphism, JetSeries
 from .vertex import KIND_B, KIND_C, VAState, sym_key
+
+# each level of parentheses costs the recursive descent five frames, so
+# this keeps a parse far below the interpreter's recursion limit
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -81,6 +86,7 @@ class _Parser:
         self.policy = policy
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def error(self, msg, pos=None):
         if pos is None:
@@ -135,11 +141,6 @@ class _Parser:
             elif "vf" in (a.kind, b.kind):
                 a = self.promote(a, "vf")
                 b = self.promote(b, "vf")
-        if a.kind == "form" and a.payload.degree != b.payload.degree:
-            if a.payload.is_zero():
-                return b
-            if b.payload.is_zero():
-                return a
         try:
             return _Val(a.kind, a.payload + b.payload)
         except ShapeError as exc:
@@ -309,9 +310,14 @@ class _Parser:
                 self.error("state symbols are not allowed in this context", pos)
             return _Val("state", VAState.vacuum(self.n, self.policy))
         if kind == "op" and m.group("op") == "(":
+            if self.depth == MAX_NESTING:
+                self.error(f"parentheses nested deeper than {MAX_NESTING}",
+                           pos)
+            self.depth += 1
             val = self.parse_expr()
             if not self.accept_op(")"):
                 self.error("expected ')'")
+            self.depth -= 1
             return val
         self.error("expected a value", pos)
 

@@ -112,8 +112,6 @@ def rho_omega2(omega: FormalForm, v: VAState, path="homotopy") -> VAState:
     """
     if omega.degree != 2:
         raise ShapeError("rho_omega2 expects a two-form")
-    if v.n == 1:
-        return VAState.zero(v.n, v.policy)
     state = _omega2_state(omega, v.policy, path)
     if path == "homotopy":
         return mode_apply(state, 0, v)
@@ -195,7 +193,7 @@ class ExtendedVectorField:
     __slots__ = ("field", "form")
 
     def __init__(self, field: FormalVectorField, form: FormalForm):
-        if form.degree != 2 and not form.is_zero():
+        if form.degree != 2:
             raise ShapeError("extension component must be a two-form")
         if not de_rham(form).is_zero():
             raise ClosednessError("extension component must be closed")

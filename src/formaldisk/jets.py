@@ -281,6 +281,8 @@ class FormalForm:
 
     Only strictly increasing index tuples are stored, so antisymmetry is
     canonical.  Degree 0 forms store their single coefficient at key ().
+    Any degree is allowed: above the rank only the zero form exists, and
+    every form operation returns the degree its algebra gives.
     """
 
     __slots__ = ("n", "order", "degree", "comps")
@@ -375,8 +377,8 @@ class FormalForm:
         return self.degree == other.degree and self.comps == other.comps
 
     def __hash__(self):
-        return hash((self.n, self.order, self.degree,
-                     frozenset(self.comps.items())))
+        # zero forms of every degree are equal; indices fix a nonzero degree
+        return hash((self.n, self.order, frozenset(self.comps.items())))
 
     def __repr__(self):
         from .grammar import format_form
@@ -399,11 +401,9 @@ def _wedge_index(i_tuple, j_tuple):
 
 
 def wedge(w1: FormalForm, w2: FormalForm) -> FormalForm:
-    """Graded-commutative wedge; degrees above n collapse to zero."""
+    """Graded-commutative wedge, of degree p + q; above the rank every index
+    pair overlaps, which leaves the zero form of that degree."""
     _check_same(w1, w2)
-    deg = w1.degree + w2.degree
-    if deg > w1.n:
-        return FormalForm.zero(w1.n, w1.order, w1.n)
     out = {}
     for i1, f1 in w1.comps.items():
         for i2, f2 in w2.comps.items():
@@ -411,29 +411,30 @@ def wedge(w1: FormalForm, w2: FormalForm) -> FormalForm:
             if si is None:
                 continue
             sign, idx = si
-            term = (f1 * f2).scale(sign)
+            term = f1 * f2
             if term.is_zero():
                 continue
+            if sign < 0:
+                term = -term
             g = out.get(idx)
             out[idx] = term if g is None else g + term
-    return FormalForm(w1.n, w1.order, deg, out)
+    return FormalForm(w1.n, w1.order, w1.degree + w2.degree, out)
 
 
 def de_rham(w: FormalForm) -> FormalForm:
-    """Exterior derivative; d of a top-degree form is the zero (n)-form."""
-    if w.degree >= w.n:
-        return FormalForm.zero(w.n, w.order, w.n)
+    """Exterior derivative, of degree k + 1; from the top degree on every
+    dt_i overlaps the index, which leaves the zero form of that degree."""
     out = {}
     for idx, f in w.comps.items():
         for i in range(1, w.n + 1):
-            df = f.partial(i)
-            if df.is_zero():
-                continue
             si = _wedge_index((i,), idx)
             if si is None:
                 continue
+            df = f.partial(i)
+            if df.is_zero():
+                continue
             sign, nidx = si
-            term = df.scale(sign)
+            term = -df if sign < 0 else df
             g = out.get(nidx)
             out[nidx] = term if g is None else g + term
     return FormalForm(w.n, w.order, w.degree + 1, out)
@@ -536,7 +537,7 @@ def contract(x: FormalVectorField, w: FormalForm) -> FormalForm:
             xi = x.comps[i - 1]
             if xi.is_zero():
                 continue
-            term = (f * xi).scale((-1) ** pos)
+            term = -(f * xi) if pos % 2 else f * xi
             nidx = idx[:pos] + idx[pos + 1:]
             g = out.get(nidx)
             out[nidx] = term if g is None else g + term
@@ -777,21 +778,18 @@ def poincare_homotopy(w: FormalForm, check=True) -> FormalForm:
         raise ShapeError("homotopy needs a form of degree >= 1")
     if check and not de_rham(w).is_zero():
         raise ClosednessError("poincare_homotopy requires a closed form")
-    n, order = w.n, w.order + 1
-    out = FormalForm.zero(n, order, w.degree - 1)
-    k = w.degree
+    n, order, k = w.n, w.order + 1, w.degree
+    acc = {}  # index of the (k-1)-form -> its coefficients
     for idx, f in w.comps.items():
-        for e, c in f.coeffs.items():
-            d = sum(e)
-            coef = _div_exact(c, d + k)
-            for pos, i in enumerate(idx):
-                e2 = list(e)
-                e2[i - 1] += 1
-                nidx = idx[:pos] + idx[pos + 1:]
-                mono = JetSeries.monomial(n, order, e2,
-                                          coef * ((-1) ** pos))
-                out = out + FormalForm(n, order, k - 1, {nidx: mono})
-    return out
+        scaled = {e: _div_exact(c, sum(e) + k) for e, c in f.coeffs.items()}
+        for pos, i in enumerate(idx):
+            shifted = {e[:i - 1] + (e[i - 1] + 1,) + e[i:]: c
+                       for e, c in scaled.items()}
+            _kernel.poly_axpy(acc.setdefault(idx[:pos] + idx[pos + 1:], {}),
+                              shifted, -1 if pos % 2 else 1)
+    return FormalForm(n, order, k - 1, {
+        nidx: JetSeries(n, order, coeffs, _clean=True)
+        for nidx, coeffs in acc.items()})
 
 
 def integrate_var(f: JetSeries, i: int) -> JetSeries:
@@ -935,8 +933,9 @@ class Substitution:
 class FormMatrix:
     """n x n matrix of FormalForms (mixed degrees allowed per entry).
 
-    The products form each entry's first term, which fixes its degree and
-    order, and after it skip the terms with a zero factor.
+    The product forms each entry's first term, which fixes its degree and
+    order, and after it skips the terms with a zero factor.  A matrix of
+    jets enters as a matrix of 0-forms.
     """
 
     __slots__ = ("n", "order", "entries")
@@ -948,12 +947,6 @@ class FormMatrix:
         self.n = n
         self.order = order
         self.entries = entries
-
-    @classmethod
-    def de_rham_of(cls, m: JetMatrix):
-        return cls(m.n, m.order,
-                   [[de_rham(FormalForm.from_jet(f)) for f in row]
-                    for row in m.entries])
 
     def wedge_mul(self, other: "FormMatrix") -> "FormMatrix":
         n = self.n
@@ -977,42 +970,6 @@ class FormMatrix:
         for i in range(self.n):
             acc = self.entries[i][i] if acc is None else acc + self.entries[i][i]
         return acc
-
-    def scale_jet_left(self, m: JetMatrix) -> "FormMatrix":
-        """Matrix product m . self with scalar-jet entries on the left."""
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = None
-                for k in range(n):
-                    w, f = self.entries[k][j], m.entries[i][k]
-                    if acc is None:
-                        acc = w.scale_jet(f)
-                    elif w and f:
-                        acc = acc + w.scale_jet(f)
-                row.append(acc)
-            out.append(row)
-        return FormMatrix(n, self.order, out)
-
-    def scale_jet_right(self, m: JetMatrix) -> "FormMatrix":
-        """Matrix product self . m with scalar-jet entries on the right."""
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = None
-                for k in range(n):
-                    w, f = self.entries[i][k], m.entries[k][j]
-                    if acc is None:
-                        acc = w.scale_jet(f)
-                    elif w and f:
-                        acc = acc + w.scale_jet(f)
-                row.append(acc)
-            out.append(row)
-        return FormMatrix(n, self.order, out)
 
     def map_entries(self, fn):
         return FormMatrix(self.n, self.order,

@@ -2,9 +2,9 @@
 
 States are polynomials in the creation symbols b^j_m (m <= -1, weight -m)
 and c^j_m (m <= 0, weight -m) with rational coefficients, stored as ``int``
-when integral and as ``fractions.Fraction`` otherwise (the checked
-constructor and :meth:`VAState.scale` normalise them, as the jets do); all
-generators are even, so monomials are plain multisets.  The vertex
+when integral and as ``fractions.Fraction`` otherwise (every operation
+normalises them, as the jets do); all generators are even, so monomials
+are plain multisets.  The vertex
 structure is driven entirely by the two generating fields: the modes of
 b^j_{-1} multiply by b-symbols (negative modes) or differentiate in c
 (non-negative modes), the modes of c^j_0 multiply by c-symbols or
@@ -138,29 +138,29 @@ def _intern(mono):
 
 
 class TruncationPolicy:
-    """Bookkeeping bounds: max conformal weight, max c_0-degree, strictness."""
+    """Bookkeeping bounds: max conformal weight, max c_0-degree, strictness.
+
+    Interned: equal bounds give one object, so equal means identical.
+    """
 
     __slots__ = ("max_weight", "max_c0", "strict")
+    _INTERNED: dict = {}
 
-    def __init__(self, max_weight, max_c0, strict=True):
-        if max_weight < 0 or max_c0 < 0:
-            raise ShapeError("policy bounds must be non-negative")
-        self.max_weight = max_weight
-        self.max_c0 = max_c0
-        self.strict = strict
+    def __new__(cls, max_weight, max_c0, strict=True):
+        key = (max_weight, max_c0, strict)
+        got = cls._INTERNED.get(key)
+        if got is None:
+            if max_weight < 0 or max_c0 < 0:
+                raise ShapeError("policy bounds must be non-negative")
+            got = super().__new__(cls)
+            got.max_weight, got.max_c0, got.strict = key
+            # a racing thread may have stored one first; keep that one
+            got = cls._INTERNED.setdefault(key, got)
+        return got
 
     def reject(self, what):
         if self.strict:
             raise TruncationOverflowError(what)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncationPolicy):
-            return NotImplemented
-        return (self.max_weight, self.max_c0, self.strict) == \
-            (other.max_weight, other.max_c0, other.strict)
-
-    def __hash__(self):
-        return hash((self.max_weight, self.max_c0, self.strict))
 
     def __repr__(self):
         mode = "strict" if self.strict else "drop"
@@ -170,7 +170,7 @@ class TruncationPolicy:
 def _check_compatible(a, b):
     if a.n != b.n:
         raise ShapeError("states have different rank")
-    if a.policy is not b.policy and a.policy != b.policy:
+    if a.policy is not b.policy:
         raise ShapeError("states carry different truncation policies")
 
 
@@ -267,12 +267,7 @@ class VAState:
     def __add__(self, other):
         _check_compatible(self, other)
         out = dict(self.terms)
-        _kernel.state_axpy(out, other.terms, 1)
-        for k, c in other.terms.items():
-            # the terms are normalised, so only adding a Fraction can leave
-            # an integral Fraction behind
-            if type(c) is Fraction and k in out:
-                out[k] = norm_coeff(out[k])
+        _kernel.poly_axpy(out, other.terms, 1)
         return VAState(self.n, self.policy, out, _clean=True)
 
     def __neg__(self):
@@ -462,7 +457,9 @@ def mode_apply(a: VAState, m: int, v: VAState) -> VAState:
                 continue
             res = _mode_mono(aid, m, vid)
             if res:
-                _kernel.state_axpy(acc, res, ac * vc)
+                # res is integral; a Fraction of a or v can make an integral
+                # sum, which poly_axpy stores as int
+                _kernel.poly_axpy(acc, res, ac * vc)
     # the weights are within the bound; only the c0 bound can still trip
     max_c0 = policy.max_c0
     over = [k for k in acc if _C0[k] > max_c0]

@@ -46,6 +46,17 @@ class TestDispatch:
         assert doc["result"]["cocycle"] == "-dt1^dt2"
         assert doc["checks"][0]["ok"]
 
+    def test_msv_check_rank_one(self, capsys):
+        # every two-form on the 1-disk is zero, and so is the defect
+        code, doc = run_inproc(
+            ["msv-check", "--rank", "1", "--x", "t1 d1", "--y", "t1^2 d1"],
+            capsys)
+        assert code == 0
+        assert doc["result"]["cocycle"] == "0"
+        assert doc["checks"][0] == {
+            "name": "defect equals sign * rho_omega2(ch2)", "ok": True,
+            "detail": "72/72 states"}
+
     def test_ch2_c1_atiyah(self, capsys):
         code, doc = run_inproc(["ch2", "--rank", "2", "--x", "t1*t2 d1",
                                 "--y", "t1*t2 d2"], capsys)
@@ -211,6 +222,30 @@ class TestContract:
         assert captured.out == ""
         assert captured.err == ("(t1, t2+1/0*t1^2)\n"
                                 "        ^ zero denominator\n")
+
+    def test_deep_nesting_is_exit_two(self, capsys):
+        deep = "(" * 200 + "t1 d1" + ")" * 200
+        assert main(["ch2", "--rank", "1", "--x", deep, "--y", "t1 d1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (deep + "\n" + " " * 100
+                                + "^ parentheses nested deeper than 100\n")
+        ok = "(" * 100 + "t1 d1" + ")" * 100
+        assert main(["ch2", "--rank", "1", "--x", ok, "--y", "t1 d1"]) == 0
+
+    def test_unexpected_error_is_exit_two(self, monkeypatch, capsys):
+        from formaldisk import gf
+
+        def fault(*args):
+            raise RuntimeError("first line\nsecond line")
+
+        monkeypatch.setattr(gf, "ch2_gf", fault)
+        assert main(["ch2", "--rank", "1", "--x", "t1 d1",
+                     "--y", "t1 d1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: unexpected "
+                                "RuntimeError('first line\\nsecond line')\n")
 
     def test_rank_zero_is_exit_two(self, capsys):
         assert main(["mode-apply", "--rank", "0", "--state", "vac",

@@ -77,12 +77,18 @@ def _lifted(phi):
     return JetAutomorphism(phi.n, w, [f.with_order(w) for f in phi.comps])
 
 
+def _zero_forms(m):
+    """A jet matrix as the matrix of its 0-forms."""
+    return FormMatrix(m.n, m.order, [[FormalForm.from_jet(f) for f in row]
+                                     for row in m.entries])
+
+
 def _wedge_currents(phi):
     """(g^{-1} dg, dg g^{-1}) as matrices of one-forms, g = Jac(phi)."""
     g = jacobian(phi)
-    ginv = jet_invert(g)
-    dg = FormMatrix.de_rham_of(g)
-    return dg.scale_jet_left(ginv), dg.scale_jet_right(ginv)
+    ginv = _zero_forms(jet_invert(g))
+    dg = _zero_forms(g).map_entries(de_rham)
+    return ginv.wedge_mul(dg), dg.wedge_mul(ginv)
 
 
 def _cube(g):

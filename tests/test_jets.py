@@ -148,6 +148,27 @@ class TestForms:
         top = wedge(dt1, dt2)
         assert wedge(top, dt1).is_zero()
 
+    def test_degrees_above_the_rank(self):
+        """Every operation returns the degree its algebra gives; above the
+        rank that is the zero form of that degree."""
+        dt = FormalForm.dt(1, 3, 1)
+        t = FormalForm.from_jet(JetSeries.variable(1, 3, 1))
+        for form, degree in ((wedge(dt, dt), 2), (de_rham(dt), 2),
+                             (de_rham(wedge(t, dt)), 2),
+                             (wedge(wedge(dt, dt), dt), 3),
+                             (wedge(t, wedge(dt, dt)), 2)):
+            assert form.is_zero()
+            assert form.degree == degree
+        top = wedge(FormalForm.dt(2, 3, 1), FormalForm.dt(2, 3, 2))
+        assert de_rham(top.scale_jet(T1)).degree == 3
+        assert wedge(top, top).degree == 4
+
+    def test_zero_forms_hash_alike(self):
+        zeros = [FormalForm.zero(2, 3, k) for k in range(5)]
+        assert len(set(zeros)) == 1
+        assert {hash(z) for z in zeros} == {hash(zeros[0])}
+        assert FormalForm.zero(2, 3, 1) != FormalForm.zero(2, 4, 1)
+
 
 class TestVectorFields:
     def test_bracket_examples(self):
@@ -615,8 +636,8 @@ class TestPullback:
 
 @st.composite
 def form_matrix_pair(draw):
-    """A matrix of one-forms, one of zero-forms and a jet matrix, rank 2 or
-    3, with most entries zero."""
+    """A matrix of one-forms and one of zero-forms, rank 2 or 3, with most
+    entries zero."""
     n = draw(st.integers(2, 3))
     jet = jets_strategy(n, 2, max_terms=2)
     maybe = st.one_of(st.just(JetSeries.zero(n, 2)), jet)
@@ -627,17 +648,17 @@ def form_matrix_pair(draw):
             [FormalForm(n, 2, degree, {i: draw(maybe) for i in idx})
              for _ in range(n)] for _ in range(n)])
 
-    m = JetMatrix(n, 2, [[draw(maybe) for _ in range(n)] for _ in range(n)])
-    return forms(1), forms(0), m
+    return forms(1), forms(0)
 
 
 class TestFormMatrix:
-    """The products against explicit entry sums over every k."""
+    """The product against explicit entry sums over every k, with 0-form
+    operands on either side."""
 
     @settings(max_examples=40, deadline=None)
     @given(form_matrix_pair())
     def test_products_are_entry_sums(self, mats):
-        a, b, m = mats
+        a, b = mats
         n, order = a.n, a.order
         rng = range(n)
 
@@ -648,17 +669,10 @@ class TestFormMatrix:
             prod = x.wedge_mul(y)
             for i in rng:
                 for j in rng:
-                    assert prod.entries[i][j] == total(
+                    entry = prod.entries[i][j]
+                    assert entry == total(
                         [wedge(x.entries[i][k], y.entries[k][j])
                          for k in rng])
-        left, right = a.scale_jet_left(m), a.scale_jet_right(m)
-        for i in rng:
-            for j in rng:
-                assert left.entries[i][j] == total(
-                    [a.entries[k][j].scale_jet(m.entries[i][k]) for k in rng])
-                assert right.entries[i][j] == total(
-                    [a.entries[i][k].scale_jet(m.entries[k][j]) for k in rng])
-                for p in (left, right):
-                    assert (p.entries[i][j].n, p.entries[i][j].order) == \
-                        (n, order)
-                    assert p.entries[i][j].degree == 1
+                    assert (entry.n, entry.order, entry.degree) == \
+                        (n, order, x.entries[0][0].degree
+                         + y.entries[0][0].degree)

@@ -214,6 +214,19 @@ class TestPolicy:
                 else:
                     assert mode_apply(c0, -1, v).is_zero()
 
+    def test_policies_are_interned(self):
+        assert TruncationPolicy(4, 4) is TruncationPolicy(4, 4)
+        assert TruncationPolicy(4, 4) is TruncationPolicy(4, 4, strict=True)
+        assert TruncationPolicy(4, 4) is not \
+            TruncationPolicy(4, 4, strict=False)
+        assert TruncationPolicy(4, 4) != TruncationPolicy(4, 5)
+        with pytest.raises(ShapeError, match="non-negative"):
+            TruncationPolicy(-1, 4)
+        # equal policies are one policy, so their states combine
+        a = VAState.generator(1, TruncationPolicy(4, 4), KIND_B, 1, -1)
+        b = VAState.generator(1, TruncationPolicy(4, 4), KIND_B, 1, -1)
+        assert (a + b).terms == {next(iter(a.terms)): 2}
+
     def test_policy_mismatch(self):
         a = VAState.generator(1, TruncationPolicy(4, 4), KIND_B, 1, -1)
         b = VAState.generator(1, TruncationPolicy(5, 4), KIND_B, 1, -1)
@@ -244,6 +257,19 @@ class TestCoefficients:
         for v in states:
             (c,) = v.terms.values()
             assert type(c) is int, v
+
+    def test_mode_products_of_fractions_stored_as_int(self):
+        half_c = VAState.generator(2, POL, KIND_C, 1, -1, F(1, 2))
+        two_b = VAState.generator(2, POL, KIND_B, 1, -1, 2)
+        thirds = VAState(2, POL, {((KIND_B, 1, -1),): F(1, 3),
+                                  ((KIND_B, 2, -1),): F(2, 3)})
+        c3 = VAState(2, POL, {((KIND_C, 1, 0), (KIND_C, 2, 0)): 3})
+        for a, m, v in ((half_c, -1, two_b), (two_b, -1, half_c),
+                        (thirds, 0, c3)):
+            res = mode_apply(a, m, v)
+            assert res.terms
+            for c in res.terms.values():
+                assert type(c) is int, res
 
     def test_non_integral_rationals_stay_fractions(self):
         from formaldisk.grammar import parse_state
