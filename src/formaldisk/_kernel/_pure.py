@@ -24,7 +24,57 @@ functions here are ring-agnostic in the same way.
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
-from operator import add
+
+
+MONO_TABLE_SIZE = 1 << 16
+
+# (n, order) -> (pack, unpack): pack maps an exponent tuple of total degree
+# <= order to (key, degree), key reading the tuple as the digits of an
+# integer in base order + 1; unpack maps the key back to the tuple
+_TABLES: dict = {}
+
+
+def _tables(n, order):
+    tables = _TABLES.get((n, order))
+    if tables is None:
+        tables = _TABLES[n, order] = ({}, {})
+    return tables
+
+
+def _store(table, k, v):
+    if len(table) >= MONO_TABLE_SIZE:
+        table.clear()
+    table[k] = v
+
+
+def _pack(e, order, tables):
+    """(key, degree) of the exponent tuple ``e``, interned when the degree
+    is at most ``order`` (above it a digit may reach the base, and the key
+    would name another tuple)."""
+    base = order + 1
+    key = d = 0
+    for x in e:
+        key = key * base + x
+        d += x
+    if d <= order:
+        _store(tables[0], e, (key, d))
+        _store(tables[1], key, e)
+    return key, d
+
+
+def _unpack(key, n, order, tables):
+    """The exponent tuple of a key of total degree at most ``order``."""
+    base = order + 1
+    k = key
+    e = []
+    for _ in range(n):
+        k, x = divmod(k, base)
+        e.append(x)
+    e.reverse()
+    e = tuple(e)
+    _store(tables[0], e, (key, sum(e)))
+    _store(tables[1], key, e)
+    return e
 
 
 def poly_mul(a, b, order):
@@ -33,21 +83,26 @@ def poly_mul(a, b, order):
     Exponent tuples with total degree above ``order`` are dropped; that is
     the quotient-ring semantics, not a loss of information.  Rational
     operands are multiplied exactly in integers (see the module docstring);
-    zero coefficients are never stored.
+    zero coefficients are never stored.  Exponent tuples and their integer
+    keys are translated through the tables of :data:`_TABLES`, one pair per
+    (rank, order), each holding at most ``MONO_TABLE_SIZE`` entries: storing
+    into a full table empties it first.  An entry is a pure function of its
+    key, so a race between threads can at worst store it twice.
     """
     if not a or not b:
         return {}
     if len(a) > len(b):
         a, b = b, a
+    n = len(next(iter(a)))
+    tables = _tables(n, order)
     if len(a) == 1:
-        return _poly_mul_term(a, b, order)
-    la = _lift(a, order)
+        return _poly_mul_term(a, b, order, n, tables)
+    la = _lift(a, order, tables)
     if la is None:
         return _poly_mul_generic(a, b, order)
-    lb = _lift(b, order)
+    lb = _lift(b, order, tables)
     if lb is None:
         return _poly_mul_generic(a, b, order)
-    base = order + 1
     buckets_a, den_a = la
     buckets_b, den_b = lb
     # upto_b[d]: the terms of b of total degree <= d, so a term of a of
@@ -65,24 +120,20 @@ def poly_mul(a, b, order):
             for kb, cb in terms_b:
                 k = ka + kb
                 acc[k] = get(k, 0) + ca * cb
-    n = len(next(iter(a)))
     den = den_a * den_b
+    unpack = tables[1].get
     out = {}
     for k, v in acc.items():
         if not v:
             continue
-        e = []
-        for _ in range(n):
-            k, x = divmod(k, base)
-            e.append(x)
-        e.reverse()
+        e = unpack(k) or _unpack(k, n, order, tables)
         if den != 1:
             v = v // den if not v % den else Fraction(v, den)
-        out[tuple(e)] = v
+        out[e] = v
     return out
 
 
-def _lift(poly, order):
+def _lift(poly, order, tables):
     """Integer form of a rational polynomial, bucketed by total degree.
 
     Returns ``(buckets, den)``: ``den`` is the least common multiple of the
@@ -92,8 +143,8 @@ def _lift(poly, order):
     integer in base ``order + 1`` (no digit of a kept product can carry).
     Returns None when a coefficient is neither ``int`` nor ``Fraction``.
     """
-    base = order + 1
-    buckets = [[] for _ in range(base)]
+    buckets = [[] for _ in range(order + 1)]
+    pack = tables[0].get
     den = 1
     for e, c in poly.items():
         t = type(c)
@@ -105,10 +156,7 @@ def _lift(poly, order):
                 c = c.numerator
             elif den % q:
                 den = den // gcd(den, q) * q
-        key = d = 0
-        for x in e:
-            key = key * base + x
-            d += x
+        key, d = pack(e) or _pack(e, order, tables)
         if d <= order:
             buckets[d].append((key, c))
     if den != 1:
@@ -117,22 +165,27 @@ def _lift(poly, order):
     return buckets, den
 
 
-def _poly_mul_term(a, b, order):
+def _poly_mul_term(a, b, order, n, tables):
     """Product with the one-term polynomial ``a``, in any coefficient ring."""
     ((ea, ca),) = a.items()
-    room = order - sum(ea)
+    pack = tables[0].get
+    unpack = tables[1].get
+    ka, da = pack(ea) or _pack(ea, order, tables)
+    room = order - da
     if room < 0:
         return {}
     out = {}
     for eb, cb in b.items():
-        if sum(eb) > room:
+        kb, db = pack(eb) or _pack(eb, order, tables)
+        if db > room:
             continue
         c = ca * cb
         if not c:
             continue
         if type(c) is Fraction and c.denominator == 1:
             c = c.numerator
-        out[tuple(map(add, ea, eb))] = c
+        k = ka + kb
+        out[unpack(k) or _unpack(k, n, order, tables)] = c
     return out
 
 

@@ -14,12 +14,17 @@ substitution along jets that vanish at the origin, but not with
 derivatives: a derivative of a jet known to order k is known to order k-1.
 So the Jacobian g = Jac(phi) and its partials d_a g are taken from phi known
 to order K+3 (an input is an exact polynomial, so lifting it is free; a
-composition f2 o f1 is formed at K+3) and then truncated.  The inverse, the
-currents, the substitution and alpha2 are formed at K+1, because d alpha2
-enters the Polyakov-Wiegmann residual; alpha3's products run at K, and mu,
-its radial primitive, comes out at K+1.  Every value is then exact at the
-order it is reported, and the residuals are exactly zero, not
-zero-up-to-top-degree.
+composition f2 o f1 is formed at K+3) and then truncated.  The
+substitution, alpha2 and the currents alpha2 reads are formed at K+1,
+because d alpha2 enters the Polyakov-Wiegmann residual: the right currents
+of its first argument f1 and the left currents of its second f2.  alpha3's
+products run at K, and mu, its radial primitive, comes out at K+1.  So
+alpha3 of f2 truncates f2's left currents, while alpha3 of f1 and of an
+automorphism that no alpha2 reads (f2 o f1 in ``pw_check``) multiply the
+Jacobian inverse and partials at K; the inverse is built once, at K+1 when
+alpha2 reads a current of that automorphism and at K otherwise.  Every value
+is then exact at the order it is reported, and the residuals are exactly
+zero, not zero-up-to-top-degree.
 
 Each automorphism a check uses gets one :class:`_Currents`, which builds
 its Jacobian inverse, the current sides that are read and its substitution
@@ -72,6 +77,8 @@ def _trace_mul(a: JetMatrix, b: JetMatrix) -> JetSeries:
 
 
 def _truncate(m: JetMatrix, order) -> JetMatrix:
+    if order == m.order:
+        return m
     return JetMatrix(m.n, order, [[f.with_order(order) for f in row]
                                   for row in m.entries])
 
@@ -84,30 +91,46 @@ class _Currents:
     reported at K).  With g = Jac(phi): ``left[a]`` and ``right[a]`` are the
     jet matrices of dt_a-coefficients of g^{-1} dg and dg g^{-1}, and
     ``sub`` pulls jets and forms back along phi, all at the working order.
+
+    ``left`` and ``right`` say which current sides a reader takes at the
+    working order.  The Jacobian inverse is built there when one is read,
+    and one order below, where alpha3 lives, when neither is.  alpha3
+    truncates the left currents when they are read, and otherwise forms
+    its own products one order below.
     """
 
-    def __init__(self, phi: JetAutomorphism, order):
+    def __init__(self, phi: JetAutomorphism, order, left=False, right=False):
         self.phi = phi
         self.order = order
+        self.reads_left = left
+        self.inverse_order = order if left or right else order - 1
 
     @cached_property
     def _jacobian(self):
-        """(g^{-1}, [d_a g for each direction a]): the partials are taken
-        before truncating to the working order."""
+        """(g^{-1}, [d_a g for each direction a]) at the highest order read:
+        the partials are taken before truncating."""
+        order = self.inverse_order
         g = jacobian(self.phi)
         dg = [g.map_entries(lambda f, a=a: f.partial(a))
               for a in range(1, self.phi.n + 1)]
-        return (jet_invert(_truncate(g, self.order)),
-                [_truncate(d, self.order) for d in dg])
+        return jet_invert(_truncate(g, order)), [_truncate(d, order)
+                                                 for d in dg]
+
+    def _truncated_jacobian(self, order):
+        ginv, dg = self._jacobian
+        if order > ginv.order:
+            raise ShapeError("currents read above the order of their "
+                             "Jacobian inverse")
+        return _truncate(ginv, order), [_truncate(d, order) for d in dg]
 
     @cached_property
     def left(self):
-        ginv, dg = self._jacobian
+        ginv, dg = self._truncated_jacobian(self.order)
         return [ginv * d for d in dg]
 
     @cached_property
     def right(self):
-        ginv, dg = self._jacobian
+        ginv, dg = self._truncated_jacobian(self.order)
         return [d * ginv for d in dg]
 
     @cached_property
@@ -126,7 +149,11 @@ class _Currents:
         n, order = self.phi.n, self.order - 1
         if n < 3:
             return FormalForm.zero(n, order, 3)
-        m = [_truncate(x, order) for x in self.left]
+        if self.reads_left:
+            m = [_truncate(x, order) for x in self.left]
+        else:
+            ginv, dg = self._truncated_jacobian(order)
+            m = [ginv * d for d in dg]
         comm = {(a, b): m[a] * m[b] - m[b] * m[a]
                 for a, b in combinations(range(n - 1), 2)}
         return FormalForm(n, order, 3, {
@@ -140,16 +167,18 @@ class _Currents:
         return poincare_homotopy(self.alpha3, check=False)
 
 
-def _currents(phi: JetAutomorphism) -> _Currents:
+def _currents(phi: JetAutomorphism, left=False, right=False) -> _Currents:
     """The currents of an automorphism given at order K, at working order
-    K+1.  Its components are exact polynomials, so lifting them is free."""
-    return _Currents(_lift(phi, phi.order + 3), phi.order + 1)
+    K+1, with the sides read there.  Its components are exact polynomials,
+    so lifting them is free."""
+    return _Currents(_lift(phi, phi.order + 3), phi.order + 1, left, right)
 
 
-def _compose(c1: _Currents, c2: _Currents) -> _Currents:
+def _compose(c1: _Currents, c2: _Currents, left=False,
+             right=False) -> _Currents:
     """The currents of f2 o f1, composed at the order the factors are known
     to, which truncation commutes with."""
-    return _Currents(jet_compose(c2.phi, c1.phi), c1.order)
+    return _Currents(jet_compose(c2.phi, c1.phi), c1.order, left, right)
 
 
 def _alpha2(c1: _Currents, c2: _Currents) -> FormalForm:
@@ -180,7 +209,8 @@ def _alpha_tilde(c1: _Currents, c2: _Currents, c21: _Currents) -> FormalForm:
 def alpha2(f1: JetAutomorphism, f2: JetAutomorphism) -> FormalForm:
     """Two-argument Jacobian-current pairing; bilinear in the jets."""
     _check_pair(f1, f2)
-    return _alpha2(_currents(f1), _currents(f2)).with_order(f1.order)
+    return _alpha2(_currents(f1, right=True),
+                   _currents(f2, left=True)).with_order(f1.order)
 
 
 def alpha3(phi: JetAutomorphism) -> FormalForm:
@@ -201,7 +231,7 @@ def _pw_terms(f1: JetAutomorphism, f2: JetAutomorphism):
     each at the input order K."""
     _check_pair(f1, f2)
     order = f1.order
-    c1, c2 = _currents(f1), _currents(f2)
+    c1, c2 = _currents(f1, right=True), _currents(f2, left=True)
     # alpha3(f2) is known to order K, so its pullback is exact to order K
     return (_compose(c1, c2).alpha3, c1.alpha3,
             c1.sub.form(c2.alpha3).with_order(order),
@@ -228,7 +258,7 @@ def alpha_tilde(f1: JetAutomorphism, f2: JetAutomorphism) -> FormalForm:
     group cocycle for the pullback-twisted product
     (f1, w1)(f2, w2) = (f2 o f1, w1 + f1^* w2 + alpha~(f1,f2))."""
     _check_pair(f1, f2)
-    c1, c2 = _currents(f1), _currents(f2)
+    c1, c2 = _currents(f1, right=True), _currents(f2, left=True)
     return _alpha_tilde(c1, c2, _compose(c1, c2)).with_order(f1.order)
 
 
@@ -238,8 +268,10 @@ def group_cocycle_residual(f1, f2, f3) -> FormalForm:
           - alpha~(f1, f3 o f2)."""
     _check_pair(f1, f2)
     _check_pair(f2, f3)
-    c1, c2, c3 = (_currents(f) for f in (f1, f2, f3))
-    c21, c32 = _compose(c1, c2), _compose(c2, c3)
+    c1 = _currents(f1, right=True)
+    c2 = _currents(f2, left=True, right=True)
+    c3 = _currents(f3, left=True)
+    c21, c32 = _compose(c1, c2, right=True), _compose(c2, c3, left=True)
     # composition is associative on jets: f3 o (f2 o f1) = (f3 o f2) o f1
     c321 = _compose(c1, c32)
     res = _alpha_tilde(c1, c2, c21) + _alpha_tilde(c21, c3, c321) \
@@ -272,6 +304,12 @@ def d1_compare(x: FormalVectorField, y: FormalVectorField):
     operation, a rational scaling or the inverse of a unit; and both rings
     call an element a unit exactly when its constant term is nonzero, so
     the Jacobian inverse pivots alike in both.
+
+    On this path alpha~ is alpha2: the Jacobian of id + sX, of id + uY and
+    of their composite is the identity plus a matrix in the ideal (s, u),
+    so every current lies in (s, u) and alpha3, a product of three, lies in
+    (s,u)^3 = 0, and so does its primitive mu.  The composite's currents
+    and the three mu terms are therefore not formed.
     Returns (lie_level_form, ch2_form, verdict).
     """
     from .constants import GMS_D1_SCALE
@@ -286,10 +324,10 @@ def d1_compare(x: FormalVectorField, y: FormalVectorField):
             lambda c: c.coeffs.get((1, 1), 0) if isinstance(c, JetSeries)
             else 0)
 
-    mxy = su_part(alpha_tilde(_nilpotent_deform(x, "s"),
-                              _nilpotent_deform(y, "u")))
-    myx = su_part(alpha_tilde(_nilpotent_deform(y, "s"),
-                              _nilpotent_deform(x, "u")))
+    mxy = su_part(alpha2(_nilpotent_deform(x, "s"),
+                         _nilpotent_deform(y, "u")))
+    myx = su_part(alpha2(_nilpotent_deform(y, "s"),
+                         _nilpotent_deform(x, "u")))
     lie_level = mxy - myx
     target = ch2_gf(x, y).scale(GMS_D1_SCALE)
     return lie_level, ch2_gf(x, y), lie_level == target

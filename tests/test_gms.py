@@ -344,11 +344,63 @@ class TestVanEst:
         assert lie(x1, y1.scale(a) + y2) == \
             lie(x1, y1).scale(a) + lie(x1, y2)
 
+    @settings(max_examples=25, deadline=None, phases=NO_SHRINK)
+    @given(st.data())
+    def test_mu_terms_vanish(self, data):
+        """d1_compare takes alpha~ to be alpha2 on its path; the full
+        computation holds the skipped terms to zero."""
+        n, order = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 4))
+        x, y = (data.draw(fields(n, order)) for _ in range(2))
+        f1 = gms._nilpotent_deform(x, "s")
+        f2 = gms._nilpotent_deform(y, "u")
+        c1 = gms._currents(f1, right=True)
+        c2 = gms._currents(f2, left=True)
+        c21 = gms._compose(c1, c2)
+        for c in (c1, c2, c21):
+            assert c.mu.is_zero()
+        assert gms._alpha_tilde(c1, c2, c21) == gms._alpha2(c1, c2)
+        assert alpha_tilde(f1, f2) == alpha2(f1, f2)
+
     def test_origin_precondition(self):
         const = parse_vector_field("d1", 2, 5)
         x = parse_vector_field("t1*t2 d1", 2, 5)
         with pytest.raises(ShapeError):
             d1_compare(const, x)
+
+
+class TestCurrentSides:
+    """Each Jacobian inverse is built once, at the highest order a reader of
+    that automorphism takes: K+1 when alpha2 reads one of its currents, K
+    when only alpha3 or mu is read."""
+
+    def _inverse_orders(self, monkeypatch):
+        orders = []
+        real = gms.jet_invert
+        monkeypatch.setattr(gms, "jet_invert",
+                            lambda m: orders.append(m.order) or real(m))
+        return orders
+
+    def test_pw_check_composite_at_input_order(self, monkeypatch, rng):
+        orders = self._inverse_orders(monkeypatch)
+        assert pw_check(random_unipotent(rng, 3, 4),
+                        random_unipotent(rng, 3, 4))[0]
+        assert sorted(orders) == [4, 5, 5]
+        del orders[:]
+        alpha3(random_unipotent(rng, 3, 4))
+        assert orders == [4]
+
+    def test_van_est_forms_no_composite(self, monkeypatch):
+        orders = self._inverse_orders(monkeypatch)
+        x = parse_vector_field("t1*t3 d1 + 1/2*t2^2 d3", 3, 4)
+        y = parse_vector_field("t2*t3 d2 + t1*t3 d3", 3, 4)
+        assert d1_compare(x, y)[2]
+        assert orders == [5] * 4
+
+    def test_unread_side_raises(self):
+        c = gms._currents(auto("(t1+t2^2, t2+t3^2, t3+t1^2)", 3))
+        assert not c.alpha3.is_zero()
+        with pytest.raises(ShapeError):
+            c.left
 
 
 class TestComposition:

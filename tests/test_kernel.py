@@ -1,7 +1,9 @@
 """The kernels: their bindings, the integer product against the schoolbook
-product, and the canonical symbol order of state monomials."""
+product, its monomial tables, and the canonical symbol order of state
+monomials."""
 
 from fractions import Fraction as F
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -68,7 +70,10 @@ def operand_pairs(draw):
 @example(({(3, 0): 2, (0, 1): 1}, {(0, 0): 1, (1, 1): -1}, 2))
 @example(({}, {(0, 0): 1}, 2))
 def test_poly_mul_matches_schoolbook(case):
-    a, b, order = case
+    _check_product(*case)
+
+
+def _check_product(a, b, order):
     a0, b0 = dict(a), dict(b)
     out = _pure.poly_mul(a, b, order)
     assert (a, b) == (a0, b0)
@@ -79,4 +84,34 @@ def test_poly_mul_matches_schoolbook(case):
         # exact rationals come back as int whenever they are integral
         assert all(type(v) is int or (type(v) is F and v.denominator != 1)
                    for v in out.values())
+    else:
+        assert all(type(v) in (int, F, JetSeries) for v in out.values())
 
+
+# (0, 3) lies above order 2, and in base 3 its key is the key of (1, 0)
+COLLIDING = [({(1, 0): 1, (0, 3): 1}, {(0, 0): 1, (0, 1): 1}, 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(operand_pairs(), min_size=2, max_size=6))
+@example(COLLIDING)
+def test_tables_across_ranks_and_orders(batch):
+    """Products of several ranks and orders in turn, in one process, so that
+    each meets tables that earlier products (with exponents above their
+    order among the operands) have filled; then the same products again."""
+    for case in batch + batch:
+        _check_product(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(operand_pairs(), min_size=2, max_size=6))
+@example(COLLIDING)
+def test_table_eviction(batch):
+    """With a bound of eight entries the tables empty again and again; the
+    products stay equal and no table grows past the bound."""
+    with mock.patch.object(_pure, "MONO_TABLE_SIZE", 8), \
+            mock.patch.object(_pure, "_TABLES", {}):
+        for case in batch + batch:
+            _check_product(*case)
+            assert all(len(table) <= 8 for tables in _pure._TABLES.values()
+                       for table in tables)

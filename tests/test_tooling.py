@@ -1,12 +1,16 @@
 """The benchmark's span tracer (``perfbench/tracer.py``) still finds every
-function it wraps: renaming or deleting one of them breaks the traced
-benchmark run, and this test breaks first."""
+function it wraps, and its product probe still reads the kernel's operands:
+renaming or deleting a wrapped function, or handing ``poly_mul`` operands
+keyed other than by exponent tuples, breaks the traced benchmark run, and
+these tests break first."""
 
 import importlib.util
 import pathlib
 import sys
 
 import formaldisk.cli  # noqa: F401  (imports every module the tracer wraps)
+from formaldisk import gms
+from formaldisk.grammar import parse_automorphism
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / \
     "tracer.py"
@@ -39,3 +43,20 @@ def test_tracer_installs_and_restores_on_the_package():
         t.restore()
     for target, original in zip(targets, originals):
         assert _resolve(*target) is original, target
+
+
+def test_poly_mul_probe_reads_the_operands_of_a_check():
+    tracer = _load_tracer()
+    probe = tracer.PolyMulProbe()
+    f1 = parse_automorphism("(t1+t2^2, t2+t3^2, t3+t1*t2)", 3, 2)
+    f2 = parse_automorphism("(t1-t3^2, t2+2*t1^2, t3+t1*t3)", 3, 2)
+    t = tracer.Tracer()
+    try:
+        t.install(probe)
+        ok, _ = gms.pw_check(f1, f2)
+    finally:
+        t.restore()
+    assert ok
+    assert t.metric("kernel.poly_mul", "calls") > 0
+    assert probe.pairs >= probe.kept > 0
+    assert probe.metrics()["jets.coeff_other_share"] == 0
