@@ -8,6 +8,7 @@ the module that holds the originals.
 from . import _pure as _impl
 from ._pure import (
     poly_axpy,
+    poly_dots,
     poly_mul,
     state_axpy,
     state_deriv_sym,
@@ -16,6 +17,7 @@ from ._pure import (
 
 __all__ = [
     "poly_mul",
+    "poly_dots",
     "poly_axpy",
     "state_mul_sym",
     "state_deriv_sym",

@@ -13,12 +13,14 @@ Coefficient contract.  The main code path stores exact rationals: ``int``
 or ``fractions.Fraction``.  :func:`poly_mul` multiplies such operands as
 integers -- numerators over one common denominator per operand -- and
 returns every coefficient as ``int`` when it is integral and as
-``Fraction`` otherwise; :func:`poly_axpy` stores its sums the same way.
-Jet coefficients (the root jets of the q-series, the jets in two
-parameters of the van Est derivative) take the schoolbook product
-:func:`_poly_mul_generic`, which uses only ``+``, ``*`` and truthiness and
-is also the reference the integer product is tested against.  The other
-functions here are ring-agnostic in the same way.
+``Fraction`` otherwise; :func:`poly_dots`, the sums of such products, does
+the same with one common denominator per sum, and :func:`poly_axpy`
+stores its sums the same way.  Both products share one integer loop,
+:func:`_mul_into`.  Jet coefficients (the root jets of the q-series, the
+jets in two parameters of the van Est derivative) take the schoolbook
+product :func:`_poly_mul_generic`, which uses only ``+``, ``*`` and
+truthiness and is also the reference the integer products are tested
+against.  The other functions here are ring-agnostic in the same way.
 """
 
 from fractions import Fraction
@@ -103,12 +105,74 @@ def poly_mul(a, b, order):
     lb = _lift(b, order, tables)
     if lb is None:
         return _poly_mul_generic(a, b, order)
-    buckets_a, den_a = la
-    buckets_b, den_b = lb
-    # upto_b[d]: the terms of b of total degree <= d, so a term of a of
-    # degree d meets exactly the terms of b of degree <= order - d
-    upto_b = list(accumulate(buckets_b))
     acc = {}
+    _mul_into(acc, la[0], list(accumulate(lb[0])), order)
+    return _settle(acc, la[1] * lb[1], n, order, tables)
+
+
+def poly_dots(rows, order):
+    """Truncated sums of products: for each row ``[(a, b), ...]`` of
+    exponent-dict polynomials of one rank, the sum of the ``a * b`` at
+    ``order``, with coefficients stored as :func:`poly_mul` stores them.
+
+    Each distinct operand dict of the call (by identity) is lifted once, and
+    each row is accumulated in integers over one common denominator and
+    unpacked once.  A row with an operand that is not rational is the sum
+    of schoolbook products.  A pair with an empty operand forms no product,
+    and an empty row sums to ``{}``.
+    """
+    lifts = {}  # id(poly) -> [buckets, den, buckets accumulated] or None
+    tables = n = None
+
+    def lift(poly):
+        got = lifts.get(id(poly), False)
+        if got is False:
+            got = _lift(poly, order, tables)
+            got = lifts[id(poly)] = None if got is None else [*got, None]
+        return got
+
+    out = []
+    for row in rows:
+        pairs = [(a, b) if len(a) <= len(b) else (b, a)
+                 for a, b in row if a and b]
+        if not pairs:
+            out.append({})
+            continue
+        if tables is None:
+            n = len(next(iter(pairs[0][0])))
+            tables = _tables(n, order)
+        lifted = [(lift(a), lift(b)) for a, b in pairs]
+        if any(la is None or lb is None for la, lb in lifted):
+            acc = {}
+            for a, b in pairs:
+                poly_axpy(acc, _poly_mul_generic(a, b, order), 1)
+            out.append(acc)
+            continue
+        den = 1
+        for la, lb in lifted:
+            q = la[1] * lb[1]
+            if den % q:
+                den = den // gcd(den, q) * q
+        acc = {}
+        for la, lb in lifted:
+            buckets_a = la[0]
+            s = den // (la[1] * lb[1])
+            if s != 1:
+                buckets_a = [[(k, c * s) for k, c in terms]
+                             for terms in buckets_a]
+            if lb[2] is None:
+                lb[2] = list(accumulate(lb[0]))
+            _mul_into(acc, buckets_a, lb[2], order)
+        out.append(_settle(acc, den, n, order, tables))
+    return out
+
+
+def _mul_into(acc, buckets_a, upto_b, order):
+    """The integer product loop: ``acc[key] += ca * cb`` over the term pairs
+    of total degree at most ``order``.  ``buckets_a`` is a lifted operand
+    (see :func:`_lift`) and ``upto_b[d]`` lists the terms of the other of
+    total degree <= d, so a term of degree d meets exactly those of degree
+    <= order - d."""
     get = acc.get
     for da, terms_a in enumerate(buckets_a):
         if not terms_a:
@@ -120,7 +184,11 @@ def poly_mul(a, b, order):
             for kb, cb in terms_b:
                 k = ka + kb
                 acc[k] = get(k, 0) + ca * cb
-    den = den_a * den_b
+
+
+def _settle(acc, den, n, order, tables):
+    """The polynomial of integer numerators ``acc`` over ``den``, keyed by
+    exponent tuples, without its zero terms; integral coefficients as int."""
     unpack = tables[1].get
     out = {}
     for k, v in acc.items():

@@ -37,7 +37,12 @@ jets; the trace is cyclic and the jets commute, so
 * the (a<b) component of alpha2 = tr(P ^ R) is tr(P_a R_b) - tr(P_b R_a),
 
 and no off-diagonal entry of a matrix product is formed only to be
-dropped by the trace.  The whole-matrix product
+dropped by the trace.  Each batch of traces is one kernel call, a sum of
+products per component (:func:`~formaldisk.jets.trace_products`), and so
+is each batch of matrix products (the n currents of one side, alpha3's
+commutators) and alpha2's pullback sums, so that a jet read by several
+products of a batch is brought into the kernel's integer form once.
+The whole-matrix product
 :meth:`~formaldisk.jets.FormMatrix.wedge_mul` computes the same forms and
 is the reference the tests hold these to.
 """
@@ -51,7 +56,8 @@ from .errors import ShapeError
 from .gf import ch2_gf
 from .jets import (FormalForm, FormalVectorField, JetAutomorphism, JetMatrix,
                    JetSeries, Substitution, de_rham, jacobian, jet_compose,
-                   jet_invert, poincare_homotopy)
+                   jet_dots, jet_invert, matrix_products, poincare_homotopy,
+                   trace_products)
 
 
 def _lift(phi: JetAutomorphism, order) -> JetAutomorphism:
@@ -62,18 +68,6 @@ def _lift(phi: JetAutomorphism, order) -> JetAutomorphism:
 def _check_pair(f1, f2):
     if f1.n != f2.n or f1.order != f2.order:
         raise ShapeError("automorphisms must share rank and order")
-
-
-def _trace_mul(a: JetMatrix, b: JetMatrix) -> JetSeries:
-    """tr(ab), without the off-diagonal entries of ab."""
-    n = a.n
-    acc = JetSeries.zero(n, a.order)
-    for i in range(n):
-        for j in range(n):
-            x, y = a.entries[i][j], b.entries[j][i]
-            if x and y:
-                acc = acc + x * y
-    return acc
 
 
 def _truncate(m: JetMatrix, order) -> JetMatrix:
@@ -126,12 +120,12 @@ class _Currents:
     @cached_property
     def left(self):
         ginv, dg = self._truncated_jacobian(self.order)
-        return [ginv * d for d in dg]
+        return matrix_products([(ginv, d) for d in dg])
 
     @cached_property
     def right(self):
         ginv, dg = self._truncated_jacobian(self.order)
-        return [d * ginv for d in dg]
+        return matrix_products([(d, ginv) for d in dg])
 
     @cached_property
     def sub(self) -> Substitution:
@@ -153,12 +147,15 @@ class _Currents:
             m = [_truncate(x, order) for x in self.left]
         else:
             ginv, dg = self._truncated_jacobian(order)
-            m = [ginv * d for d in dg]
-        comm = {(a, b): m[a] * m[b] - m[b] * m[a]
-                for a, b in combinations(range(n - 1), 2)}
+            m = matrix_products([(ginv, d) for d in dg])
+        ab = list(combinations(range(n - 1), 2))
+        prods = matrix_products([(m[a], m[b]) for a, b in ab]
+                                + [(m[b], m[a]) for a, b in ab])
+        comm = {k: x - y for k, x, y in zip(ab, prods, prods[len(ab):])}
+        abc = list(combinations(range(n), 3))
+        traces = trace_products([(comm[a, b], m[c]) for a, b, c in abc])
         return FormalForm(n, order, 3, {
-            (a + 1, b + 1, c + 1): _trace_mul(comm[a, b], m[c])
-            for a, b, c in combinations(range(n), 3)})
+            (a + 1, b + 1, c + 1): t for (a, b, c), t in zip(abc, traces)})
 
     @cached_property
     def mu(self) -> FormalForm:
@@ -193,12 +190,18 @@ def _alpha2(c1: _Currents, c2: _Currents) -> FormalForm:
     dphi = [[d.component((a,)) for a in range(1, n + 1)]
             for d in sub.differentials()]
     pulled = [mc.map_entries(sub.jet) for mc in c2.left]
-    p = [sum((pulled[c].scale_jet(dphi[c][a]) for c in range(n)),
-             JetMatrix.zero(n, order)) for a in range(n)]
+    rng = range(n)
+    sums = jet_dots([[(pulled[c].entries[i][j], dphi[c][a]) for c in rng]
+                     for a in rng for i in rng for j in rng], n, order)
+    p = [JetMatrix(n, order, [sums[(a * n + i) * n:(a * n + i + 1) * n]
+                              for i in rng]) for a in rng]
     r = c1.right
+    ab = list(combinations(rng, 2))
+    traces = trace_products([(p[a], r[b]) for a, b in ab]
+                            + [(p[b], r[a]) for a, b in ab])
     return FormalForm(n, order, 2, {
-        (a + 1, b + 1): _trace_mul(p[a], r[b]) - _trace_mul(p[b], r[a])
-        for a, b in combinations(range(n), 2)})
+        (a + 1, b + 1): x - y
+        for (a, b), x, y in zip(ab, traces, traces[len(ab):])})
 
 
 def _alpha_tilde(c1: _Currents, c2: _Currents, c21: _Currents) -> FormalForm:

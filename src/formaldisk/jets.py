@@ -19,6 +19,9 @@ the kernel's generic path.
 A jet is a unit when its constant term is; :meth:`JetSeries.inverse`
 inverts it over any coefficient ring.  Matrices of scalars or of jets have
 one inverse, :func:`_matrix_inverse`, an elimination pivoting on units.
+Products of jet matrices and their traces are sums of jet products, and
+:func:`matrix_products` and :func:`trace_products` hand a whole batch of
+them to the kernel in one call (:func:`jet_dots`).
 
 Truncation semantics worth remembering:
 
@@ -386,18 +389,25 @@ class FormalForm:
 
 
 def _wedge_index(i_tuple, j_tuple):
-    """Merge two increasing tuples; return (sign, merged) or None."""
-    merged = i_tuple + j_tuple
-    if len(set(merged)) != len(merged):
-        return None
-    perm = sorted(range(len(merged)), key=lambda k: merged[k])
-    sign = 1
-    perm = list(perm)
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign, tuple(sorted(merged))
+    """Merge two increasing tuples; return (sign, merged), or None when they
+    share an index.  The sign is the parity of the pairs x in i_tuple,
+    y in j_tuple with x > y: a y merged ahead of x passes every x left."""
+    merged = []
+    inversions = p = q = 0
+    li, lj = len(i_tuple), len(j_tuple)
+    while p < li and q < lj:
+        x, y = i_tuple[p], j_tuple[q]
+        if x < y:
+            merged.append(x)
+            p += 1
+        elif y < x:
+            merged.append(y)
+            q += 1
+            inversions += li - p
+        else:
+            return None
+    merged += i_tuple[p:] or j_tuple[q:]
+    return -1 if inversions & 1 else 1, tuple(merged)
 
 
 def wedge(w1: FormalForm, w2: FormalForm) -> FormalForm:
@@ -596,26 +606,7 @@ class JetMatrix:
 
     def __mul__(self, other):
         """Matrix product; an entry product with a zero factor is skipped."""
-        _check_same(self, other)
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = JetSeries.zero(n, self.order)
-                for k in range(n):
-                    x, y = self.entries[i][k], other.entries[k][j]
-                    if x and y:
-                        acc = acc + x * y
-                row.append(acc)
-            out.append(row)
-        return JetMatrix(n, self.order, out)
-
-    def scale_jet(self, f: JetSeries):
-        """Every entry times the jet ``f``."""
-        if not f:
-            return JetMatrix.zero(self.n, self.order)
-        return self.map_entries(lambda g: g * f if g else g)
+        return matrix_products([(self, other)])[0]
 
     def map_entries(self, fn):
         return JetMatrix(self.n, self.order,
@@ -629,6 +620,48 @@ class JetMatrix:
 
     def __repr__(self):
         return f"JetMatrix({self.n},{self.order})"
+
+
+def jet_dots(rows, n, order):
+    """The sums of products sum a*b, one per row ``[(a, b), ...]`` of jets
+    of rank ``n`` and order ``order``, in one kernel call; a pair with a
+    zero factor forms no product."""
+    sums = _kernel.poly_dots([[(a.coeffs, b.coeffs) for a, b in row if a and b]
+                              for row in rows], order)
+    return [JetSeries(n, order, s, _clean=True) for s in sums]
+
+
+def _batch_shape(pairs):
+    n, order = pairs[0][0].n, pairs[0][0].order
+    for a, b in pairs:
+        _check_same(a, pairs[0][0])
+        _check_same(a, b)
+    return n, order
+
+
+def matrix_products(pairs):
+    """The products a*b of a batch of pairs of jet matrices of one rank and
+    order, in one kernel call."""
+    if not pairs:
+        return []
+    n, order = _batch_shape(pairs)
+    rng = range(n)
+    sums = jet_dots([[(a.entries[i][k], b.entries[k][j]) for k in rng]
+                     for a, b in pairs for i in rng for j in rng], n, order)
+    return [JetMatrix(n, order, [sums[p + i * n:p + (i + 1) * n]
+                                 for i in rng])
+            for p in range(0, len(sums), n * n)]
+
+
+def trace_products(pairs):
+    """The traces tr(ab) of a batch of pairs of jet matrices of one rank and
+    order, in one kernel call, without the off-diagonal entries of ab."""
+    if not pairs:
+        return []
+    n, order = _batch_shape(pairs)
+    rng = range(n)
+    return jet_dots([[(a.entries[i][j], b.entries[j][i])
+                      for i in rng for j in rng] for a, b in pairs], n, order)
 
 
 class JetAutomorphism:

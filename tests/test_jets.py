@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +13,9 @@ from formaldisk.jets import (FormalForm, FormalVectorField, FormMatrix,
                              basis_monomial_fields, contract, de_rham,
                              integrate_var, jacobian, jet_compose, jet_invert,
                              jet_mul, jet_partial, lie_derivative,
-                             poincare_homotopy, pullback_form, pullback_jet,
-                             staircase_primitive, wedge)
+                             matrix_products, poincare_homotopy,
+                             pullback_form, pullback_jet, staircase_primitive,
+                             trace_products, wedge)
 from formaldisk.jets import Substitution
 from tests.conftest import SU_JETS
 
@@ -130,6 +131,32 @@ class TestForms:
         a = dt2.scale_jet(T1)
         b = dt1.scale_jet(T2)
         assert wedge(a, b) == FormalForm(2, 3, 2, {(1, 2): -(T1 * T2)})
+
+    def test_wedge_index_against_permutation_parity(self):
+        """Every pair of increasing index tuples up to rank 5: None when
+        they share an index, else the merged tuple and the sign of the
+        permutation sorting their concatenation, counted by its cycles."""
+        from formaldisk.jets import _wedge_index
+        tuples = [c for k in range(6) for c in combinations(range(1, 6), k)]
+        for i in tuples:
+            for j in tuples:
+                cat = i + j
+                if len(set(cat)) < len(cat):
+                    assert _wedge_index(i, j) is None
+                    continue
+                perm = sorted(range(len(cat)), key=cat.__getitem__)
+                seen, cycles = set(), 0
+                for start in range(len(perm)):
+                    if start in seen:
+                        continue
+                    cycles += 1
+                    k = start
+                    while k not in seen:
+                        seen.add(k)
+                        k = perm[k]
+                transpositions = len(perm) - cycles
+                assert _wedge_index(i, j) == ((-1) ** transpositions,
+                                              tuple(sorted(cat)))
 
     @settings(max_examples=40, deadline=None)
     @given(jets_strategy(3, 3), jets_strategy(3, 3))
@@ -308,25 +335,36 @@ class TestAutomorphisms:
             return JetMatrix(n, 2, [[data.draw(entry) for _ in range(n)]
                                     for _ in range(n)])
 
-        a, b, f = matrix(), matrix(), data.draw(entry)
+        a, b = matrix(), matrix()
         rows = range(n)
         assert (a * b).entries == [
             [sum((a.entries[i][k] * b.entries[k][j] for k in rows), zero)
              for j in rows] for i in rows]
-        assert a.scale_jet(f).entries == [[g * f for g in row]
-                                          for row in a.entries]
         assert a + JetMatrix.zero(n, 2) == a
+        # a batch shares its operands and gives each product and trace alone
+        c = matrix()
+        pairs = [(a, b), (b, a), (a, c), (c, c)]
+        assert matrix_products(pairs) == [x * y for x, y in pairs]
+        assert trace_products(pairs) == [
+            sum(((x * y).entries[i][i] for i in rows), zero)
+            for x, y in pairs]
+        assert matrix_products([]) == trace_products([]) == []
 
     def test_matrix_product_skips_zero_factors(self, monkeypatch):
         from formaldisk import _kernel
         m = JetMatrix(2, 3, [[T1 + ONE2, T2], [T1 * T2, ONE2 - T2]])
-        calls = []
-        real = _kernel.poly_mul
-        monkeypatch.setattr(_kernel, "poly_mul",
-                            lambda *args: calls.append(1) or real(*args))
+        pairs = []
+        real = _kernel.poly_dots
+
+        def counting(rows, order):
+            pairs.extend(pair for row in rows for pair in row)
+            return real(rows, order)
+
+        monkeypatch.setattr(_kernel, "poly_dots", counting)
         assert JetMatrix.identity(2, 3) * m == m
         # one product per entry of m, none with an off-diagonal zero
-        assert len(calls) == 4
+        assert len(pairs) == 4
+        assert all(a and b for a, b in pairs)
 
     def test_invert_compose_roundtrip(self, rng):
         from tests.conftest import random_unipotent

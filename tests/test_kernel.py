@@ -1,6 +1,6 @@
-"""The kernels: their bindings, the integer product against the schoolbook
-product, its monomial tables, and the canonical symbol order of state
-monomials."""
+"""The kernels: their bindings, the integer product and the sums of
+products against the schoolbook product, the monomial tables, and the
+canonical symbol order of state monomials."""
 
 from fractions import Fraction as F
 from unittest import mock
@@ -115,3 +115,59 @@ def test_table_eviction(batch):
             _check_product(*case)
             assert all(len(table) <= 8 for tables in _pure._TABLES.values()
                        for table in tables)
+
+
+@st.composite
+def dot_batches(draw):
+    """Rows of operand pairs drawn from one pool of dicts, so that a dict
+    meets itself, sits on both sides and recurs across rows.
+
+    The pool holds rationals with mixed denominators or, in some draws,
+    (s, u)-jets among them; it may hold an empty dict, and it holds the
+    negation of its first dict, so that a row can cancel to zero.
+    """
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 5))
+    coef = RATIONALS if draw(st.booleans()) else \
+        st.one_of(RATIONALS, SU_JETS)
+    exps = st.tuples(*[st.integers(0, order + 1)] * n)
+    pool = draw(st.lists(st.dictionaries(exps, coef, max_size=6),
+                         min_size=1, max_size=5))
+    pool.append({e: -c for e, c in pool[0].items()})
+    index = st.integers(0, len(pool) - 1)
+    rows = draw(st.lists(st.lists(st.tuples(index, index), max_size=4),
+                         max_size=5))
+    if draw(st.booleans()):  # a row that cancels: a*b - a*b
+        j = draw(index)
+        rows.append([(0, j), (len(pool) - 1, j)])
+    return [[(pool[i], pool[j]) for i, j in row] for row in rows], order
+
+
+@settings(max_examples=300, deadline=None)
+@given(dot_batches())
+@example(([], 2))
+@example(([[]], 2))
+@example(([[({}, {(0, 0): 1})], [({(1, 0): F(1, 2)}, {})]], 2))
+# mixed denominators in one row, summing to an integer
+@example(([[({(1,): F(1, 2)}, {(1,): 1}), ({(1,): F(1, 3)}, {(1,): 3}),
+            ({(0,): F(1, 6)}, {(2,): 3})]], 3))
+# a rational row beside a jet row, sharing a dict
+@example(([[({(1,): 2}, {(0,): F(1, 3), (1,): 1})],
+           [({(1,): 2}, {(0,): S, (1,): 1})]], 2))
+def test_poly_dots_matches_schoolbook_sums(batch):
+    rows, order = batch
+    before = [[(dict(a), dict(b)) for a, b in row] for row in rows]
+    out = _pure.poly_dots(rows, order)
+    assert [[(a, b) for a, b in row] for row in rows] == before
+    assert len(out) == len(rows)
+    for row, got in zip(rows, out):
+        ref = {}
+        for a, b in row:
+            for e, c in _pure._poly_mul_generic(a, b, order).items():
+                ref[e] = ref.get(e, 0) + c
+        assert got == {e: c for e, c in ref.items() if c}
+        assert all(got.values())
+        # integral rationals are stored as int, on both paths
+        assert all(type(v) in (int, JetSeries) or
+                   (type(v) is F and v.denominator != 1)
+                   for v in got.values())

@@ -2,14 +2,16 @@
 function it wraps, and its product probe still reads the kernel's operands:
 renaming or deleting a wrapped function, or handing ``poly_mul`` operands
 keyed other than by exponent tuples, breaks the traced benchmark run, and
-these tests break first."""
+these tests break first.  The sums of products, ``poly_dots``, are looked up
+on ``formaldisk._kernel`` at call time, so a span can be put around them
+there."""
 
 import importlib.util
 import pathlib
 import sys
 
 import formaldisk.cli  # noqa: F401  (imports every module the tracer wraps)
-from formaldisk import gms
+from formaldisk import _kernel, gms
 from formaldisk.grammar import parse_automorphism
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / \
@@ -60,3 +62,20 @@ def test_poly_mul_probe_reads_the_operands_of_a_check():
     assert t.metric("kernel.poly_mul", "calls") > 0
     assert probe.pairs >= probe.kept > 0
     assert probe.metrics()["jets.coeff_other_share"] == 0
+
+
+def test_poly_dots_is_looked_up_on_the_kernel(monkeypatch):
+    f1 = parse_automorphism("(t1+t2^2, t2+t3^2, t3+t1*t2)", 3, 2)
+    f2 = parse_automorphism("(t1-t3^2, t2+2*t1^2, t3+t1*t3)", 3, 2)
+    expected = gms.pw_check(f1, f2)
+    calls = []
+    real = _kernel.poly_dots
+
+    def counting(rows, order):
+        calls.append(len(rows))
+        return real(rows, order)
+
+    monkeypatch.setattr(_kernel, "poly_dots", counting)
+    assert gms.pw_check(f1, f2) == expected
+    assert expected[0]
+    assert len(calls) > 0
