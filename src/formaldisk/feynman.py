@@ -16,6 +16,12 @@ eps to a fixed multiple of the contact term
 the multiple (4 pi, from the Gaussian moment of Q) is frozen in
 constants.WHEEL_NORMALIZATION, and the acceptance test checks the
 Richardson-extrapolated schedule against the right-hand side.
+
+numpy is imported the first time a function here reads ``np``, not when
+the module loads: every other check in the package is exact and never
+touches it, and ``cli`` imports this module for its two ``feynman``
+subcommands, so loading numpy eagerly would charge its import time and
+memory to every process.
 """
 
 from __future__ import annotations
@@ -24,9 +30,24 @@ import cmath
 import math
 import sys
 
-import numpy as np
-
 from .errors import ShapeError
+
+
+class _Numpy:
+    """Stand-in for the numpy module until a function first reads ``np``:
+    the first attribute lookup imports numpy and rebinds the global ``np``
+    to it, so every later lookup goes straight to the module."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        global np
+        import numpy
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy()
 
 
 class BumpField:
@@ -237,6 +258,35 @@ def _cross_correlation(fa, gb):
     return corr
 
 
+def _check_regulators(eps_values):
+    if not all(0 < eps < 1 for eps in eps_values):
+        raise ShapeError("eps must lie in (0, 1)")
+
+
+def _grid_and_f(fields_f, fields_g, config):
+    """The common tensor grid, its step and F = prod(fields_f) on it."""
+    zz, h = _common_grid(list(fields_f), list(fields_g), config.grid_n)
+    return zz, h, product_values(fields_f, zz)
+
+
+def _weights(zz, h, fa, fields_g, eps_values):
+    """Wheel weights at each eps: the correlation of F with G is formed
+    once, and only the difference kernel Q_eps depends on eps."""
+    gb = product_values(fields_g, zz)
+    corr = _cross_correlation(fa.astype(complex), gb.astype(complex))
+    n0, n1 = fa.shape
+    dx = (np.arange(2 * n1 - 1) - (n1 - 1)) * h
+    dy = (np.arange(2 * n0 - 1) - (n0 - 1)) * h
+    w_grid = dx[None, :] + 1j * dy[:, None]
+    return [complex(np.sum(corr * _difference_kernel(w_grid, eps)) * h ** 4)
+            for eps in eps_values]
+
+
+def _rhs(zz, h, fa, fields_g):
+    gdz = product_dz_values(fields_g, zz)
+    return complex(np.sum(fa * gdz) * h * h / (2.0 * (4.0 * math.pi) ** 2))
+
+
 def wheel2_weight(fields_f, fields_g, eps, config=DEFAULT_CONFIG):
     """Regularized weight of the two-vertex wheel at scale eps.
 
@@ -245,26 +295,14 @@ def wheel2_weight(fields_f, fields_g, eps, config=DEFAULT_CONFIG):
     in its scalar-kernel form; complex-valued since one holomorphic
     derivative survives the regulator.
     """
-    if not 0 < eps < 1:
-        raise ShapeError("eps must lie in (0, 1)")
-    zz, h = _common_grid(list(fields_f), list(fields_g), config.grid_n)
-    fa = product_values(fields_f, zz)
-    gb = product_values(fields_g, zz)
-    corr = _cross_correlation(fa.astype(complex), gb.astype(complex))
-    n0, n1 = fa.shape
-    dx = (np.arange(2 * n1 - 1) - (n1 - 1)) * h
-    dy = (np.arange(2 * n0 - 1) - (n0 - 1)) * h
-    w_grid = dx[None, :] + 1j * dy[:, None]
-    q = _difference_kernel(w_grid, eps)
-    return complex(np.sum(corr * q) * h ** 4)
+    _check_regulators([eps])
+    return _weights(*_grid_and_f(fields_f, fields_g, config), fields_g,
+                    [eps])[0]
 
 
 def wheel2_rhs(fields_f, fields_g, config=DEFAULT_CONFIG):
     """Closed-form limit 1/(2 (4 pi)^2) int F d(G)/dz d^2 z."""
-    zz, h = _common_grid(list(fields_f), list(fields_g), config.grid_n)
-    fa = product_values(fields_f, zz)
-    gdz = product_dz_values(fields_g, zz)
-    return complex(np.sum(fa * gdz) * h * h / (2.0 * (4.0 * math.pi) ** 2))
+    return _rhs(*_grid_and_f(fields_f, fields_g, config), fields_g)
 
 
 def extrapolate_schedule(eps_values, weights):
@@ -277,17 +315,21 @@ def extrapolate_schedule(eps_values, weights):
 def wheel2_check(fields_f, fields_g, config=DEFAULT_CONFIG):
     """Run the schedule, extrapolate, normalize, compare with the rhs.
 
+    The grid, F and the correlation of F with G are built once per check;
+    each schedule entry only applies its difference kernel.
+
     Returns a dict with the schedule values, the extrapolated and
     normalized weight, the rhs, and the relative error; profiles so large
     that one of these overflows are refused.
     """
     from .constants import WHEEL_NORMALIZATION
+    _check_regulators(config.eps_schedule)
     with np.errstate(all="ignore"):
-        weights = [wheel2_weight(fields_f, fields_g, e, config)
-                   for e in config.eps_schedule]
+        zz, h, fa = _grid_and_f(fields_f, fields_g, config)
+        weights = _weights(zz, h, fa, fields_g, config.eps_schedule)
         extrap = extrapolate_schedule(config.eps_schedule, weights)
         lhs = WHEEL_NORMALIZATION * extrap
-        rhs = wheel2_rhs(fields_f, fields_g, config)
+        rhs = _rhs(zz, h, fa, fields_g)
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     if not all(map(cmath.isfinite, weights + [lhs, rhs, rel])):
         raise ShapeError("wheel weight, contact term or relative error is "

@@ -19,8 +19,10 @@ substitution, alpha2 and the currents alpha2 reads are formed at K+1,
 because d alpha2 enters the Polyakov-Wiegmann residual: the right currents
 of its first argument f1 and the left currents of its second f2.  alpha3's
 products run at K, and mu, its radial primitive, comes out at K+1.  So
-alpha3 of f2 truncates f2's left currents, while alpha3 of f1 and of an
-automorphism that no alpha2 reads (f2 o f1 in ``pw_check``) multiply the
+alpha3 of f2 truncates f2's left currents and alpha3 of f1 its right ones
+(the right currents R_a = g M_a g^{-1} are conjugate to the left ones M_a,
+so tr([R_a, R_b] R_c) = tr([M_a, M_b] M_c)), while alpha3 of an
+automorphism that no alpha2 reads (f2 o f1 in ``pw_check``) multiplies the
 Jacobian inverse and partials at K; the inverse is built once, at K+1 when
 alpha2 reads a current of that automorphism and at K otherwise.  Every value
 is then exact at the order it is reported, and the residuals are exactly
@@ -89,14 +91,15 @@ class _Currents:
     ``left`` and ``right`` say which current sides a reader takes at the
     working order.  The Jacobian inverse is built there when one is read,
     and one order below, where alpha3 lives, when neither is.  alpha3
-    truncates the left currents when they are read, and otherwise forms
-    its own products one order below.
+    truncates a current side that is read, the left one if both are, and
+    otherwise forms its own products one order below.
     """
 
     def __init__(self, phi: JetAutomorphism, order, left=False, right=False):
         self.phi = phi
         self.order = order
         self.reads_left = left
+        self.reads_right = right
         self.inverse_order = order if left or right else order - 1
 
     @cached_property
@@ -138,13 +141,16 @@ class _Currents:
 
         The trace is cyclic, so of the six orderings of M_a M_b M_c the
         three even ones have one trace and the three odd ones another, and
-        the (a<b<c) component is tr([M_a, M_b] M_c).
+        the (a<b<c) component is tr([M_a, M_b] M_c).  The right currents
+        R_a = g M_a g^{-1} give the same traces.
         """
         n, order = self.phi.n, self.order - 1
         if n < 3:
             return FormalForm.zero(n, order, 3)
         if self.reads_left:
             m = [_truncate(x, order) for x in self.left]
+        elif self.reads_right:
+            m = [_truncate(x, order) for x in self.right]
         else:
             ginv, dg = self._truncated_jacobian(order)
             m = matrix_products([(ginv, d) for d in dg])

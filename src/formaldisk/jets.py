@@ -189,7 +189,12 @@ class JetSeries:
                          {e: -c for e, c in self.coeffs.items()}, _clean=True)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, JetSeries) else -rat(other))
+        if not isinstance(other, JetSeries):
+            return self + -rat(other)
+        _check_same(self, other)
+        return JetSeries(self.n, self.order,
+                         _kernel.poly_axpy(dict(self.coeffs), other.coeffs, -1),
+                         _clean=True)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -275,7 +275,10 @@ class VAState:
                        {k: -c for k, c in self.terms.items()}, _clean=True)
 
     def __sub__(self, other):
-        return self + (-other)
+        _check_compatible(self, other)
+        return VAState(self.n, self.policy,
+                       _kernel.poly_axpy(dict(self.terms), other.terms, -1),
+                       _clean=True)
 
     def scale(self, scalar):
         scalar = norm_coeff(scalar)

@@ -174,6 +174,17 @@ class TestWheel:
             assert all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:])), diffs
             assert rep["relative_error"] < 0.05
 
+    def test_check_builds_the_same_weights_once(self):
+        fields_f, fields_g = BUMP_CONFIGS[0]
+        cfg = QuadConfig(grid_n=64)
+        rep = wheel2_check(fields_f, fields_g, cfg)
+        assert rep["weights"] == [wheel2_weight(fields_f, fields_g, e, cfg)
+                                  for e in cfg.eps_schedule]
+        assert rep["rhs"] == wheel2_rhs(fields_f, fields_g, cfg)
+        with pytest.raises(ShapeError, match="eps must lie"):
+            wheel2_check(fields_f, fields_g,
+                         QuadConfig(grid_n=64, eps_schedule=(2.0, 0.5)))
+
     def test_extrapolation_exact_on_affine_data(self):
         eps = [0.1, 0.05, 0.02]
         vals = [3.0 + 2.0 * e for e in eps]

@@ -396,6 +396,16 @@ class TestCurrentSides:
         assert d1_compare(x, y)[2]
         assert orders == [5] * 4
 
+    def test_alpha3_reads_the_right_currents(self, rng):
+        # R_a = g M_a g^{-1}, so the right currents give alpha3's traces
+        for f in (random_unipotent(rng, 3, 4),
+                  auto("(2*t1+t2^2, t1+t2+t3^2, t3-t1*t2)", 3, 3)):
+            c = gms._currents(f, right=True)
+            a3 = c.alpha3
+            assert "right" in vars(c) and "left" not in vars(c)
+            assert a3 == gms._currents(f, left=True).alpha3
+            assert a3 == wedge_alpha3(f)
+
     def test_unread_side_raises(self):
         c = gms._currents(auto("(t1+t2^2, t2+t3^2, t3+t1^2)", 3))
         assert not c.alpha3.is_zero()

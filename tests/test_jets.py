@@ -72,6 +72,24 @@ class TestJetSeries:
             # the product rule loses the top order of the product
             assert lhs.with_order(3) == rhs.with_order(3)
 
+    @settings(max_examples=100, deadline=None)
+    @given(jets_strategy(2, 4), jets_strategy(2, 4))
+    def test_difference_is_sum_with_negation(self, a, b):
+        before = dict(a.coeffs), dict(b.coeffs)
+        diff, ref = a - b, a + (-b)
+        assert diff.coeffs == ref.coeffs
+        assert {e: type(c) for e, c in diff.coeffs.items()} == \
+            {e: type(c) for e, c in ref.coeffs.items()}
+        assert (a.coeffs, b.coeffs) == before
+        assert (a - a).coeffs == {}
+        assert a - F(1, 2) == a + F(-1, 2)
+
+    @given(SU_JETS, SU_JETS, SU_JETS)
+    def test_difference_with_jet_coefficients(self, x, y, z):
+        a = JetSeries(1, 3, {(1,): x, (2,): y})
+        b = JetSeries(1, 3, {(1,): z, (0,): y})
+        assert (a - b).coeffs == (a + (-b)).coeffs
+
     def test_integrate_var_inverts_partial(self):
         f = T1 * T2 + T2 ** 2
         g = integrate_var(f, 1)

@@ -4,18 +4,45 @@ renaming or deleting a wrapped function, or handing ``poly_mul`` operands
 keyed other than by exponent tuples, breaks the traced benchmark run, and
 these tests break first.  The sums of products, ``poly_dots``, are looked up
 on ``formaldisk._kernel`` at call time, so a span can be put around them
-there."""
+there.
+
+``import formaldisk.cli`` loads every module the tracer wraps, but not
+numpy: only the ``feynman`` subcommands load it, on first use.  That is
+checked in a fresh interpreter, since this one may have loaded numpy
+already."""
 
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import formaldisk.cli  # noqa: F401  (imports every module the tracer wraps)
 from formaldisk import _kernel, gms
 from formaldisk.grammar import parse_automorphism
 
-TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / \
-    "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+# prints, as JSON, the modules of argv[1] that are missing after importing
+# cli and whether numpy is loaded after the import, after a `ch2` call and
+# after a `feynman t-limits` call, with the exit codes of the two calls
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import formaldisk.cli as cli
+report = {"missing": [m for m in json.loads(sys.argv[1])
+                      if m not in sys.modules],
+          "numpy": ["numpy" in sys.modules]}
+codes = []
+for argv in (["ch2", "--rank", "2", "--x", "t1*t2 d1", "--y", "t1*t2 d2"],
+             ["feynman", "t-limits", "--eps", "0.01"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+    report["numpy"].append("numpy" in sys.modules)
+report["codes"] = codes
+print(json.dumps(report))
+"""
 
 
 def _load_tracer():
@@ -79,3 +106,17 @@ def test_poly_dots_is_looked_up_on_the_kernel(monkeypatch):
     assert gms.pw_check(f1, f2) == expected
     assert expected[0]
     assert len(calls) > 0
+
+
+def test_cli_imports_every_traced_module_and_numpy_only_for_feynman():
+    modules = sorted({module for module, _, _, _ in _load_tracer().TARGETS})
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(modules)],
+        env=env, capture_output=True, text=True, check=True,
+        timeout=120).stdout
+    report = json.loads(out)
+    assert report == {"missing": [], "numpy": [False, False, True],
+                      "codes": [0, 0]}
