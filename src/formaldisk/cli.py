@@ -1,18 +1,28 @@
 """Command-line front end: one subcommand per verification theorem.
 
+One table, :data:`COMMANDS`, states every subcommand: its name, help line,
+flags with their defaults, and the flags its document leaves out of
+``params``.  :func:`build_parser` builds the parser from it once, at the
+first :func:`main` call.  A handler ``cmd_<name>`` returns ``(result,
+checks)``; :func:`main` looks it up on this module by name at every call, so
+a rebound handler is the one that runs, and alone builds the document,
+emits it through :func:`_emit` and picks the exit status.
+
 Every run emits a single JSON document (sorted keys, canonical term order)
 on stdout; ``--out`` writes the same bytes to a file.  Exit status is 0 on
 success, 1 when a verification check fails, 2 on usage or parse errors
-and on any unexpected error, reported on one line.
+and on any unexpected error, reported on one line with nothing on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import characters, conformal, feynman, gf, gms, hc, vertex
 from .constants import MSV_COCYCLE_SIGN
@@ -31,22 +41,17 @@ def _complex_out(z):
 
 
 def _emit(doc, out_path):
+    """Write the document to ``--out``, then to stdout, so that a path that
+    cannot be written is a usage error with nothing printed."""
     text = json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n"
-    sys.stdout.write(text)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-
-
-def _document(command, params, result, checks):
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "params": params,
-        "result": result,
-        "checks": [{"name": n, "ok": bool(ok), "detail": str(d)}
-                   for (n, ok, d) in checks],
-    }
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FormalDiskError(
+                f"cannot write --out {out_path}: {exc.strerror}") from exc
+    sys.stdout.write(text)
 
 
 def _policy(args):
@@ -92,25 +97,14 @@ def _check_truncation(args):
                               "nothing to compare; raise either")
 
 
-def _finish(doc, args):
-    _emit(doc, args.out)
-    return 0 if all(c["ok"] for c in doc["checks"]) else 1
-
-
-# -- subcommand handlers --------------------------------------------------------
+# -- subcommand handlers: each returns (result, [(name, ok, detail), ...]) ------
 
 
 def cmd_mode_apply(args):
     pol = _policy(args)
     a = parse_state(args.state, args.rank, pol)
     v = parse_state(args.on, args.rank, pol)
-    res = vertex.mode_apply(a, args.mode, v)
-    doc = _document("mode-apply",
-                    {"rank": args.rank, "state": args.state, "mode": args.mode,
-                     "on": args.on, "max_weight": args.max_weight,
-                     "max_c0": args.max_c0},
-                    {"payload": format_state(res)}, [])
-    return _finish(doc, args)
+    return {"payload": format_state(vertex.mode_apply(a, args.mode, v))}, []
 
 
 def cmd_borcherds(args):
@@ -119,24 +113,15 @@ def cmd_borcherds(args):
     b = parse_state(args.b, args.rank, pol)
     c = parse_state(args.c, args.rank, pol)
     ok, lhs, rhs = vertex.borcherds_check(a, b, c, args.l, args.m)
-    doc = _document("borcherds",
-                    {"rank": args.rank, "a": args.a, "b": args.b, "c": args.c,
-                     "l": args.l, "m": args.m},
-                    {"lhs": format_state(lhs), "rhs": format_state(rhs)},
-                    [("borcherds identity", ok, "exact comparison")])
-    return _finish(doc, args)
+    return ({"lhs": format_state(lhs), "rhs": format_state(rhs)},
+            [("borcherds identity", ok, "exact comparison")])
 
 
 def cmd_rho_w(args):
     pol = _policy(args)
     x = parse_vector_field(args.x, args.rank, args.jet_order)
     v = parse_state(args.on, args.rank, pol)
-    res = hc.rho_w(x, v)
-    doc = _document("rho-w",
-                    {"rank": args.rank, "x": args.x, "on": args.on,
-                     "jet_order": args.jet_order},
-                    {"payload": format_state(res)}, [])
-    return _finish(doc, args)
+    return {"payload": format_state(hc.rho_w(x, v))}, []
 
 
 def cmd_msv_check(args):
@@ -152,67 +137,44 @@ def cmd_msv_check(args):
         rhs = hc.rho_omega2(cocycle, v).scale(MSV_COCYCLE_SIGN)
         if lhs != rhs:
             bad += 1
-    doc = _document("msv-check",
-                    {"rank": args.rank, "x": args.x, "y": args.y,
-                     "max_weight": args.max_weight, "max_c0": args.max_c0},
-                    {"cocycle": format_form(cocycle), "states": len(monos),
-                     "sign": MSV_COCYCLE_SIGN},
-                    [("defect equals sign * rho_omega2(ch2)", bad == 0,
-                      f"{len(monos) - bad}/{len(monos)} states")])
-    return _finish(doc, args)
+    return ({"cocycle": format_form(cocycle), "states": len(monos),
+             "sign": MSV_COCYCLE_SIGN},
+            [("defect equals sign * rho_omega2(ch2)", bad == 0,
+              f"{len(monos) - bad}/{len(monos)} states")])
 
 
 def cmd_ch2(args):
     x = parse_vector_field(args.x, args.rank, args.jet_order)
     y = parse_vector_field(args.y, args.rank, args.jet_order)
-    w = gf.ch2_gf(x, y)
-    doc = _document("ch2", {"rank": args.rank, "x": args.x, "y": args.y,
-                            "jet_order": args.jet_order},
-                    {"form": format_form(w)}, [])
-    return _finish(doc, args)
+    return {"form": format_form(gf.ch2_gf(x, y))}, []
 
 
 def cmd_c1(args):
     x = parse_vector_field(args.x, args.rank, args.jet_order)
-    doc = _document("c1", {"rank": args.rank, "x": args.x,
-                           "jet_order": args.jet_order},
-                    {"form": format_form(gf.c1_gf(x))}, [])
-    return _finish(doc, args)
+    return {"form": format_form(gf.c1_gf(x))}, []
 
 
 def cmd_atiyah(args):
     x = parse_vector_field(args.x, args.rank, args.jet_order)
-    mat = gf.atiyah_rep(x)
-    doc = _document("atiyah", {"rank": args.rank, "x": args.x,
-                               "jet_order": args.jet_order},
-                    {"matrix": [[format_form(e) for e in row]
-                                for row in mat.entries]}, [])
-    return _finish(doc, args)
+    return {"matrix": [[format_form(e) for e in row]
+                       for row in gf.atiyah_rep(x).entries]}, []
 
 
 def cmd_pw_check(args):
     f1 = parse_automorphism(args.f1, args.rank, args.jet_order)
     f2 = parse_automorphism(args.f2, args.rank, args.jet_order)
     ok, residual = gms.pw_check(f1, f2)
-    doc = _document("pw-check",
-                    {"rank": args.rank, "f1": args.f1, "f2": args.f2,
-                     "jet_order": args.jet_order},
-                    {"residual": format_form(residual)},
-                    [("polyakov-wiegmann", ok, "exact at truncation")])
-    return _finish(doc, args)
+    return ({"residual": format_form(residual)},
+            [("polyakov-wiegmann", ok, "exact at truncation")])
 
 
 def cmd_gms_d1(args):
     x = parse_vector_field(args.x, args.rank, args.jet_order)
     y = parse_vector_field(args.y, args.rank, args.jet_order)
     lie, c2, ok = gms.d1_compare(x, y)
-    doc = _document("gms-d1",
-                    {"rank": args.rank, "x": args.x, "y": args.y,
-                     "jet_order": args.jet_order},
-                    {"lie_level": format_form(lie), "ch2": format_form(c2)},
-                    [("derivative of lifted cocycle matches ch2", ok,
-                      "global scale from constants.GMS_D1_SCALE")])
-    return _finish(doc, args)
+    return ({"lie_level": format_form(lie), "ch2": format_form(c2)},
+            [("derivative of lifted cocycle matches ch2", ok,
+              "global scale from constants.GMS_D1_SCALE")])
 
 
 def cmd_conformal_check(args):
@@ -224,25 +186,16 @@ def cmd_conformal_check(args):
     defect_ok = all(d[2] and d[1] for d in map(conformal.c1_defect, fields))
     verdicts.append(("c1 defect matches divergence class", defect_ok,
                      f"{len(fields)} monomial fields"))
-    doc = _document("conformal-check",
-                    {"rank": args.rank, "max_weight": args.max_weight,
-                     "max_c0": args.max_c0},
-                    {"states": len(states)},
-                    verdicts)
-    return _finish(doc, args)
+    return {"states": len(states)}, verdicts
 
 
 def cmd_char_identity(args):
     _check_truncation(args)
     res = characters.char_identity_check(args.rank, args.chern_degree,
                                          args.q_order)
-    doc = _document("char-identity",
-                    {"rank": args.rank, "chern_degree": args.chern_degree,
-                     "q_order": args.q_order},
-                    {"residual_zero": res.is_zero()},
-                    [("Td * ch(Sym) = eta^{-2n} e^{c1/2} Wit", res.is_zero(),
-                      "exact rational q-series")])
-    return _finish(doc, args)
+    return ({"residual_zero": res.is_zero()},
+            [("Td * ch(Sym) = eta^{-2n} e^{c1/2} Wit", res.is_zero(),
+              "exact rational q-series")])
 
 
 def cmd_witten_log(args):
@@ -256,25 +209,17 @@ def cmd_witten_log(args):
             mono = "*".join(f"x{i + 1}^{k}" for i, k in enumerate(e) if k) or "1"
             entries[mono] = str(coeff.coeffs[e])
         table[f"q^{m}"] = entries
-    doc = _document("witten-log",
-                    {"rank": args.rank, "chern_degree": args.chern_degree,
-                     "q_order": args.q_order},
-                    {"series": table}, [])
-    return _finish(doc, args)
+    return {"series": table}, []
 
 
 def cmd_witten_exp_check(args):
     _check_truncation(args)
     res, full = characters.witten_exp_residuals(args.rank, args.chern_degree,
                                                 args.q_order)
-    doc = _document("witten-exp-check",
-                    {"rank": args.rank, "chern_degree": args.chern_degree,
-                     "q_order": args.q_order},
-                    {"residual_mod_p2_zero": res.is_zero(),
-                     "residual_full_zero": full.is_zero()},
-                    [("exp(log Wit) = Wit mod (p_2)", res.is_zero(), "exact"),
-                     ("exp(log Wit + R_2 ch_2) = Wit", full.is_zero(), "exact")])
-    return _finish(doc, args)
+    return ({"residual_mod_p2_zero": res.is_zero(),
+             "residual_full_zero": full.is_zero()},
+            [("exp(log Wit) = Wit mod (p_2)", res.is_zero(), "exact"),
+             ("exp(log Wit + R_2 ch_2) = Wit", full.is_zero(), "exact")])
 
 
 def cmd_eisenstein(args):
@@ -286,16 +231,10 @@ def cmd_eisenstein(args):
     denom = max(abs(qval), 1e-30)
     rel = abs(value - qval) / denom
     agree = rel < tol or abs(value - qval) < tol
-    doc = _document("eisenstein",
-                    {"weight": args.weight, "tau": args.tau,
-                     "cutoff": args.cutoff, "q_order": args.q_order,
-                     "tolerance": args.tolerance},
-                    {"lattice": _complex_out(value),
-                     "q_expansion": _complex_out(qval),
-                     "relative_error": rel},
-                    [("lattice sum matches q-expansion", agree,
-                      f"tolerance {args.tolerance}")])
-    return _finish(doc, args)
+    return ({"lattice": _complex_out(value),
+             "q_expansion": _complex_out(qval), "relative_error": rel},
+            [("lattice sum matches q-expansion", agree,
+              f"tolerance {args.tolerance}")])
 
 
 def _read_profiles(path):
@@ -337,167 +276,137 @@ def cmd_feynman_wheel2(args):
     sched = _floats(args.eps_schedule, "eps-schedule")
     cfg = feynman.QuadConfig(grid_n=args.grid, eps_schedule=sched)
     rep = feynman.wheel2_check(fields_f, fields_g, cfg)
-    ok = rep["relative_error"] < tol
-    doc = _document("feynman wheel2",
-                    {"profiles": args.profiles, "grid": args.grid,
-                     "eps_schedule": args.eps_schedule,
-                     "tolerance": args.tolerance},
-                    {"weights": [_complex_out(w) for w in rep["weights"]],
-                     "normalized": _complex_out(rep["normalized"]),
-                     "rhs": _complex_out(rep["rhs"]),
-                     "relative_error": rep["relative_error"]},
-                    [("wheel weight matches contact term", ok,
-                      f"tolerance {args.tolerance}")])
-    return _finish(doc, args)
+    return ({"weights": [_complex_out(w) for w in rep["weights"]],
+             "normalized": _complex_out(rep["normalized"]),
+             "rhs": _complex_out(rep["rhs"]),
+             "relative_error": rep["relative_error"]},
+            [("wheel weight matches contact term", rep["relative_error"] < tol,
+              f"tolerance {args.tolerance}")])
 
 
 def cmd_feynman_t_limits(args):
     first, second = feynman.t_integral_limits(args.eps)
     q1, q2 = feynman.t_integral_quadrature(args.eps)
     ok = abs(first - q1) < 1e-10 and abs(second - q2) < 1e-10
-    doc = _document("feynman t-limits",
-                    {"eps": args.eps},
-                    {"first": first, "second": second,
-                     "first_limit": 0.5, "second_limit": 0.0},
-                    [("closed forms match quadrature", ok, "1e-10")])
-    return _finish(doc, args)
+    return ({"first": first, "second": second,
+             "first_limit": 0.5, "second_limit": 0.0},
+            [("closed forms match quadrature", ok, "1e-10")])
 
 
-# -- parser ----------------------------------------------------------------------
+# -- the table of subcommands ---------------------------------------------------
 
 
-def _add_common(sp, rank=True, jet=False, state=False, qseries=False):
-    if rank:
-        sp.add_argument("--rank", type=int, required=True)
-    if jet:
-        sp.add_argument("--jet-order", type=int, default=6)
-    if state:
-        sp.add_argument("--max-weight", type=int, default=8)
-        sp.add_argument("--max-c0", type=int, default=10)
-    if qseries:
-        sp.add_argument("--chern-degree", type=int, default=4)
-        sp.add_argument("--q-order", type=int, default=6)
-    sp.add_argument("--out", default=None, help="also write the document here")
+class Flag(NamedTuple):
+    """One ``--flag``, named by its dest; a flag without a default is
+    required."""
+    dest: str
+    type: type = str
+    default: object = None
+    help: str | None = None
 
 
+class Command(NamedTuple):
+    """One subcommand; a name of two words is a subcommand of a group.
+    ``unrecorded`` names the dests left out of the document's params."""
+    name: str
+    help: str
+    flags: tuple
+    unrecorded: tuple = ()
+
+    @property
+    def handler(self):
+        return "cmd_" + self.name.replace("-", "_").replace(" ", "_")
+
+
+_RANK, _X, _Y = Flag("rank", int), Flag("x"), Flag("y")
+_JET = Flag("jet_order", int, 6)
+
+
+def _bounds(max_weight, max_c0):
+    return Flag("max_weight", int, max_weight), Flag("max_c0", int, max_c0)
+
+
+_QSERIES = (_RANK, Flag("chern_degree", int, 4), Flag("q_order", int, 6))
+
+GROUPS = {"feynman": "regulated-integral checks"}
+
+COMMANDS = (
+    Command("mode-apply", "n-th product of two states",
+            (_RANK, Flag("state"), Flag("mode", int), Flag("on"),
+             *_bounds(8, 10))),
+    Command("borcherds", "check the mode-composition identity",
+            (_RANK, Flag("a"), Flag("b"), Flag("c"), Flag("l", int),
+             Flag("m", int), *_bounds(8, 10)),
+            ("max_weight", "max_c0")),
+    Command("rho-w", "act by a formal vector field",
+            (_RANK, _X, Flag("on"), _JET, *_bounds(8, 10)),
+            ("max_weight", "max_c0")),
+    Command("msv-check", "extension-cocycle identity",
+            (_RANK, _X, _Y, _JET, *_bounds(3, 3)), ("jet_order",)),
+    Command("ch2", "second Chern-character cocycle", (_RANK, _X, _Y, _JET)),
+    Command("c1", "divergence (first Chern) cocycle", (_RANK, _X, _JET)),
+    Command("atiyah", "connection-failure representative", (_RANK, _X, _JET)),
+    Command("pw-check", "Polyakov-Wiegmann identity",
+            (_RANK, Flag("f1"), Flag("f2"), _JET)),
+    Command("gms-d1", "derivative of the group cocycle vs ch2",
+            (_RANK, _X, _Y, _JET)),
+    Command("conformal-check", "Virasoro axioms and anomaly",
+            (_RANK, _JET, *_bounds(3, 2)), ("jet_order",)),
+    Command("char-identity", "graded character identity", _QSERIES),
+    Command("witten-log", "logarithmic Witten class table", _QSERIES),
+    Command("witten-exp-check", "exp(log Wit) vs Wit", _QSERIES),
+    Command("eisenstein", "lattice sum vs q-expansion",
+            (Flag("weight", int), Flag("tau", help="a,b for tau = a + b i"),
+             Flag("cutoff", int, 200), Flag("q_order", int, 40),
+             Flag("tolerance", float, 1e-6))),
+    Command("feynman wheel2", "two-vertex wheel vs contact term",
+            (Flag("profiles",
+                  help="text table: F|G cx cy radius c1 [c2 ...]"),
+             Flag("eps_schedule", str, "0.1,0.05,0.02,0.01"),
+             Flag("grid", int, 192), Flag("tolerance", float, 0.05))),
+    Command("feynman t-limits", "regulator t-integrals",
+            (Flag("eps", float),)),
+)
+
+
+@functools.cache
 def build_parser():
+    """The parser of every subcommand in :data:`COMMANDS`; each sets
+    ``args.command_entry`` to its table entry."""
     p = argparse.ArgumentParser(
         prog="formaldisk",
         description="Exact vertex-algebra and formal-geometry verifier "
                     "for the disk model, with numerical anomaly checks.")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("mode-apply", help="n-th product of two states")
-    _add_common(sp, state=True)
-    sp.add_argument("--state", required=True)
-    sp.add_argument("--mode", type=int, required=True)
-    sp.add_argument("--on", required=True)
-    sp.set_defaults(fn=cmd_mode_apply)
-
-    sp = sub.add_parser("borcherds", help="check the mode-composition identity")
-    _add_common(sp, state=True)
-    for flag in ("--a", "--b", "--c"):
-        sp.add_argument(flag, required=True)
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.set_defaults(fn=cmd_borcherds)
-
-    sp = sub.add_parser("rho-w", help="act by a formal vector field")
-    _add_common(sp, jet=True, state=True)
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--on", required=True)
-    sp.set_defaults(fn=cmd_rho_w)
-
-    sp = sub.add_parser("msv-check", help="extension-cocycle identity")
-    _add_common(sp, jet=True)
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    sp.add_argument("--max-weight", type=int, default=3)
-    sp.add_argument("--max-c0", type=int, default=3)
-    sp.set_defaults(fn=cmd_msv_check)
-
-    sp = sub.add_parser("ch2", help="second Chern-character cocycle")
-    _add_common(sp, jet=True)
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    sp.set_defaults(fn=cmd_ch2)
-
-    sp = sub.add_parser("c1", help="divergence (first Chern) cocycle")
-    _add_common(sp, jet=True)
-    sp.add_argument("--x", required=True)
-    sp.set_defaults(fn=cmd_c1)
-
-    sp = sub.add_parser("atiyah", help="connection-failure representative")
-    _add_common(sp, jet=True)
-    sp.add_argument("--x", required=True)
-    sp.set_defaults(fn=cmd_atiyah)
-
-    sp = sub.add_parser("pw-check", help="Polyakov-Wiegmann identity")
-    _add_common(sp, jet=True)
-    sp.add_argument("--f1", required=True)
-    sp.add_argument("--f2", required=True)
-    sp.set_defaults(fn=cmd_pw_check)
-
-    sp = sub.add_parser("gms-d1", help="derivative of the group cocycle vs ch2")
-    _add_common(sp, jet=True)
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    sp.set_defaults(fn=cmd_gms_d1)
-
-    sp = sub.add_parser("conformal-check", help="Virasoro axioms and anomaly")
-    _add_common(sp)
-    sp.add_argument("--jet-order", type=int, default=6)
-    sp.add_argument("--max-weight", type=int, default=3)
-    sp.add_argument("--max-c0", type=int, default=2)
-    sp.set_defaults(fn=cmd_conformal_check)
-
-    sp = sub.add_parser("char-identity", help="graded character identity")
-    _add_common(sp, qseries=True)
-    sp.set_defaults(fn=cmd_char_identity)
-
-    sp = sub.add_parser("witten-log", help="logarithmic Witten class table")
-    _add_common(sp, qseries=True)
-    sp.set_defaults(fn=cmd_witten_log)
-
-    sp = sub.add_parser("witten-exp-check", help="exp(log Wit) vs Wit")
-    _add_common(sp, qseries=True)
-    sp.set_defaults(fn=cmd_witten_exp_check)
-
-    sp = sub.add_parser("eisenstein", help="lattice sum vs q-expansion")
-    sp.add_argument("--weight", type=int, required=True)
-    sp.add_argument("--tau", required=True, help="a,b for tau = a + b i")
-    sp.add_argument("--cutoff", type=int, default=200)
-    sp.add_argument("--q-order", type=int, default=40)
-    sp.add_argument("--tolerance", type=float, default=1e-6)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_eisenstein)
-
-    fey = sub.add_parser("feynman", help="regulated-integral checks")
-    fsub = fey.add_subparsers(dest="feynman_command", required=True)
-
-    sp = fsub.add_parser("wheel2", help="two-vertex wheel vs contact term")
-    sp.add_argument("--profiles", required=True,
-                    help="text table: F|G cx cy radius c1 [c2 ...]")
-    sp.add_argument("--eps-schedule", default="0.1,0.05,0.02,0.01")
-    sp.add_argument("--grid", type=int, default=192)
-    sp.add_argument("--tolerance", type=float, default=0.05)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_feynman_wheel2)
-
-    sp = fsub.add_parser("t-limits", help="regulator t-integrals")
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_feynman_t_limits)
-
+    subs = {"": p.add_subparsers(dest="command", required=True)}
+    for cmd in COMMANDS:
+        group, _, leaf = cmd.name.rpartition(" ")
+        if group not in subs:
+            subs[group] = subs[""].add_parser(
+                group, help=GROUPS[group]).add_subparsers(
+                dest=f"{group}_command", required=True)
+        sp = subs[group].add_parser(leaf, help=cmd.help)
+        for f in cmd.flags:
+            sp.add_argument("--" + f.dest.replace("_", "-"), type=f.type,
+                            default=f.default, required=f.default is None,
+                            help=f.help)
+        sp.add_argument("--out", help="also write the document here")
+        sp.set_defaults(command_entry=cmd)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    cmd = args.command_entry
     try:
         _check_orders(args)
-        return args.fn(args)
+        result, checks = globals()[cmd.handler](args)
+        checks = [{"name": n, "ok": bool(ok), "detail": str(d)}
+                  for (n, ok, d) in checks]
+        _emit({"schema": SCHEMA, "command": cmd.name,
+               "params": {f.dest: getattr(args, f.dest) for f in cmd.flags
+                          if f.dest not in cmd.unrecorded},
+               "result": result, "checks": checks}, args.out)
+        return 0 if all(c["ok"] for c in checks) else 1
     except ParseError as exc:
         sys.stderr.write(exc.caret_diagnostic() + "\n")
         return 2

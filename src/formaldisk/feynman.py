@@ -27,6 +27,7 @@ memory to every process.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 
@@ -171,6 +172,15 @@ def t_integral_limits(eps):
     return first, second
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n_nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per node
+    count and shared read-only by every caller."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def t_integral_quadrature(eps, n_nodes=512):
     """The same two integrals by Gauss-Legendre quadrature (cross-check).
 
@@ -181,7 +191,7 @@ def t_integral_quadrature(eps, n_nodes=512):
     if not sys.float_info.min <= eps < 1:
         raise ShapeError(f"quadrature eps must lie in "
                          f"[{sys.float_info.min!r}, 1), got {eps!r}")
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _gauss_legendre(n_nodes)
     s0, s1 = math.log(eps), 0.0
     s = 0.5 * (s1 - s0) * x + 0.5 * (s1 + s0)
     r = eps / (np.exp(s) + eps)
@@ -202,7 +212,7 @@ def propagator(eps, length, z, w, config=DEFAULT_CONFIG):
     a = abs(z - w) ** 2 / 4.0
     # substitute t = e^s to resolve the 1/t^2 scale near eps
     s0, s1 = math.log(eps), math.log(length)
-    x, wq = np.polynomial.legendre.leggauss(config.t_nodes)
+    x, wq = _gauss_legendre(config.t_nodes)
     s = 0.5 * (s1 - s0) * x + 0.5 * (s1 + s0)
     t = np.exp(s)
     integrand = -dbar / (16.0 * math.pi * t ** 2) * np.exp(-a / t) * t

@@ -26,7 +26,7 @@ them to the kernel in one call (:func:`jet_dots`).
 Truncation semantics worth remembering:
 
 * products drop terms above order K (quotient semantics, exact);
-* ``jet_partial`` is exact on the stored representative, but as a
+* ``JetSeries.partial`` is exact on the stored representative, but as a
   statement about a genuine power series it is only trustworthy to
   order K-1 -- build inputs one order higher when that matters;
 * ``poincare_homotopy`` multiplies by coordinates, so its output is
@@ -271,17 +271,6 @@ class JetSeries:
         if order is None:
             order = min(self.order, args[0].order)
         return Substitution(args, order).jet(self)
-
-
-# -- spec-named operations ----------------------------------------------------
-
-def jet_mul(a: JetSeries, b: JetSeries) -> JetSeries:
-    """Product in the truncated ring; commutative and associative there."""
-    return a * b
-
-
-def jet_partial(a: JetSeries, i: int) -> JetSeries:
-    return a.partial(i)
 
 
 class FormalForm:
@@ -766,42 +755,13 @@ def jacobian(phi: JetAutomorphism) -> JetMatrix:
                       for i in range(n)])
 
 
-def _automorphism_invert(phi: JetAutomorphism) -> JetAutomorphism:
-    """Order-by-order solve of phi(psi(t)) = t from the linear part down."""
-    n, order = phi.n, phi.order
-    ainv = _matrix_inverse(phi.linear_part())
-    if ainv is None:
-        raise InvertibilityError("linear part is singular")
-    high = []  # degree >= 2 part of phi
-    for f in phi.comps:
-        high.append(JetSeries(n, order,
-                              {e: c for e, c in f.coeffs.items() if sum(e) >= 2},
-                              _clean=True))
-
-    def lin_solve(rhs):
-        # psi_i = sum_j ainv[i][j] rhs_j
-        return [sum((rhs[j].scale(ainv[i][j]) for j in range(n)),
-                    JetSeries.zero(n, order))
-                for i in range(n)]
-
-    t_vars = [JetSeries.variable(n, order, i + 1) for i in range(n)]
-    psi = lin_solve(t_vars)
-    for _ in range(order):
-        sub = Substitution(psi, order)
-        corr = [sub.jet(h) for h in high]
-        psi = lin_solve([t_vars[j] - corr[j] for j in range(n)])
-    return JetAutomorphism(n, order, psi)
-
-
 def jet_invert(x):
-    """Two-sided inverse to order K of a JetMatrix or JetAutomorphism."""
+    """Two-sided inverse to order K of a JetMatrix."""
     if isinstance(x, JetMatrix):
         inv = _matrix_inverse(x.entries)
         if inv is None:
             raise InvertibilityError("constant term of matrix is singular")
         return JetMatrix(x.n, x.order, inv)
-    if isinstance(x, JetAutomorphism):
-        return _automorphism_invert(x)
     raise ShapeError(f"cannot invert {type(x).__name__}")
 
 

@@ -1,15 +1,20 @@
 """CLI: dispatch, document shape, determinism, exit codes."""
 
 import contextlib
+import importlib.util
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from formaldisk import cli
 from formaldisk.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_cli(args, tmp_path=None):
@@ -187,6 +192,17 @@ class TestContract:
         r = run_cli(["c1", "--rank", "1", "--x", "t1^2 d1"])
         assert out.read_text() == r.stdout
 
+    def test_unwritable_out_is_exit_two_with_nothing_printed(self, tmp_path,
+                                                             capsys):
+        out = tmp_path / "missing" / "doc.json"
+        assert main(["c1", "--rank", "2", "--x", "t1 d1",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot write --out {out}: "
+                                "No such file or directory\n")
+        assert not out.parent.exists()
+
     def test_verification_failure_is_exit_one(self, capsys):
         # an equality that genuinely fails: wrong-weight Eisenstein tolerance
         code, doc = run_inproc(["eisenstein", "--weight", "4", "--tau",
@@ -295,6 +311,40 @@ class TestContract:
         payload = doc["result"]["payload"]
         pol = TruncationPolicy(8, 10)
         assert parse_state(payload, 2, pol) is not None
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGoldens:
+    def test_every_cli_mix_golden_replays_byte_for_byte(self, monkeypatch):
+        # the goldens name the profiles file relative to the checkout root
+        monkeypatch.chdir(ROOT)
+        workloads = _load_workloads()
+        goldens = workloads.load_goldens()
+        assert len(goldens) == 17
+        mismatched = [g["name"] for g in goldens
+                      if not workloads.golden_matches(
+                          g, workloads.run_cli(g["argv"]))]
+        assert mismatched == []
+
+    def test_main_reaches_a_handler_rebound_after_the_first_call(
+            self, monkeypatch, capsys):
+        argv = ["c1", "--rank", "1", "--x", "t1^2 d1"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert cli.build_parser() is cli.build_parser()
+        real, calls = cli.cmd_c1, []
+        monkeypatch.setattr(cli, "cmd_c1",
+                            lambda args: calls.append(args.x) or real(args))
+        assert main(argv) == 0
+        assert calls == ["t1^2 d1"]
+        assert capsys.readouterr().out == first
 
 
 PROFILES = "F -0.3 0 1.0 0 1.0\nG 0.3 0 1.0 0 0.5 0.5\n"

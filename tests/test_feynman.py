@@ -8,6 +8,7 @@ import pytest
 from formaldisk.characters import LatticeSpec, eisenstein_lattice
 from formaldisk.constants import WHEEL_NORMALIZATION
 from formaldisk.errors import ShapeError
+from formaldisk import feynman
 from formaldisk.feynman import (BumpField, QuadConfig, extrapolate_schedule,
                                 heat_kernel, product_dz_values, product_values,
                                 propagator, propagator_closed_form,
@@ -67,6 +68,20 @@ class TestTIntegrals:
             quad = t_integral_quadrature(eps)
             assert abs(closed[0] - quad[0]) < 1e-12
             assert abs(closed[1] - quad[1]) < 1e-12
+
+    def test_nodes_are_computed_once_per_count(self):
+        feynman._gauss_legendre.cache_clear()
+        first = t_integral_quadrature(1e-5)
+        assert feynman._gauss_legendre.cache_info().misses == 1
+        assert t_integral_quadrature(1e-5) == first
+        info = feynman._gauss_legendre.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        nodes, weights = feynman._gauss_legendre(512)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(512)
+        assert nodes.tobytes() == ref_nodes.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
 
     def test_domain(self):
         with pytest.raises(ShapeError):

@@ -12,10 +12,9 @@ from formaldisk.jets import (FormalForm, FormalVectorField, FormMatrix,
                              JetAutomorphism, JetMatrix, JetSeries,
                              basis_monomial_fields, contract, de_rham,
                              integrate_var, jacobian, jet_compose, jet_invert,
-                             jet_mul, jet_partial, lie_derivative,
-                             matrix_products, poincare_homotopy,
-                             pullback_form, pullback_jet, staircase_primitive,
-                             trace_products, wedge)
+                             lie_derivative, matrix_products,
+                             poincare_homotopy, pullback_form, pullback_jet,
+                             staircase_primitive, trace_products, wedge)
 from formaldisk.jets import Substitution
 from tests.conftest import SU_JETS
 
@@ -33,28 +32,28 @@ def jets_strategy(n, order, max_terms=4):
 
 class TestJetSeries:
     def test_difference_of_squares(self):
-        assert jet_mul(ONE2 + T1, ONE2 - T1) == ONE2 - T1 * T1
+        assert (ONE2 + T1) * (ONE2 - T1) == ONE2 - T1 * T1
 
     def test_truncation_kills_top_degree(self):
         t = JetSeries.variable(1, 1, 1)
-        assert jet_mul(t, t).is_zero()
+        assert (t * t).is_zero()
 
     def test_binomial_square(self):
         assert (T1 + T2) ** 2 == T1 * T1 + (T1 * T2).scale(2) + T2 * T2
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            jet_mul(T1, JetSeries.variable(2, 4, 1))
+            T1 * JetSeries.variable(2, 4, 1)
         with pytest.raises(ShapeError):
-            jet_mul(T1, JetSeries.variable(1, 3, 1))
+            T1 * JetSeries.variable(1, 3, 1)
 
     def test_partial_examples(self):
-        assert jet_partial(T1 * T1 * T2, 1) == (T1 * T2).scale(2)
-        assert jet_partial(T1, 2).is_zero()
+        assert (T1 * T1 * T2).partial(1) == (T1 * T2).scale(2)
+        assert T1.partial(2).is_zero()
         t = JetSeries.variable(1, 3, 1)
-        assert jet_partial(t ** 3, 1) == (t * t).scale(3)
+        assert (t ** 3).partial(1) == (t * t).scale(3)
         with pytest.raises(ShapeError):
-            jet_partial(T1, 3)
+            T1.partial(3)
 
     @settings(max_examples=60, deadline=None)
     @given(jets_strategy(2, 4), jets_strategy(2, 4), jets_strategy(2, 4))
@@ -67,8 +66,8 @@ class TestJetSeries:
     @given(jets_strategy(2, 4), jets_strategy(2, 4))
     def test_leibniz(self, a, b):
         for i in (1, 2):
-            lhs = jet_partial(a * b, i)
-            rhs = jet_partial(a, i) * b + a * jet_partial(b, i)
+            lhs = (a * b).partial(i)
+            rhs = a.partial(i) * b + a * b.partial(i)
             # the product rule loses the top order of the product
             assert lhs.with_order(3) == rhs.with_order(3)
 
@@ -93,7 +92,7 @@ class TestJetSeries:
     def test_integrate_var_inverts_partial(self):
         f = T1 * T2 + T2 ** 2
         g = integrate_var(f, 1)
-        assert jet_partial(g, 1).with_order(3) == f
+        assert g.partial(1).with_order(3) == f
 
     def test_no_zero_coefficients_stored(self):
         f = T1 - T1
@@ -288,10 +287,10 @@ class TestAutomorphisms:
         assert jet_compose(idn, phi) == phi
         comp = jet_compose(phi, phi)
         assert comp.comps[0] == t + (t * t).scale(2) + (t ** 3).scale(2)
-        inv = jet_invert(phi)
-        assert inv.comps[0] == t - t * t + (t ** 3).scale(2)
-        assert jet_compose(phi, inv) == idn
-        assert jet_compose(inv, phi) == idn
+
+    def test_only_matrices_are_inverted(self):
+        with pytest.raises(ShapeError):
+            jet_invert(JetAutomorphism.identity(1, 3))
 
     def test_constant_term_rejected(self):
         t = JetSeries.variable(1, 3, 1)
@@ -383,13 +382,6 @@ class TestAutomorphisms:
         # one product per entry of m, none with an off-diagonal zero
         assert len(pairs) == 4
         assert all(a and b for a, b in pairs)
-
-    def test_invert_compose_roundtrip(self, rng):
-        from tests.conftest import random_unipotent
-        for n in (1, 2, 3):
-            phi = random_unipotent(rng, n, 4)
-            assert jet_compose(phi, jet_invert(phi)) == \
-                JetAutomorphism.identity(n, 4)
 
 
 # coefficient rings of the inverse tests, each with its one: Q as int and as

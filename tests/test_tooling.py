@@ -108,6 +108,22 @@ def test_poly_dots_is_looked_up_on_the_kernel(monkeypatch):
     assert len(calls) > 0
 
 
+def test_traced_main_records_a_handler_span(capsys):
+    argv = ["c1", "--rank", "1", "--x", "t1^2 d1"]
+    # the first call builds the parser before the spans are installed
+    assert formaldisk.cli.main(argv) == 0
+    t = _load_tracer().Tracer()
+    try:
+        t.install()
+        assert formaldisk.cli.main(argv) == 0
+    finally:
+        t.restore()
+    capsys.readouterr()
+    assert t.metric("cli.handler", "calls") == 1
+    # main and _emit share the span name
+    assert t.metric("cli.main", "calls") == 2
+
+
 def test_cli_imports_every_traced_module_and_numpy_only_for_feynman():
     modules = sorted({module for module, _, _, _ in _load_tracer().TARGETS})
     env = dict(os.environ)
