@@ -1,6 +1,6 @@
 """formaldisk: exact calculus on the formal n-disk and its vertex algebra.
 
-Subpackages follow the mathematical layering: ``jets`` holds truncated
+Modules follow the mathematical layering: ``jets`` holds truncated
 formal geometry over exact rationals, ``vertex`` the free-field vertex
 algebra mode calculus, ``hc`` the vector-field and linear-group actions,
 ``gf``/``gms`` the Lie- and group-level characteristic cocycles,

@@ -151,7 +151,7 @@ def jet_exp(f: JetSeries, one) -> JetSeries:
 
 
 def qseries_eval_complex(qs: JetSeries, q: complex) -> complex:
-    """Numeric evaluation of a rational q-series (testing/NUMERICS aid)."""
+    """Numeric evaluation of a rational q-series at a complex q."""
     acc = 0j
     for (m,), c in sorted(qs.coeffs.items()):
         acc += complex(c) * q ** m

@@ -9,6 +9,7 @@ matching the divergence class up to one calibrated sign.
 
 from __future__ import annotations
 
+from .constants import CONFORMAL_ANOMALY_SIGN
 from .errors import ShapeError
 from .gf import c1_gf
 from .hc import rho_w, state_to_jet, tau_omega1
@@ -70,7 +71,6 @@ def c1_defect(x: FormalVectorField, policy=None):
     the operator kills the image of tau_omega1 (the T c_0 span), and
     ``matches`` compares alpha_form with the calibrated sign times c1(X).
     """
-    from .constants import CONFORMAL_ANOMALY_SIGN
     n, order = x.n, x.order
     if policy is None:
         policy = TruncationPolicy(6, max(8, order + 2))

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import re
+
 
 class FormalDiskError(Exception):
     """Base class for all package errors."""
@@ -30,5 +32,9 @@ class ParseError(FormalDiskError):
         self.pos = pos
 
     def caret_diagnostic(self) -> str:
-        line = self.text
-        return f"{line}\n{' ' * self.pos}^ {self.args[0]}"
+        """The line of the text that holds the position, each blank shown
+        as one space, and under it a caret at the position."""
+        start = self.text.rfind("\n", 0, self.pos) + 1
+        end = self.text.find("\n", self.pos)
+        line = re.sub(r"\s", " ", self.text[start:end if end >= 0 else None])
+        return f"{line}\n{' ' * (self.pos - start)}^ {self.args[0]}"

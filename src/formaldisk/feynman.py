@@ -31,6 +31,7 @@ import functools
 import math
 import sys
 
+from .constants import WHEEL_NORMALIZATION
 from .errors import ShapeError
 
 
@@ -332,7 +333,6 @@ def wheel2_check(fields_f, fields_g, config=DEFAULT_CONFIG):
     normalized weight, the rhs, and the relative error; profiles so large
     that one of these overflows are refused.
     """
-    from .constants import WHEEL_NORMALIZATION
     _check_regulators(config.eps_schedule)
     with np.errstate(all="ignore"):
         zz, h, fa = _grid_and_f(fields_f, fields_g, config)

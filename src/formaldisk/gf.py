@@ -16,7 +16,7 @@ from itertools import permutations
 
 from .errors import ShapeError
 from .jets import (FormalForm, FormalVectorField, FormMatrix, JetSeries,
-                   de_rham, vf_bracket, wedge)
+                   de_rham, lie_derivative, vf_bracket, wedge)
 
 
 def atiyah_rep(x: FormalVectorField) -> FormMatrix:
@@ -153,20 +153,15 @@ class LieCochainEval:
 
     __slots__ = ("arity", "evaluate", "action")
 
-    def __init__(self, arity, evaluate, action=None):
+    def __init__(self, arity, evaluate, action=lie_derivative):
         self.arity = arity
         self.evaluate = evaluate
-        self.action = action if action is not None else lie_derivative_action
+        self.action = action
 
     def __call__(self, *fields):
         if len(fields) != self.arity:
             raise ShapeError(f"cochain has arity {self.arity}, got {len(fields)}")
         return self.evaluate(*fields)
-
-
-def lie_derivative_action(x, value):
-    from .jets import lie_derivative
-    return lie_derivative(x, value)
 
 
 def ce_diff_eval(phi: LieCochainEval, *fields):

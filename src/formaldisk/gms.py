@@ -54,6 +54,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations
 
+from .constants import GMS_D1_SCALE
 from .errors import ShapeError
 from .gf import ch2_gf
 from .jets import (FormalForm, FormalVectorField, JetAutomorphism, JetMatrix,
@@ -321,7 +322,6 @@ def d1_compare(x: FormalVectorField, y: FormalVectorField):
     and the three mu terms are therefore not formed.
     Returns (lie_level_form, ch2_form, verdict).
     """
-    from .constants import GMS_D1_SCALE
     if not (x.vanishes_at_origin() and y.vanishes_at_origin()):
         raise ShapeError("d1_compare needs fields vanishing at the origin")
     if x.n != y.n or x.order != y.order:

@@ -1,14 +1,18 @@
-"""Shared textual grammar for jets, forms, vector fields, and states.
-
-Grammar, shared with the CLI:
+"""Textual grammar for jets, forms, vector fields, states and automorphism
+jets, shared with the CLI:
 
 * rationals ``-?\\d+(/\\d+)?``; variables ``t1..tn``; powers ``^``;
   products ``*`` (or juxtaposition); sums ``+``/``-``;
 * ``d<i>`` is the vector-field direction d/dt_i, ``dt<i>`` the 1-form
   generator, and ``^`` between ``dt`` factors is the wedge;
-* states use ``b[<j>,<m>]``, ``c[<j>,<m>]``, ``vac`` for the vacuum.
+* states use ``b[<j>,<m>]``, ``c[<j>,<m>]``, ``vac`` for the vacuum;
+* an automorphism jet is ``(e1, ..., en)``, n scalar components.
 
 Example: ``2/3*t1^2*t2 d1 + t2 d2``.
+
+The parser builds the package's own values, a :class:`JetSeries` for a
+scalar.  Where a sum or an entry point needs another kind, a scalar becomes
+a form, a constant scalar a state, and zero a vector field.
 
 Every formatter below emits a canonical string (graded-lexicographic term
 order) that re-parses to an equal value; the CLI relies on that round trip.
@@ -19,9 +23,10 @@ makes zero is a :class:`ParseError` at its operator: over Q only truncation
 can do that, and a check run on the lost value would pass vacuously.  So is
 a variable ``t_i`` at jet order 0 (in a state, where the order is 0, a
 variable is refused outright).  Form products are exempt, since
-``dt1^dt1 = 0`` is genuine.  Errors inside an automorphism component point
-into the full parenthesized text.  Parentheses nest at most
-``MAX_NESTING`` deep; a deeper ``(`` is a :class:`ParseError` at it.
+``dt1^dt1 = 0`` is genuine.  Parentheses, the automorphism's own included,
+nest at most ``MAX_NESTING`` deep; a deeper ``(`` is a :class:`ParseError`
+at it.  An exponent above ``MAX_EXPONENT`` is one too, at the exponent,
+when the base's constant term is a rational other than 0 and +-1.
 """
 
 from __future__ import annotations
@@ -30,12 +35,17 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError, ShapeError
-from .jets import FormalForm, FormalVectorField, JetAutomorphism, JetSeries
+from .jets import (FormalForm, FormalVectorField, JetAutomorphism, JetSeries,
+                   wedge)
 from .vertex import KIND_B, KIND_C, VAState, sym_key
 
-# each level of parentheses costs the recursive descent five frames, so
+# each level of parentheses costs the recursive descent six frames, so
 # this keeps a parse far below the interpreter's recursion limit
 MAX_NESTING = 100
+# c^k for a rational c other than 0 and +-1 has a numerator or denominator
+# of at least k bits, so 2^3000000000 would take minutes and gigabytes;
+# a constant term of 0 or +-1 keeps a power's coefficients polynomial in k
+MAX_EXPONENT = 1000
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -48,6 +58,10 @@ _TOKEN_RE = re.compile(r"""
   | (?P<op>[-+*^(),])
 """, re.VERBOSE)
 
+# the kind of each value, as diagnostics name it
+_KIND = {JetSeries: "scalar", FormalForm: "form", FormalVectorField: "vf",
+         VAState: "state"}
+
 
 def _tokenize(text):
     tokens = []
@@ -56,26 +70,33 @@ def _tokenize(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError("unrecognized input", text, pos)
-        if m.lastgroup != "ws" and not m.group("ws"):
-            kind = None
-            for name in ("number", "dt", "dd", "tvar", "bc", "vac", "op"):
-                if m.group(name):
-                    kind = name
-                    break
-            tokens.append((kind, m, pos))
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m, pos))
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
 
 
-class _Val:
-    """Parsed value: one of scalar | form | vf | state."""
+def _constant(x):
+    """A jet's constant term, a form's degree-0 one, a state's vacuum
+    coefficient."""
+    if isinstance(x, VAState):
+        return x.coefficient(())
+    if isinstance(x, FormalForm):
+        x = x.component(())
+    return x.constant_term()
 
-    __slots__ = ("kind", "payload")
 
-    def __init__(self, kind, payload):
-        self.kind = kind
-        self.payload = payload
+def _power(x, k, mul):
+    """x^k for k >= 1, in at most 2*log2(k) products."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else mul(out, x)
+        k >>= 1
+        if not k:
+            return out
+        x = mul(x, x)
 
 
 class _Parser:
@@ -110,39 +131,34 @@ class _Parser:
 
     # -- value helpers --------------------------------------------------------
 
-    def promote(self, v, kind):
-        if v.kind == kind:
+    def promote(self, v, cls, expected=None, pos=None):
+        """``v`` as a ``cls``: a scalar becomes a form, a constant scalar a
+        state, zero a vector field.  Anything else is an error, which an
+        entry point words as ``expected``."""
+        if isinstance(v, cls):
             return v
-        if v.kind == "scalar":
-            if kind == "form":
-                return _Val("form", FormalForm.from_jet(v.payload))
-            if kind == "state":
-                if self.policy is None:
-                    self.error("state symbols are not allowed in this context")
-                return _Val("state", self.jet_to_state(v.payload))
-            if kind == "vf" and v.payload.is_zero():
-                return _Val("vf", FormalVectorField.zero(self.n, self.order))
-        self.error(f"expected a {kind}, found a {v.kind}")
-
-    def jet_to_state(self, f):
-        c = f.constant_term()
-        if f != JetSeries.const(self.n, f.order, c):
-            self.error("non-constant scalar cannot be a state")
-        return VAState.vacuum(self.n, self.policy).scale(c)
+        if isinstance(v, JetSeries):
+            if cls is FormalForm:
+                return FormalForm.from_jet(v)
+            if cls is VAState:
+                c = v.constant_term()
+                if v != JetSeries.const(self.n, v.order, c):
+                    self.error("non-constant scalar cannot be a state", pos)
+                return VAState.vacuum(self.n, self.policy).scale(c)
+            if cls is FormalVectorField and v.is_zero():
+                return FormalVectorField.zero(self.n, self.order)
+        found = _KIND[type(v)]
+        self.error(f"{expected}, got a {found}" if expected else
+                   f"expected a {_KIND[cls]}, found a {found}", pos)
 
     def add(self, a, b):
-        if a.kind != b.kind:
-            if "state" in (a.kind, b.kind):
-                a = self.promote(a, "state")
-                b = self.promote(b, "state")
-            elif "form" in (a.kind, b.kind):
-                a = self.promote(a, "form")
-                b = self.promote(b, "form")
-            elif "vf" in (a.kind, b.kind):
-                a = self.promote(a, "vf")
-                b = self.promote(b, "vf")
+        if type(a) is not type(b):
+            # the sum is a state if a term is, else a form, else a field
+            cls = next(c for c in (VAState, FormalForm, FormalVectorField)
+                       if c in (type(a), type(b)))
+            a, b = self.promote(a, cls), self.promote(b, cls)
         try:
-            return _Val(a.kind, a.payload + b.payload)
+            return a + b
         except ShapeError as exc:
             self.error(str(exc))
 
@@ -154,35 +170,52 @@ class _Parser:
                        f"{self.order}; raise --jet-order", pos)
 
     def mul(self, a, b, pos):
-        from .jets import wedge
-        order = (a.kind, b.kind)
-        if order == ("scalar", "scalar"):
-            out = a.payload * b.payload
-            self.check_truncation((a.payload, b.payload), out, pos)
-            return _Val("scalar", out)
-        if "scalar" in order:
-            s, other = (a, b) if a.kind == "scalar" else (b, a)
-            if other.kind == "form":
-                return _Val("form", other.payload.scale_jet(s.payload))
-            if other.kind == "vf":
-                out = FormalVectorField(
-                    self.n, self.order,
-                    [f * s.payload for f in other.payload.comps])
-                self.check_truncation((s.payload, other.payload), out, pos)
-                return _Val("vf", out)
-            if other.kind == "state":
-                return _Val("state", self.scale_state(other.payload, s.payload))
-        if order == ("form", "form"):
-            return _Val("form", wedge(a.payload, b.payload))
-        if order == ("state", "state"):
-            return _Val("state", a.payload * b.payload)
-        self.error(f"cannot multiply a {a.kind} by a {b.kind}")
+        if isinstance(b, JetSeries) and not isinstance(a, JetSeries):
+            a, b = b, a  # a scalar factor commutes with every value
+        if isinstance(a, JetSeries):
+            if isinstance(b, JetSeries):
+                out = a * b
+            elif isinstance(b, FormalVectorField):
+                out = FormalVectorField(self.n, self.order,
+                                        [f * a for f in b.comps])
+            else:
+                return self.mul(self.promote(a, type(b)), b, pos)
+            self.check_truncation((a, b), out, pos)
+            return out
+        if isinstance(a, FormalForm) and isinstance(b, FormalForm):
+            return wedge(a, b)
+        if isinstance(a, VAState) and isinstance(b, VAState):
+            return a * b
+        self.error(f"cannot multiply a {_KIND[type(a)]} by a "
+                   f"{_KIND[type(b)]}")
 
-    def scale_state(self, state, jet):
-        c = jet.constant_term()
-        if jet != JetSeries.const(self.n, self.order, c):
-            self.error("non-constant scalar cannot scale a state")
-        return state.scale(c)
+    def power(self, x, k, op_pos, pos):
+        if isinstance(x, FormalVectorField):
+            self.error("cannot exponentiate a vector field", pos)
+        if k > MAX_EXPONENT and _constant(x) not in (0, 1, -1):
+            self.error(f"exponent above {MAX_EXPONENT} would build an "
+                       "unbounded rational", pos)
+        if isinstance(x, JetSeries):
+            out = x ** k
+            self.check_truncation((x,), out, op_pos)
+            return out
+        if isinstance(x, FormalForm):
+            if not k:
+                return JetSeries.one(self.n, self.order)
+            return _power(x, k, wedge)
+        vac = VAState.vacuum(self.n, self.policy)
+        c = x.coefficient(())
+        if x == vac.scale(c):
+            return vac.scale(c ** k)
+        # factor by factor, so that a power past a strict policy names the
+        # first monomial past it: each symbol adds one or more to the weight
+        # or the c0-degree, so that comes within max_weight + max_c0 + 1
+        out = vac
+        for _ in range(k):
+            out = out * x
+            if out.is_zero():
+                break
+        return out
 
     # -- grammar ---------------------------------------------------------------
 
@@ -192,24 +225,19 @@ class _Parser:
             if self.accept_op("+"):
                 val = self.add(val, self.parse_signed_term())
             elif self.accept_op("-"):
-                val = self.add(val, self.negate(self.parse_signed_term()))
+                val = self.add(val, -self.parse_signed_term())
             else:
                 return val
-
-    def negate(self, v):
-        return _Val(v.kind, -v.payload)
 
     def parse_signed_term(self):
         neg = False
         while True:
             if self.accept_op("-"):
                 neg = not neg
-            elif self.accept_op("+"):
-                pass
-            else:
+            elif not self.accept_op("+"):
                 break
         val = self.parse_product()
-        return self.negate(val) if neg else val
+        return -val if neg else val
 
     _ATOM_STARTS = {"number", "dt", "dd", "tvar", "bc", "vac"}
 
@@ -225,40 +253,19 @@ class _Parser:
             return val
 
     def parse_power(self):
-        from .jets import wedge
         base = self.parse_atom()
         while self.accept_op("^"):
             op_pos = self.tokens[self.i - 1][2]
             kind, m, pos = self.peek()
             if kind == "dt":
-                if base.kind != "form":
+                if not isinstance(base, FormalForm):
                     self.error("wedge requires form factors", pos)
-                nxt = self.parse_atom()
-                base = _Val("form", wedge(base.payload, nxt.payload))
+                base = wedge(base, self.parse_atom())
                 continue
             if kind != "number" or "/" in m.group("number"):
                 self.error("exponent must be a non-negative integer", pos)
             self.next()
-            k = int(m.group("number"))
-            if base.kind == "scalar":
-                out = base.payload ** k
-                self.check_truncation((base.payload,), out, op_pos)
-                base = _Val("scalar", out)
-            elif base.kind == "form":
-                if k == 0:
-                    base = _Val("scalar", JetSeries.one(self.n, self.order))
-                else:
-                    acc = base
-                    for _ in range(k - 1):
-                        acc = _Val("form", wedge(acc.payload, base.payload))
-                    base = acc
-            elif base.kind == "state":
-                acc = VAState.vacuum(self.n, self.policy)
-                for _ in range(k):
-                    acc = acc * base.payload
-                base = _Val("state", acc)
-            else:
-                self.error("cannot exponentiate a vector field", pos)
+            base = self.power(base, int(m.group("number")), op_pos, pos)
         return base
 
     def parse_atom(self):
@@ -268,7 +275,7 @@ class _Parser:
                 value = Fraction(m.group("number"))
             except ZeroDivisionError:
                 self.error("zero denominator", pos)
-            return _Val("scalar", JetSeries.const(self.n, self.order, value))
+            return JetSeries.const(self.n, self.order, value)
         if kind == "tvar":
             i = int(m.group("ti"))
             if not 1 <= i <= self.n:
@@ -280,49 +287,53 @@ class _Parser:
                     self.error(f"variable t{i} cannot appear in a state", pos)
                 self.error(f"variable t{i} is zero at jet order {self.order}; "
                            "raise --jet-order", pos)
-            return _Val("scalar", JetSeries.variable(self.n, self.order, i))
+            return JetSeries.variable(self.n, self.order, i)
         if kind == "dt":
             i = int(m.group("dti"))
             if not 1 <= i <= self.n:
                 self.error(f"dt{i} out of range for rank {self.n}", pos)
-            return _Val("form", FormalForm.dt(self.n, self.order, i))
+            return FormalForm.dt(self.n, self.order, i)
         if kind == "dd":
             i = int(m.group("ddi"))
             if not 1 <= i <= self.n:
                 self.error(f"direction d{i} out of range for rank {self.n}", pos)
-            comps = [JetSeries.zero(self.n, self.order) for _ in range(self.n)]
-            comps[i - 1] = JetSeries.one(self.n, self.order)
-            return _Val("vf", FormalVectorField(self.n, self.order, comps))
+            return FormalVectorField.monomial(self.n, self.order,
+                                              (0,) * self.n, i)
+        if kind in ("bc", "vac") and self.policy is None:
+            self.error("state symbols are not allowed in this context", pos)
         if kind == "bc":
-            if self.policy is None:
-                self.error("state symbols are not allowed in this context", pos)
             sym_kind = KIND_B if m.group("bc").startswith("b") else KIND_C
             j, mm = int(m.group("bcj")), int(m.group("bcm"))
             if not 1 <= j <= self.n:
                 self.error(f"generator index {j} out of range", pos)
             try:
-                return _Val("state", VAState.generator(
-                    self.n, self.policy, sym_kind, j, mm))
+                return VAState.generator(self.n, self.policy, sym_kind, j, mm)
             except ShapeError as exc:
                 self.error(str(exc), pos)
         if kind == "vac":
-            if self.policy is None:
-                self.error("state symbols are not allowed in this context", pos)
-            return _Val("state", VAState.vacuum(self.n, self.policy))
+            return VAState.vacuum(self.n, self.policy)
         if kind == "op" and m.group("op") == "(":
-            if self.depth == MAX_NESTING:
-                self.error(f"parentheses nested deeper than {MAX_NESTING}",
-                           pos)
-            self.depth += 1
-            val = self.parse_expr()
-            if not self.accept_op(")"):
-                self.error("expected ')'")
-            self.depth -= 1
-            return val
+            return self.parse_group(pos)[0]
         self.error("expected a value", pos)
 
-    def parse_complete(self):
-        val = self.parse_expr()
+    def parse_group(self, pos, cls=None):
+        """The values between the ``(`` at ``pos`` and its ``)``: one, or
+        given ``cls`` as many as commas separate, each made a ``cls``."""
+        if self.depth == MAX_NESTING:
+            self.error(f"parentheses nested deeper than {MAX_NESTING}", pos)
+        self.depth += 1
+        vals = [self.parse_expr()]
+        if cls is not None:
+            vals = [self.promote(vals[0], cls)]
+            while self.accept_op(","):
+                vals.append(self.promote(self.parse_expr(), cls))
+        if not self.accept_op(")"):
+            self.error("expected ')'")
+        self.depth -= 1
+        return vals
+
+    def end(self, val):
+        """``val``, once the whole text is read."""
         kind, _, pos = self.peek()
         if kind != "end":
             self.error("trailing input", pos)
@@ -332,74 +343,40 @@ class _Parser:
 def parse_value(text, n, order=None, policy=None):
     """Parse to whichever of scalar/form/vector-field/state the text denotes."""
     p = _Parser(text, n, order=order, policy=policy)
-    return p.parse_complete()
+    return p.end(p.parse_expr())
+
+
+def _parse_as(cls, expected, text, n, order, policy=None):
+    p = _Parser(text, n, order=order, policy=policy)
+    return p.promote(p.end(p.parse_expr()), cls, expected, 0)
 
 
 def parse_scalar(text, n, order) -> JetSeries:
-    v = parse_value(text, n, order=order)
-    if v.kind != "scalar":
-        raise ParseError(f"expected a scalar expression, got a {v.kind}", text, 0)
-    return v.payload
+    return _parse_as(JetSeries, "expected a scalar expression", text, n, order)
 
 
 def parse_vector_field(text, n, order) -> FormalVectorField:
-    v = parse_value(text, n, order=order)
-    if v.kind == "scalar" and v.payload.is_zero():
-        return FormalVectorField.zero(n, order)
-    if v.kind != "vf":
-        raise ParseError(f"expected a vector field, got a {v.kind}", text, 0)
-    return v.payload
+    return _parse_as(FormalVectorField, "expected a vector field", text, n,
+                     order)
 
 
 def parse_form(text, n, order) -> FormalForm:
-    v = parse_value(text, n, order=order)
-    if v.kind == "scalar":
-        return FormalForm.from_jet(v.payload)
-    if v.kind != "form":
-        raise ParseError(f"expected a form, got a {v.kind}", text, 0)
-    return v.payload
+    return _parse_as(FormalForm, "expected a form", text, n, order)
 
 
 def parse_state(text, n, policy) -> VAState:
-    v = parse_value(text, n, order=0, policy=policy)
-    if v.kind == "scalar":
-        p = _Parser(text, n, order=0, policy=policy)
-        return p.jet_to_state(v.payload)
-    if v.kind != "state":
-        raise ParseError(f"expected a state, got a {v.kind}", text, 0)
-    return v.payload
+    return _parse_as(VAState, "expected a state", text, n, 0, policy)
 
 
 def parse_automorphism(text, n, order) -> JetAutomorphism:
     """Comma-separated component list, e.g. ``(t1+t2^2, t2)``."""
-    s = text.strip()
-    if not (s.startswith("(") and s.endswith(")")):
-        raise ParseError("automorphism must be parenthesized components", text, 0)
-    body = s[1:-1]
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append((start, body[start:i]))
-            start = i + 1
-    parts.append((start, body[start:]))
-    if len(parts) != n:
-        raise ParseError(f"expected {n} components, got {len(parts)}", text, 0)
-    # a component's errors point into the full text: past the leading
-    # blanks, the "(" and the components before it
-    body_pos = len(text) - len(text.lstrip()) + 1
-    comps = []
-    for start, part in parts:
-        try:
-            comps.append(parse_scalar(part, n, order))
-        except ParseError as exc:
-            raise ParseError(exc.args[0], text,
-                             body_pos + start + exc.pos) from None
+    p = _Parser(text, n, order=order)
+    pos = p.peek()[2]
+    if not p.accept_op("("):
+        p.error("automorphism must be parenthesized components", 0)
+    comps = p.end(p.parse_group(pos, JetSeries))
+    if len(comps) != n:
+        p.error(f"expected {n} components, got {len(comps)}", 0)
     return JetAutomorphism(n, order, comps)
 
 
@@ -427,45 +404,32 @@ def _format_terms(terms):
     return "".join(chunks)
 
 
-def _mono_str(e):
-    parts = []
-    for i, k in enumerate(e):
-        if k == 0:
-            continue
-        parts.append(f"t{i + 1}" if k == 1 else f"t{i + 1}^{k}")
-    return "*".join(parts)
+def _jet_terms(f, tail="", sep=""):
+    """(coefficient, body) of each term of the jet f in graded-lex order;
+    a body is the monomial, then ``sep`` and ``tail`` when both are
+    nonempty."""
+    terms = []
+    for e in sorted(f.coeffs, key=lambda e: (sum(e), e)):
+        mono = "*".join(f"t{i}" if k == 1 else f"t{i}^{k}"
+                        for i, k in enumerate(e, 1) if k)
+        terms.append((f.coeffs[e], sep.join(filter(None, (mono, tail)))))
+    return terms
 
 
 def format_jet(f: JetSeries) -> str:
-    terms = []
-    for e in sorted(f.coeffs, key=lambda e: (sum(e), e)):
-        terms.append((f.coeffs[e], _mono_str(e)))
-    return _format_terms(terms)
+    return _format_terms(_jet_terms(f))
 
 
 def format_form(w: FormalForm) -> str:
-    if w.degree == 0:
-        return format_jet(w.component(()))
-    terms = []
-    for idx in sorted(w.comps):
-        dts = "^".join(f"dt{i}" for i in idx)
-        f = w.comps[idx]
-        for e in sorted(f.coeffs, key=lambda e: (sum(e), e)):
-            mono = _mono_str(e)
-            body = f"{mono}*{dts}" if mono else dts
-            terms.append((f.coeffs[e], body))
-    return _format_terms(terms)
+    return _format_terms([
+        term for idx in sorted(w.comps)
+        for term in _jet_terms(w.comps[idx],
+                               "^".join(f"dt{i}" for i in idx), "*")])
 
 
 def format_vf(x: FormalVectorField) -> str:
-    terms = []
-    for j in range(1, x.n + 1):
-        f = x.comps[j - 1]
-        for e in sorted(f.coeffs, key=lambda e: (sum(e), e)):
-            mono = _mono_str(e)
-            body = f"{mono} d{j}" if mono else f"d{j}"
-            terms.append((f.coeffs[e], body))
-    return _format_terms(terms)
+    return _format_terms([term for j, f in enumerate(x.comps, 1)
+                          for term in _jet_terms(f, f"d{j}", " ")])
 
 
 def format_state(v: VAState) -> str:
@@ -475,15 +439,9 @@ def format_state(v: VAState) -> str:
     by_mono = v.mono_terms()
     terms = []
     for mono in sorted(by_mono, key=mono_key):
-        if not mono:
-            body = "vac"
-        else:
-            parts = []
-            for kind, j, m in mono:
-                letter = "b" if kind == KIND_B else "c"
-                parts.append(f"{letter}[{j},{m}]")
-            body = "*".join(parts)
-        terms.append((by_mono[mono], body))
+        body = "*".join(f"{'b' if kind == KIND_B else 'c'}[{j},{m}]"
+                        for kind, j, m in mono)
+        terms.append((by_mono[mono], body or "vac"))
     return _format_terms(terms)
 
 

@@ -987,7 +987,7 @@ def monomial_exponents(n, max_degree, min_degree=0):
 
 
 def basis_monomial_fields(n, order, max_degree, min_degree=0):
-    """All monomial vector fields t^a d_j with |a| <= max_degree (test aid)."""
+    """All monomial vector fields t^a d_j with min_degree <= |a| <= max_degree."""
     return [FormalVectorField.monomial(n, order, e, j)
             for e in monomial_exponents(n, max_degree, min_degree)
             for j in range(1, n + 1)]

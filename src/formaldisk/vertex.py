@@ -362,8 +362,10 @@ def _apply_sym_mode(sym, i, data):
     return out
 
 
-# each cache's bound, in entries; the acceptance test of the extension
-# cocycle (criterion 2) fills 191,729 mode and 43,063 sym entries
+# each cache's bound, in entries; from cold, the acceptance test of the
+# extension cocycle (criterion 2) fills 191,729 mode and 43,063 sym
+# entries, and that of the vertex axioms (criterion 1) would fill 296,669
+# and 290,160, above the bound, so each cache empties once during it
 MODE_CACHE_SIZE = 1 << 18
 SYM_CACHE_SIZE = 1 << 18
 

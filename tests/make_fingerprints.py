@@ -54,7 +54,7 @@ def _load(name, path):
     return module
 
 
-# -- exact subcommands ----------------------------------------------------------
+# -- exact subcommands --------------------------------------------------------
 
 
 def _fields(rng, jets, grammar, n, count, min_degree=0, terms=2):
@@ -74,7 +74,8 @@ def exact_cases(rng):
     from formaldisk import grammar, jets
     from formaldisk.vertex import TruncationPolicy
     conftest = _load("fingerprint_conftest", HERE / "conftest.py")
-    workloads = _load("fingerprint_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = _load("fingerprint_workloads",
+                      ROOT / "perfbench" / "workloads.py")
     pol = TruncationPolicy(8, 10)
 
     def state(n, terms):

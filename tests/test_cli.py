@@ -7,6 +7,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -238,6 +239,25 @@ class TestContract:
         assert captured.out == ""
         assert captured.err == ("(t1, t2+1/0*t1^2)\n"
                                 "        ^ zero denominator\n")
+
+    @pytest.mark.parametrize("args, code, err", [
+        (["ch2", "--rank", "2", "--x", "dt1^30000000 + d1", "--y", "t1 d1"],
+         2, "dt1^30000000 + d1\n"
+            "                 ^ expected a form, found a vf\n"),
+        (["mode-apply", "--rank", "1", "--state", "vac^100000000",
+          "--mode", "-1", "--on", "vac"], 0, ""),
+        (["c1", "--rank", "1", "--x", "2^3000000000 d1"],
+         2, "2^3000000000 d1\n"
+            "  ^ exponent above 1000 would build an unbounded rational\n"),
+    ])
+    def test_huge_exponent_ends_at_once(self, args, code, err):
+        # each took k products or built a 2^k numerator: minutes, no output
+        r = subprocess.run([sys.executable, "-m", "formaldisk.cli", *args],
+                           capture_output=True, text=True, timeout=20)
+        assert (r.returncode, r.stderr) == (code, err)
+        start = time.perf_counter()
+        assert run_captured(args)[::2] == (code, err)
+        assert time.perf_counter() - start < 1
 
     def test_deep_nesting_is_exit_two(self, capsys):
         deep = "(" * 200 + "t1 d1" + ")" * 200

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from formaldisk.errors import ParseError
-from formaldisk.grammar import (format_automorphism, format_form, format_jet,
+from formaldisk.errors import ParseError, TruncationOverflowError
+from formaldisk.grammar import (MAX_EXPONENT, MAX_NESTING,
+                                format_automorphism, format_form, format_jet,
                                 format_state, format_vf, parse_automorphism,
                                 parse_form, parse_scalar, parse_state,
                                 parse_vector_field)
@@ -127,6 +128,76 @@ class TestAutomorphisms:
         with pytest.raises(ParseError):
             parse_automorphism("(t1, t2)", 3, 4)
 
+    @pytest.mark.parametrize("text, message, pos", [
+        # the whole text is tokenized before its parentheses are read
+        ("(t1, t2)x", "unrecognized input", 8),
+        ("(t1, t2", "expected ')'", 7),
+        ("(t1 d1, t2)", "expected a scalar, found a vf", 6),
+        ("(t1, t2) + t1", "trailing input", 9),
+        ("t1, t2", "automorphism must be parenthesized components", 0),
+        ("(t1, t2, t1)", "expected 2 components, got 3", 0),
+    ])
+    def test_errors(self, text, message, pos):
+        with pytest.raises(ParseError) as info:
+            parse_automorphism(text, 2, 4)
+        assert (info.value.args[0], info.value.pos) == (message, pos)
+
+    def test_nesting_limit_counts_the_outer_parenthesis(self):
+        inner = "(" * (MAX_NESTING - 1) + "t1" + ")" * (MAX_NESTING - 1)
+        assert parse_automorphism(f"({inner})", 1, 4) == \
+            JetAutomorphism(1, 4, [JetSeries.variable(1, 4, 1)])
+        with pytest.raises(ParseError, match="nested deeper") as info:
+            parse_automorphism(f"(({inner}))", 1, 4)
+        assert info.value.pos == MAX_NESTING
+
+
+class TestPowers:
+    def test_form_powers(self):
+        w = "(dt1^dt2 + dt3^dt4)"
+        assert parse_form(w + "^2", 4, 2) == \
+            parse_form("2*dt1^dt2^dt3^dt4", 4, 2)
+        assert parse_form(w + "^3", 4, 2).is_zero()
+        assert parse_form("(t1*dt1)^0", 1, 2) == \
+            FormalForm.from_jet(JetSeries.one(1, 2))
+        # 2^k over forms stops at the exponent bound, as over scalars
+        assert parse_form(f"(2 + 0*dt1)^{MAX_EXPONENT}", 1, 0) == \
+            FormalForm.from_jet(JetSeries.const(1, 0, 2 ** MAX_EXPONENT))
+
+    def test_large_exponent_of_a_settled_base(self):
+        # a million, not billions: a parser that takes k products still
+        # ends here, and the CLI tests time the billions in a subprocess
+        k = 10 ** 6
+        assert parse_form(f"dt1^{k}", 2, 2).is_zero()
+        assert parse_state(f"vac^{k}", 1, POL) == VAState.vacuum(1, POL)
+        assert parse_state(f"(-vac)^{k + 1}", 1, POL) == \
+            -VAState.vacuum(1, POL)
+        # a constant term of 1 keeps the coefficients binomial in k
+        k = 3 * 10 ** 9
+        t = JetSeries.variable(1, 2, 1)
+        assert parse_scalar(f"(1 + t1)^{k}", 1, 2) == \
+            JetSeries.one(1, 2) + t.scale(k) + (t * t).scale(k * (k - 1) // 2)
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_scalar, "2^{}"), (parse_scalar, "(1/2 + t1)^{}"),
+        (parse_form, "(-3 + 0*dt1)^{}"), (parse_vector_field, "2^{} d1"),
+        (lambda text, n, order: parse_state(text, n, POL), "(2*vac)^{}")])
+    def test_exponent_bound(self, parse, text):
+        parse(text.format(MAX_EXPONENT), 1, 2)
+        text = text.format(MAX_EXPONENT + 1)
+        with pytest.raises(ParseError, match="unbounded rational") as info:
+            parse(text, 1, 2)
+        assert info.value.pos == text.index(str(MAX_EXPONENT + 1))
+
+    def test_state_power_past_the_policy_names_the_first_monomial(self):
+        # taken factor by factor, b^33 fails at b^9 under weight <= 8
+        pol = TruncationPolicy(8, 10)
+        with pytest.raises(TruncationOverflowError) as info:
+            parse_state("b[1,-1]^33", 1, pol)
+        assert str(info.value) == \
+            f"monomial exceeds policy: {((KIND_B, 1, -1),) * 9}"
+        assert parse_state("b[1,-1]^8", 1, pol) == \
+            VAState(1, pol, {((KIND_B, 1, -1),) * 8: 1})
+
 
 class TestDiagnostics:
     def test_caret_position(self):
@@ -161,6 +232,16 @@ class TestDiagnostics:
             parse_automorphism(text, 2, 4)
         assert info.value.text == text
         assert info.value.pos == text.index("%")
+
+    @pytest.mark.parametrize("text, diagnostic", [
+        ("t1 d1 +\n t2 % d2", " t2 % d2\n    ^ unrecognized input"),
+        ("t1\td1 + %", "t1 d1 + %\n        ^ unrecognized input"),
+        ("t1 +\n\tt2 +\n", "\n^ expected a value"),
+    ])
+    def test_caret_on_the_line_of_the_error(self, text, diagnostic):
+        with pytest.raises(ParseError) as info:
+            parse_vector_field(text, 2, 4)
+        assert info.value.caret_diagnostic() == diagnostic
 
     def test_missing_value_points_at_end(self):
         for text in ("", "t1 +", "t1*", "-", "(t1 d1) +"):
