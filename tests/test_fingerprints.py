@@ -8,7 +8,7 @@ what a command prints; regenerate the table with
 
 import json
 
-from tests.make_fingerprints import TABLE, fingerprint, run
+from make_fingerprints import TABLE, fingerprint, run
 
 
 def test_every_fingerprint_replays():
