@@ -25,12 +25,16 @@ a variable ``t_i`` at jet order 0 (in a state, where the order is 0, a
 variable is refused outright).  Form products are exempt, since
 ``dt1^dt1 = 0`` is genuine.  Parentheses, the automorphism's own included,
 nest at most ``MAX_NESTING`` deep; a deeper ``(`` is a :class:`ParseError`
-at it.  An exponent above ``MAX_EXPONENT`` is one too, at the exponent,
-when the base's constant term is a rational other than 0 and +-1.
+at it.  A power whose constant term would take more than
+``MAX_POWER_BITS`` bits is one too, at the exponent; the bound holds for
+chained and nested powers alike, since each is checked on the value built.
+Any other power takes at most as many products as the nilpotency index of
+its base less the constant term, however large the exponent.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -43,9 +47,11 @@ from .vertex import KIND_B, KIND_C, VAState, sym_key
 # this keeps a parse far below the interpreter's recursion limit
 MAX_NESTING = 100
 # c^k for a rational c other than 0 and +-1 has a numerator or denominator
-# of at least k bits, so 2^3000000000 would take minutes and gigabytes;
-# a constant term of 0 or +-1 keeps a power's coefficients polynomial in k
-MAX_EXPONENT = 1000
+# of at least k bits, so 2^3000000000, or 2^1000^1000^1000, would take
+# minutes and gigabytes; a constant term of 0 or +-1 keeps a power's
+# coefficients polynomial in k.  2^10000 has 3,011 digits, below the
+# interpreter's limit of 4,300 for converting an int to a string.
+MAX_POWER_BITS = 10000
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -85,18 +91,6 @@ def _constant(x):
     if isinstance(x, FormalForm):
         x = x.component(())
     return x.constant_term()
-
-
-def _power(x, k, mul):
-    """x^k for k >= 1, in at most 2*log2(k) products."""
-    out = None
-    while True:
-        if k & 1:
-            out = x if out is None else mul(out, x)
-        k >>= 1
-        if not k:
-            return out
-        x = mul(x, x)
 
 
 class _Parser:
@@ -192,29 +186,43 @@ class _Parser:
     def power(self, x, k, op_pos, pos):
         if isinstance(x, FormalVectorField):
             self.error("cannot exponentiate a vector field", pos)
-        if k > MAX_EXPONENT and _constant(x) not in (0, 1, -1):
-            self.error(f"exponent above {MAX_EXPONENT} would build an "
-                       "unbounded rational", pos)
+        # c^k for c = p/q has at most k * ceil(log2 max(|p|, q)) + 1 bits
+        c = _constant(x)
+        if k * (max(abs(c.numerator), c.denominator) - 1).bit_length() > \
+                MAX_POWER_BITS:
+            self.error("power would build a rational of more than "
+                       f"{MAX_POWER_BITS} bits", pos)
+        if not k:
+            if isinstance(x, VAState):
+                return VAState.vacuum(self.n, self.policy)
+            return JetSeries.one(self.n, self.order)
+        mul = wedge if isinstance(x, FormalForm) else operator.mul
+        if not c:
+            # x is nilpotent: once a partial power is zero, so is x^k
+            out = x
+            for _ in range(k - 1):
+                out = mul(out, x)
+                if out.is_zero():
+                    break
+        else:
+            # x = c + y with y nilpotent, so x^k is the sum of
+            # binom(k, j) c^(k-j) y^j over the j <= k with y^j nonzero:
+            # as many products as y's nilpotency index, whatever k is.  A
+            # state's y is nilpotent since each symbol adds to the weight or
+            # the c0-degree; y^j goes factor by factor, so a power past a
+            # strict policy names the first monomial past it
+            y = self.add(x, JetSeries.const(self.n, self.order, -c))
+            out = JetSeries.const(self.n, self.order, c ** k)
+            yj, binom = None, 1
+            for j in range(1, k + 1):
+                yj = y if yj is None else mul(yj, y)
+                if yj.is_zero():
+                    break
+                binom = binom * (k - j + 1) // j
+                out = self.add(out, yj.scale(binom * c ** (k - j)))
+            out = self.promote(out, type(x))
         if isinstance(x, JetSeries):
-            out = x ** k
             self.check_truncation((x,), out, op_pos)
-            return out
-        if isinstance(x, FormalForm):
-            if not k:
-                return JetSeries.one(self.n, self.order)
-            return _power(x, k, wedge)
-        vac = VAState.vacuum(self.n, self.policy)
-        c = x.coefficient(())
-        if x == vac.scale(c):
-            return vac.scale(c ** k)
-        # factor by factor, so that a power past a strict policy names the
-        # first monomial past it: each symbol adds one or more to the weight
-        # or the c0-degree, so that comes within max_weight + max_c0 + 1
-        out = vac
-        for _ in range(k):
-            out = out * x
-            if out.is_zero():
-                break
         return out
 
     # -- grammar ---------------------------------------------------------------
@@ -412,7 +420,9 @@ def _jet_terms(f, tail="", sep=""):
     for e in sorted(f.coeffs, key=lambda e: (sum(e), e)):
         mono = "*".join(f"t{i}" if k == 1 else f"t{i}^{k}"
                         for i, k in enumerate(e, 1) if k)
-        terms.append((f.coeffs[e], sep.join(filter(None, (mono, tail)))))
+        if mono and tail:
+            mono = f"{mono}{sep}{tail}"
+        terms.append((f.coeffs[e], mono or tail))
     return terms
 
 
@@ -421,15 +431,18 @@ def format_jet(f: JetSeries) -> str:
 
 
 def format_form(w: FormalForm) -> str:
-    return _format_terms([
-        term for idx in sorted(w.comps)
-        for term in _jet_terms(w.comps[idx],
-                               "^".join(f"dt{i}" for i in idx), "*")])
+    terms = []
+    for idx in sorted(w.comps):
+        dts = "^".join(f"dt{i}" for i in idx)
+        terms += _jet_terms(w.comps[idx], dts, "*")
+    return _format_terms(terms)
 
 
 def format_vf(x: FormalVectorField) -> str:
-    return _format_terms([term for j, f in enumerate(x.comps, 1)
-                          for term in _jet_terms(f, f"d{j}", " ")])
+    terms = []
+    for j, f in enumerate(x.comps, 1):
+        terms += _jet_terms(f, f"d{j}", " ")
+    return _format_terms(terms)
 
 
 def format_state(v: VAState) -> str:
@@ -439,9 +452,15 @@ def format_state(v: VAState) -> str:
     by_mono = v.mono_terms()
     terms = []
     for mono in sorted(by_mono, key=mono_key):
-        body = "*".join(f"{'b' if kind == KIND_B else 'c'}[{j},{m}]"
-                        for kind, j, m in mono)
-        terms.append((by_mono[mono], body or "vac"))
+        if not mono:
+            body = "vac"
+        else:
+            parts = []
+            for kind, j, m in mono:
+                letter = "b" if kind == KIND_B else "c"
+                parts.append(f"{letter}[{j},{m}]")
+            body = "*".join(parts)
+        terms.append((by_mono[mono], body))
     return _format_terms(terms)
 
 

@@ -1,12 +1,13 @@
 """Shared expression grammar: parsing, canonical printing, diagnostics."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from formaldisk.errors import ParseError, TruncationOverflowError
-from formaldisk.grammar import (MAX_EXPONENT, MAX_NESTING,
+from formaldisk.grammar import (MAX_NESTING, MAX_POWER_BITS,
                                 format_automorphism, format_form, format_jet,
                                 format_state, format_vf, parse_automorphism,
                                 parse_form, parse_scalar, parse_state,
@@ -159,9 +160,9 @@ class TestPowers:
         assert parse_form(w + "^3", 4, 2).is_zero()
         assert parse_form("(t1*dt1)^0", 1, 2) == \
             FormalForm.from_jet(JetSeries.one(1, 2))
-        # 2^k over forms stops at the exponent bound, as over scalars
-        assert parse_form(f"(2 + 0*dt1)^{MAX_EXPONENT}", 1, 0) == \
-            FormalForm.from_jet(JetSeries.const(1, 0, 2 ** MAX_EXPONENT))
+        # 2^k over forms stops at the power bound, as over scalars
+        assert parse_form(f"(2 + 0*dt1)^{MAX_POWER_BITS}", 1, 0) == \
+            FormalForm.from_jet(JetSeries.const(1, 0, 2 ** MAX_POWER_BITS))
 
     def test_large_exponent_of_a_settled_base(self):
         # a million, not billions: a parser that takes k products still
@@ -176,17 +177,43 @@ class TestPowers:
         t = JetSeries.variable(1, 2, 1)
         assert parse_scalar(f"(1 + t1)^{k}", 1, 2) == \
             JetSeries.one(1, 2) + t.scale(k) + (t * t).scale(k * (k - 1) // 2)
+        # a policy that drops the monomials past it ends the sum at b^9 = 0
+        pol = TruncationPolicy(8, 10, strict=False)
+        k = 10 ** 8
+        assert parse_state(f"(vac + b[1,-1])^{k}", 1, pol) == VAState(
+            1, pol, {((KIND_B, 1, -1),) * j: math.comb(k, j)
+                     for j in range(9)})
 
-    @pytest.mark.parametrize("parse, text", [
-        (parse_scalar, "2^{}"), (parse_scalar, "(1/2 + t1)^{}"),
-        (parse_form, "(-3 + 0*dt1)^{}"), (parse_vector_field, "2^{} d1"),
-        (lambda text, n, order: parse_state(text, n, POL), "(2*vac)^{}")])
-    def test_exponent_bound(self, parse, text):
-        parse(text.format(MAX_EXPONENT), 1, 2)
-        text = text.format(MAX_EXPONENT + 1)
-        with pytest.raises(ParseError, match="unbounded rational") as info:
+    @pytest.mark.parametrize("parse, text, k", [
+        # k is the largest exponent within the bound; 3 costs two bits
+        (parse_scalar, "2^{}", MAX_POWER_BITS),
+        (parse_scalar, "(1/2 + t1)^{}", MAX_POWER_BITS),
+        (parse_form, "(-3 + 0*dt1)^{}", MAX_POWER_BITS // 2),
+        (parse_vector_field, "2^{} d1", MAX_POWER_BITS),
+        (lambda text, n, order: parse_state(text, n, POL), "(2*vac)^{}",
+         MAX_POWER_BITS),
+        # chained and nested powers are bounded by the value they build
+        (parse_vector_field, "2^100^{} d1", MAX_POWER_BITS // 100),
+        (parse_scalar, "((2 + t1)^100)^{}", MAX_POWER_BITS // 100),
+        (lambda text, n, order: parse_state(text, n, POL),
+         "((2*vac)^100)^{}", MAX_POWER_BITS // 100)])
+    def test_power_bound(self, parse, text, k):
+        parse(text.format(k), 1, 2)
+        text = text.format(k + 1)
+        with pytest.raises(ParseError, match="more than 10000 bits") as info:
             parse(text, 1, 2)
-        assert info.value.pos == text.index(str(MAX_EXPONENT + 1))
+        assert info.value.pos == text.rindex(str(k + 1))
+
+    @pytest.mark.parametrize("parse, text, pos", [
+        (parse_vector_field, "2^1000^1000^1000 d1", 7),
+        (parse_vector_field, "((2^1000)^1000)^1000 d1", 10),
+        (lambda text, n, order: parse_state(text, n, POL),
+         "((2*vac)^1000)^1000", 15)])
+    def test_tower_of_powers_stops_at_the_first_step_past_the_bound(
+            self, parse, text, pos):
+        with pytest.raises(ParseError, match="more than 10000 bits") as info:
+            parse(text, 1, 2)
+        assert info.value.pos == pos
 
     def test_state_power_past_the_policy_names_the_first_monomial(self):
         # taken factor by factor, b^33 fails at b^9 under weight <= 8
