@@ -27,8 +27,8 @@ from typing import NamedTuple
 from . import characters, conformal, feynman, gf, gms, hc, vertex
 from .constants import MSV_COCYCLE_SIGN
 from .errors import FormalDiskError, ParseError
-from .grammar import (format_form, format_state, parse_automorphism,
-                      parse_state, parse_vector_field)
+from .grammar import (format_form, format_rational, format_state,
+                      parse_automorphism, parse_state, parse_vector_field)
 from .jets import JetSeries, basis_monomial_fields
 from .vertex import TruncationPolicy, VAState
 
@@ -207,7 +207,7 @@ def cmd_witten_log(args):
         entries = {}
         for e in sorted(coeff.coeffs, key=lambda e: (sum(e), e)):
             mono = "*".join(f"x{i + 1}^{k}" for i, k in enumerate(e) if k) or "1"
-            entries[mono] = str(coeff.coeffs[e])
+            entries[mono] = format_rational(coeff.coeffs[e])
         table[f"q^{m}"] = entries
     return {"series": table}, []
 

@@ -36,12 +36,13 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from fractions import Fraction
 
-from .errors import ParseError, ShapeError
+from .errors import FormalDiskError, ParseError, ShapeError
 from .jets import (FormalForm, FormalVectorField, JetAutomorphism, JetSeries,
                    wedge)
-from .vertex import KIND_B, KIND_C, VAState, sym_key
+from .vertex import KIND_B, KIND_C, VAState, print_key
 
 # each level of parentheses costs the recursive descent six frames, so
 # this keeps a parse far below the interpreter's recursion limit
@@ -64,6 +65,8 @@ _TOKEN_RE = re.compile(r"""
   | (?P<op>[-+*^(),])
 """, re.VERBOSE)
 
+_DIGITS_RE = re.compile(r"\d+")
+
 # the kind of each value, as diagnostics name it
 _KIND = {JetSeries: "scalar", FormalForm: "form", FormalVectorField: "vf",
          VAState: "state"}
@@ -72,11 +75,17 @@ _KIND = {JetSeries: "scalar", FormalForm: "form", FormalVectorField: "vf",
 def _tokenize(text):
     tokens = []
     pos = 0
+    limit = sys.get_int_max_str_digits()
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError("unrecognized input", text, pos)
         if m.lastgroup != "ws":
+            if limit and m.end() - pos > limit:
+                for run in _DIGITS_RE.finditer(text, pos, m.end()):
+                    if len(run.group()) > limit:
+                        raise ParseError(f"number longer than {limit} digits",
+                                         text, run.start())
             tokens.append((m.lastgroup, m, pos))
         pos = m.end()
     tokens.append(("end", None, len(text)))
@@ -391,6 +400,17 @@ def parse_automorphism(text, n, order) -> JetAutomorphism:
 # -- canonical formatting -----------------------------------------------------
 
 
+def format_rational(x) -> str:
+    """``str(x)``, or a :class:`FormalDiskError` where the interpreter
+    refuses to convert an integer that long."""
+    try:
+        return str(x)
+    except ValueError:
+        raise FormalDiskError(
+            "coefficient too long to print: more than "
+            f"{sys.get_int_max_str_digits()} digits") from None
+
+
 def _format_terms(terms):
     """terms: list of (coefficient, body-string); canonical +/- joining."""
     if not terms:
@@ -402,9 +422,9 @@ def _format_terms(terms):
         else:  # a jet coefficient has no sign
             mag, neg = f"({coef!r})", False
         if body:
-            txt = body if mag == 1 else f"{mag}*{body}"
+            txt = body if mag == 1 else f"{format_rational(mag)}*{body}"
         else:
-            txt = str(mag)
+            txt = format_rational(mag)
         if idx == 0:
             chunks.append(f"-{txt}" if neg else txt)
         else:
@@ -446,12 +466,9 @@ def format_vf(x: FormalVectorField) -> str:
 
 
 def format_state(v: VAState) -> str:
-    def mono_key(mo):
-        return (sum(-s[2] for s in mo), len(mo), tuple(sym_key(s) for s in mo))
-
     by_mono = v.mono_terms()
     terms = []
-    for mono in sorted(by_mono, key=mono_key):
+    for mono in sorted(by_mono, key=print_key):
         if not mono:
             body = "vac"
         else:

@@ -45,7 +45,7 @@ from fractions import Fraction
 
 from . import _kernel
 from .errors import ClosednessError, InvertibilityError, ShapeError
-from .scalars import is_unit, norm_coeff, rat, scalar_inv
+from .scalars import is_unit, norm_coeff, one_of, rat, scalar_inv
 
 
 def _div_exact(c, m):
@@ -712,12 +712,16 @@ def _matrix_inverse(rows):
 
     The entries may be rationals or jets, over rationals or over jets.
     These rings are local, so an invertible matrix always offers a unit
-    pivot.  Zero and one come from the entries; a product with a zero
-    factor is skipped.
+    pivot.  Zero and one are those of the first column's first unit, so a
+    jet over jets gets its coefficients' one; a product with a zero factor
+    is skipped.
     """
     n = len(rows)
-    zero = rows[0][0] * 0
-    one = zero + 1
+    unit = next((r[0] for r in rows if is_unit(r[0])), None)
+    if unit is None:
+        return None
+    one = one_of(unit)
+    zero = one * 0
     a = [list(r) for r in rows]
     inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for col in range(n):

@@ -10,7 +10,8 @@ sit in a coefficient slot.
 
 Units and inverses of jets are their methods (``is_unit()`` and
 ``inverse()``); :func:`is_unit` and :func:`scalar_inv` handle the
-rationals and defer to those methods for a jet.
+rationals and defer to those methods for a jet, and :func:`one_of` builds
+a jet's one from the ring of its coefficients.
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ def is_unit(x) -> bool:
     if isinstance(x, (int, Fraction)):
         return bool(x)
     return x.is_unit()
+
+
+def one_of(x):
+    """The one of x's ring: for a jet, the constant jet whose coefficient
+    is the one of the ring of x's constant term."""
+    if isinstance(x, (int, Fraction)):
+        return x * 0 + 1
+    return type(x).const(x.n, x.order, one_of(x.constant_term()))
 
 
 def scalar_inv(x):

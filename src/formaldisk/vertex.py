@@ -10,9 +10,15 @@ b^j_{-1} multiply by b-symbols (negative modes) or differentiate in c
 (non-negative modes), the modes of c^j_0 multiply by c-symbols or
 differentiate in b with a sign, and every other mode is a
 derivative-of-generator mode.  The n-th product of composite states is
-computed by the standard normally-ordered recursion (the l = -1
-specialisation of the mode-composition identity), peeling the canonical
-leading symbol.
+computed two ways.  :func:`mode_apply` takes the standard normally-ordered
+recursion (the l = -1 specialisation of the mode-composition identity),
+peeling the canonical leading symbol.  A :class:`ModeOperator`, built once
+for a fixed state and mode, applies Wick's theorem for free fields (Kac,
+*Vertex Algebras for Beginners*, 2nd ed.): each field factor of the state
+annihilates one symbol or creates one.  The vector-field and form actions
+of :mod:`formaldisk.hc` use operators; the mode-composition check, the CLI's
+``mode-apply`` and the direct route of ``hc.rho_omega2`` use the
+recursion, so each is an oracle for the other.
 
 Bookkeeping bounds on conformal weight and c_0-degree model the completed
 algebra at finite size; all arithmetic below the bounds is exact, and the
@@ -41,14 +47,17 @@ mode on a monomial.  Each holds at most ``MODE_CACHE_SIZE`` and
 cache before it stores, which costs only recomputation.  Concurrent use
 can at worst duplicate a computation (individual dict reads/writes are
 atomic under the GIL, and a lock makes adding an id atomic);
-``clear_mode_cache`` empties both caches, together with every memo
-registered through ``on_cache_clear`` (the per-operand memos of
-:mod:`formaldisk.hc`).
+``clear_mode_cache`` empties both caches, the column memos of every live
+:class:`ModeOperator` (each bounded by ``COLUMN_CACHE_SIZE``), and every
+memo registered through ``on_cache_clear`` (the per-operand memos of
+:mod:`formaldisk.hc`, which hold operators).
 """
 
 from __future__ import annotations
 
+import operator
 import threading
+import weakref
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -70,6 +79,10 @@ def sym_key(s):
     return (s[0], s[1], -s[2])
 
 
+_FIELD = operator.itemgetter(0, 1)
+_MODE = operator.itemgetter(2)
+
+
 def make_sym(kind, j, m):
     if kind == KIND_B and m > -1:
         raise ShapeError(f"b-symbol mode must be <= -1, got {m}")
@@ -89,7 +102,8 @@ def mono_b_count(mono):
 
 
 def _sorted_mono(syms):
-    return tuple(sorted(syms, key=sym_key))
+    # two stable sorts on C-level keys give the order of sym_key
+    return tuple(sorted(sorted(syms, key=_MODE, reverse=True), key=_FIELD))
 
 
 # -- the intern table: one row per id, never cleared (module docstring) -------
@@ -386,6 +400,8 @@ def clear_mode_cache():
     stays: live states hold its ids."""
     _MODE_CACHE.clear()
     _SYM_CACHE.clear()
+    for op in list(_OPERATORS):
+        op.clear()
     for hook in _CLEAR_HOOKS:
         hook()
 
@@ -443,8 +459,41 @@ def _mode_mono(aid, m, vid):
     return out
 
 
+def print_key(mono):
+    """The order in which states print their monomials: weight, then
+    length, then the symbols' canonical keys."""
+    return (sum(-s[2] for s in mono), len(mono), tuple(sym_key(s) for s in mono))
+
+
+def _weight_error(a_weights, v, m, policy):
+    """The error :func:`mode_apply` raises on a, m and v under a strict
+    policy: it names the first product over its bound, a's terms taken in
+    order and, for each, v's."""
+    for wa in a_weights:
+        for vid in v.terms:
+            w = wa + _WEIGHT[vid] - m - 1
+            if w > policy.max_weight:
+                return TruncationOverflowError(
+                    f"mode product weight {w} exceeds bound {policy.max_weight}")
+
+
+def _mode_state(acc, n, policy):
+    """A mode product's id-keyed terms as a state: the weights are within
+    the bound, so only the c0 bound can trip.  Terms above it are dropped,
+    or refused under a strict policy, which names the first of them in
+    print order."""
+    max_c0 = policy.max_c0
+    over = [k for k in acc if _C0[k] > max_c0]
+    if over:
+        policy.reject("mode product exceeds c0 bound: "
+                      f"{min((_MONO[k] for k in over), key=print_key)}")
+        for k in over:
+            del acc[k]
+    return VAState(n, policy, acc, _clean=True)
+
+
 def mode_apply(a: VAState, m: int, v: VAState) -> VAState:
-    """The m-th product a_(m) v.
+    """The m-th product a_(m) v, by the normally-ordered recursion.
 
     Exact below the policy bounds; a product whose weight would exceed the
     policy either raises (strict) or is dropped (non-strict).
@@ -465,13 +514,192 @@ def mode_apply(a: VAState, m: int, v: VAState) -> VAState:
                 # res is integral; a Fraction of a or v can make an integral
                 # sum, which poly_axpy stores as int
                 _kernel.poly_axpy(acc, res, ac * vc)
-    # the weights are within the bound; only the c0 bound can still trip
-    max_c0 = policy.max_c0
-    over = [k for k in acc if _C0[k] > max_c0]
-    for k in over:
-        policy.reject(f"mode product exceeds c0 bound: {_MONO[k]}")
-        del acc[k]
-    return VAState(a.n, policy, acc, _clean=True)
+    return _mode_state(acc, a.n, policy)
+
+
+# -- modes by Wick's theorem ---------------------------------------------------
+
+# columns held by each ModeOperator; a miss that finds the memo full
+# empties it before it stores
+COLUMN_CACHE_SIZE = 1 << 12
+
+# the live operators, whose column memos clear_mode_cache empties
+_OPERATORS = weakref.WeakSet()
+
+
+class ModeOperator:
+    """The endomorphism a_(m) of a fixed state a and mode m, applied by
+    Wick's theorem instead of the recursion.
+
+    a's monomials are normally-ordered products of free fields, and so is
+    a_(m): a term splits each of its r field factors into an annihilating
+    and a creating part, with the factors' modes summing to m + 1 - r.  A
+    factor of symbol (T^k u)/k!, u = b^j_{-1} or c^j_0, has modes
+    (-1)^k C(i, k) u_(i-k) (as in ``_apply_sym_mode``): it annihilates one
+    matching symbol of v (a b-field differentiates a c-symbol, a c-field a
+    b-symbol with sign -1), which fixes its mode, or creates a symbol with
+    a mode i <= -1.  The creators of one split share what is left of the
+    mode sum; their products over those compositions are kept per
+    (creating factors, sum).  Annihilation acts first, so the symbols left
+    of v are multiplied by the created ones.
+
+    One application costs, per monomial of v, one lookup of its column:
+    a_(m) of that monomial with a's coefficients, id-keyed.  A column is
+    computed on its first use, removing and merging symbols on the tuple of
+    v's monomial and interning only the results, with no recursion and no
+    module-level cache.  Each weight of a's terms has its own column memo,
+    of at most ``COLUMN_CACHE_SIZE`` entries; a miss that finds one full
+    empties it, together with the creators' products.  ``clear_mode_cache``
+    empties them all.  Weight and c0 bounds are checked as
+    :func:`mode_apply` checks them, with the same diagnostics.
+    """
+
+    __slots__ = ("n", "policy", "m", "_a_weights", "_groups", "_creators",
+                 "__weakref__")
+
+    def __init__(self, a: VAState, m: int):
+        self.n, self.policy, self.m = a.n, a.policy, m
+        self._a_weights = [_WEIGHT[aid] for aid in a.terms]
+        # a's terms by weight, each weight with its column memo: the
+        # weight bound keeps or drops a weight's terms together
+        groups = {}
+        for aid, c in a.terms.items():
+            factors = tuple((s[0], s[1], -s[2] - 1 if s[0] == KIND_B else -s[2])
+                            for s in _MONO[aid])
+            groups.setdefault(_WEIGHT[aid], []).append((factors, c))
+        self._groups = [(w, terms, {}) for w, terms in groups.items()]
+        self._creators = {}  # (creating factors, mode sum) -> [(mono, coeff)]
+        _OPERATORS.add(self)
+
+    def clear(self):
+        """Empty the column memos and the creators' products."""
+        for _, _, columns in self._groups:
+            columns.clear()
+        self._creators.clear()
+
+    def __call__(self, v: VAState) -> VAState:
+        _check_compatible(self, v)
+        policy = self.policy
+        top = self.m + 1 + policy.max_weight
+        weight = _WEIGHT
+        axpy = _kernel.poly_axpy
+        acc = {}
+        over = False  # whether a column used has a term above the c0 bound
+        for vid, vc in v.terms.items():
+            wv = weight[vid]
+            for wa, terms, columns in self._groups:
+                if wa + wv > top:
+                    if policy.strict:
+                        raise _weight_error(self._a_weights, v, self.m, policy)
+                    continue
+                hit = columns.get(vid)
+                if hit is None:
+                    col = self._column(terms, vid)
+                    hit = (col, any(_C0[k] > policy.max_c0 for k in col))
+                    if len(columns) >= COLUMN_CACHE_SIZE:
+                        columns.clear()
+                        self._creators.clear()
+                    columns[vid] = hit
+                if hit[0]:
+                    axpy(acc, hit[0], vc)
+                    over = over or hit[1]
+        if over:
+            return _mode_state(acc, self.n, policy)
+        return VAState(self.n, policy, acc, _clean=True)
+
+    def _column(self, terms, vid):
+        """The sum of c * (factors' monomial)_(m) over ``terms`` on the
+        monomial vid, id-keyed; integral values as int."""
+        out = {}
+        get = out.get
+        m = self.m
+        mono = _MONO[vid]
+        fields = {s[:2] for s in mono}
+        for factors, c in terms:
+            # (v's symbols left, annihilators' mode sum, creating factors)
+            # -> coefficient, one factor at a time; a factor whose field
+            # annihilates no symbol of v only creates
+            splits = {(mono, 0, ()): c}
+            idle = ()
+            for f in factors:
+                # kind ^ 1 is the other kind, the one a field annihilates
+                if (f[0] ^ 1, f[1]) in fields:
+                    splits = _split(splits, f)
+                else:
+                    idle += (f,)
+            total = m + 1 - len(factors)
+            for (rest, used, creating), cc in splits.items():
+                creating += idle
+                if not creating:
+                    if used == total:
+                        pid = _intern(rest)
+                        out[pid] = get(pid, 0) + cc
+                    continue
+                for created, k in self._created(creating, total - used):
+                    pid = _intern(_sorted_mono(rest + created))
+                    out[pid] = get(pid, 0) + cc * k
+        return {k: (c.numerator if type(c) is Fraction and c.denominator == 1
+                    else c) for k, c in out.items() if c}
+
+    def _created(self, creating, total):
+        """[(monomial, coefficient)]: the creating factors' products, their
+        modes i <= -1 summing to ``total``."""
+        key = (creating, total)
+        hit = self._creators.get(key)
+        if hit is None:
+            out = {}
+            for modes in _compositions(total, len(creating)):
+                coeff = 1
+                syms = []
+                for (kind, j, k), i in zip(creating, modes):
+                    coeff *= _binom(i, k) * (1 - 2 * (k & 1))
+                    syms.append((kind, j, i - k if kind == KIND_B else i - k + 1))
+                mono = _sorted_mono(syms)
+                out[mono] = out.get(mono, 0) + coeff
+            hit = self._creators[key] = [(mono, c) for mono, c in out.items()
+                                         if c]
+        return hit
+
+
+def _split(splits, factor):
+    """Each split extended by the factor (kind, j, k): creating, or
+    annihilating one matching symbol of what is left of v, by the mode
+    i >= 0 of its generator: b_(i) = d/dc_{-i}, c_(i) = -d/db_{-i-1}."""
+    kind, j, k = factor
+    sign = 1 - 2 * (k & 1)
+    if kind == KIND_C:
+        sign, target, shift = -sign, KIND_B, 1
+    else:
+        target, shift = KIND_C, 0
+    out = {}
+    get = out.get
+    for (rest, used, creating), c in splits.items():
+        key = (rest, used, creating + (factor,))
+        out[key] = get(key, 0) + c
+        prev = None
+        for pos, s in enumerate(rest):
+            if s[0] != target or s[1] != j or s == prev:
+                continue
+            prev = s
+            i = -s[2] - shift
+            coeff = sign * rest.count(s)
+            if k:
+                coeff *= _binom(i + k, k)
+            key = (rest[:pos] + rest[pos + 1:], used + i + k, creating)
+            out[key] = get(key, 0) + coeff * c
+    return out
+
+
+def _compositions(total, parts):
+    """Tuples of ``parts`` integers <= -1 summing to ``total``."""
+    if parts == 1:
+        if total <= -1:
+            yield (total,)
+        return
+    # each of the other parts takes at least -1 of what is left
+    for i in range(-1, total + parts - 2, -1):
+        for rest in _compositions(total - i, parts - 1):
+            yield (i,) + rest
 
 
 def translate(v: VAState) -> VAState:

@@ -267,6 +267,56 @@ class TestContract:
                            capture_output=True, text=True, timeout=20)
         assert (r.returncode, r.stderr) == (code, err)
 
+    @pytest.mark.parametrize("args, named", [
+        (["--rank", "2", "--x", "t1^2 d1 + t2^2 d2",
+          "--on", "c[1,0]*c[2,0] + c[2,0]*c[2,0]", "--max-c0", "2"],
+         "((1, 1, 0), (1, 1, 0), (1, 2, 0))"),
+        (["--rank", "3", "--x", "2*t1 d2 + 3*t1*t3 d3",
+          "--on", "c[2,0]*c[3,0] + c[1,0]", "--max-c0", "2",
+          "--max-weight", "3"],
+         "((1, 1, 0), (1, 2, 0), (1, 3, 0))"),
+        (["--rank", "2", "--x", "2*t1*t2 d2 + 2*t1 d1 + 2*t1*t2^2 d2",
+          "--on", "c[1,0] + c[2,0]*c[1,0]*b[2,-2]*c[1,-2]",
+          "--max-c0", "3", "--max-weight", "4"],
+         "((0, 2, -2), (1, 1, 0), (1, 1, 0), (1, 1, -2), (1, 2, 0), "
+         "(1, 2, 0))"),
+        (["--rank", "1", "--x", "t1^3 d1 + d1",
+          "--on", "c[1,0]^3 + c[1,0]*b[1,-1]*b[1,-2]", "--max-c0", "4",
+          "--max-weight", "3"],
+         "((1, 1, 0), (1, 1, 0), (1, 1, 0), (1, 1, 0), (1, 1, 0))"),
+    ])
+    def test_c0_overflow_names_a_monomial(self, args, named, capsys):
+        # a strict run stops at a term above the c0 bound and names it; on
+        # these inputs the first in print order is the one the recursion
+        # met first
+        assert main(["rho-w", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: mode product exceeds c0 bound: {named}\n"
+
+    def test_long_literal_is_a_parse_error(self, capsys):
+        x = "9" * 5000 + " d1"
+        assert main(["c1", "--rank", "1", "--x", x]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == x + "\n^ number longer than 4300 digits\n"
+        on = "b[1,-" + "9" * 4301 + "]"
+        assert main(["rho-w", "--rank", "1", "--x", "t1 d1", "--on", on]) == 2
+        text, caret = capsys.readouterr().err.splitlines()
+        assert caret.index("^") == on.index("9")
+        assert main(["c1", "--rank", "1", "--x", "9" * 4300 + " d1"]) == 0
+
+    def test_long_output_coefficient_is_named(self, capsys):
+        # 99^2800 has 5,588 digits, each power below the parser's bit bound
+        assert main(["mode-apply", "--rank", "1",
+                     "--state", "(99*vac)^1400*(99*vac)^1400",
+                     "--mode", "-1", "--on", "vac"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: coefficient too long to print: "
+                                "more than 4300 digits\n")
+
     def test_deep_nesting_is_exit_two(self, capsys):
         deep = "(" * 200 + "t1 d1" + ")" * 200
         assert main(["ch2", "--rank", "1", "--x", deep, "--y", "t1 d1"]) == 2

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from formaldisk.constants import MSV_COCYCLE_SIGN
-from formaldisk.errors import ClosednessError, InvertibilityError
+from formaldisk.errors import (ClosednessError, InvertibilityError,
+                               TruncationOverflowError)
 from formaldisk.gf import ch2_gf
 from formaldisk import hc
 from formaldisk.hc import (ExtendedVectorField, gl_act, jet_to_state,
@@ -112,6 +113,19 @@ class TestRhoOmega:
             assert rho_omega2(w, v, path="homotopy") == \
                 rho_omega2(w, v, path="direct")
 
+    def test_operator_route_equals_recursion_on_criterion_2_space(self):
+        # homotopy: the zero mode by Wick's theorem; direct: the first mode
+        # of a weight-two state by the recursion
+        pol = TruncationPolicy(8, 14)
+        states = monomial_states(2, pol, 3, 4)
+        for x, y in (("t1^2*t2 d1", "t1*t2^2 d2"), ("t1^3 d2", "t2^3 d1"),
+                     ("t1^2 d2 + t2^3 d1", "t1*t2^2 d1 + t1^3 d2")):
+            w = ch2_gf(field(x, 2, 8), field(y, 2, 8))
+            assert not w.is_zero()
+            for v in states:
+                assert rho_omega2(w, v, path="homotopy") == \
+                    rho_omega2(w, v, path="direct"), (x, y, v)
+
     def test_b_free_states_killed_by_constant_form(self, rng):
         w = wedge(FormalForm.dt(2, 6, 1), FormalForm.dt(2, 6, 2))
         for v in monomial_states(2, POL, 2, 2):
@@ -143,6 +157,31 @@ class TestRhoOmega:
             ab = rho_omega2(w1, rho_omega2(w2, v))
             ba = rho_omega2(w2, rho_omega2(w1, v))
             assert ab == ba
+
+
+class TestPolicyDrops:
+    """A non-strict policy drops the terms above its c0 bound; the
+    documents are those of the recursion, pinned."""
+
+    LAX = TruncationPolicy(8, 2, strict=False)
+    V = ("c[1,0]*c[2,0] + c[2,0]*c[2,0] + b[1,-1]*c[2,0]"
+         " + 1/2*b[2,-1]*c[1,0]*c[2,-1]")
+
+    def test_rho_w_and_defect(self):
+        x = field("t1^2 d1 + t2^2 d2", 2)
+        y = field("t1*t2 d2 - t2 d1", 2)
+        v = parse_state(self.V, 2, self.LAX)
+        assert format_state(rho_w(x, v)) == (
+            "-2*b[1,-1]*c[1,0]*c[2,0] + b[1,-1]*c[2,0]*c[2,0]"
+            " - c[1,0]*c[2,-2] + 1/2*b[2,-1]*c[1,0]*c[1,0]*c[2,-1]")
+        assert format_state(msv_defect(x, y, v)) == (
+            "-2*c[1,0]*c[2,-1] - 2*c[1,-1]*c[2,0] + 4*c[2,0]*c[2,-1]"
+            " - c[1,0]*c[1,0]*c[1,-2] + c[1,0]*c[1,0]*c[2,-2]"
+            " - 1/2*c[1,0]*c[1,-1]*c[1,-1] + c[1,0]*c[1,-2]*c[2,0]")
+        # the strict policy of the same bounds refuses v's first product
+        strict = parse_state(self.V, 2, TruncationPolicy(8, 2))
+        with pytest.raises(TruncationOverflowError, match="c0 bound"):
+            rho_w(x, strict)
 
 
 class TestGLAction:
@@ -279,7 +318,7 @@ class TestOperandMemos:
     """The memoised actions equal their formulas rebuilt per state."""
 
     POLICIES = (POL, TruncationPolicy(8, 14))
-    MEMOS = (hc._tau_w_memo, hc._bracket_memo, hc._omega2_state)
+    MEMOS = (hc._rho_w_operator, hc._bracket_memo, hc._omega2_action)
 
     @staticmethod
     def _unmemoised(x, y, v):
@@ -324,9 +363,9 @@ class TestOperandMemos:
                 msv_defect(x, y, v)
                 rho_omega2(c2, v)
             # x, y and [x, y] once each; one bracket; one primitive
-            assert hc._tau_w_memo.cache_info().misses == 3
+            assert hc._rho_w_operator.cache_info().misses == 3
             assert hc._bracket_memo.cache_info().misses == 1
-            assert hc._omega2_state.cache_info().misses == 1
+            assert hc._omega2_action.cache_info().misses == 1
 
     def test_non_closed_form_raises_on_every_call(self):
         t3 = JetSeries.variable(3, 6, 3)

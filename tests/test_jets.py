@@ -15,7 +15,8 @@ from formaldisk.jets import (FormalForm, FormalVectorField, FormMatrix,
                              lie_derivative, matrix_products,
                              poincare_homotopy, pullback_form, pullback_jet,
                              staircase_primitive, trace_products, wedge)
-from formaldisk.jets import Substitution
+from formaldisk.jets import Substitution, _matrix_inverse
+from formaldisk.scalars import one_of
 from tests.conftest import SU_JETS
 
 T1 = JetSeries.variable(2, 3, 1)
@@ -446,6 +447,21 @@ class TestInverse:
                                       for j in range(n)] for i in range(n)])
         assert m * inv == ident
         assert inv * m == ident
+
+    def test_identity_takes_the_entries_one(self):
+        # over jets of jets, one is the constant jet of the coefficients'
+        # one, which is not the constant jet of the rational one
+        one = JetSeries.const(1, 3, JetSeries.one(2, 2))
+        assert one_of(one) == one != JetSeries.one(1, 3)
+        assert one_of(F(2, 3)) == 1 and type(one_of(F(2, 3))) is F
+        assert one_of(JetSeries.variable(2, 2, 1)) == JetSeries.one(2, 2)
+        u = JetSeries(1, 3, {(0,): JetSeries.const(2, 2, 2),
+                             (1,): JetSeries.variable(2, 2, 1)})
+        zero = u * 0
+        inv = _matrix_inverse([[zero, u], [u, u]])
+        assert [[sum((x * y for x, y in zip(row, col)), zero)
+                 for col in zip(*inv)] for row in ([zero, u], [u, u])] == \
+            [[one, zero], [zero, one]]
 
     def test_matrix_inverse_swaps_rows(self):
         m = JetMatrix(2, 3, [[T1, ONE2 + T2], [ONE2.scale(2), T1 * T2]])

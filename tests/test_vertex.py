@@ -6,12 +6,15 @@ import threading
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from formaldisk import vertex
 from formaldisk.errors import ShapeError, TruncationOverflowError
 from formaldisk.grammar import format_state, parse_state, parse_vector_field
-from formaldisk.hc import msv_defect
-from formaldisk.vertex import (KIND_B, KIND_C, TruncationPolicy, VAState,
+from formaldisk.hc import msv_defect, tau_w
+from formaldisk.jets import basis_monomial_fields, vf_bracket
+from formaldisk.vertex import (KIND_B, KIND_C, ModeOperator,
+                               TruncationPolicy, VAState,
                                borcherds_check, clear_mode_cache,
                                enumerate_basis, enumerate_weight_monomials,
                                filtration_degree, generator_mode, mode_apply,
@@ -294,6 +297,73 @@ class TestCoefficients:
                 make()
 
 
+# random states for the operator oracle: up to three basis monomials of
+# weight <= 3 and c0-degree <= 2 with rational coefficients
+RATIONALS = st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def operator_cases(draw):
+    n = draw(st.integers(1, 3))
+    policy = TruncationPolicy(draw(st.integers(3, 8)), draw(st.integers(1, 4)),
+                              strict=draw(st.booleans()))
+    basis = st.sampled_from(enumerate_basis(n, 3, 2))
+
+    def state():
+        terms = draw(st.dictionaries(basis, RATIONALS, min_size=1,
+                                     max_size=3))
+        return VAState(n, TruncationPolicy(8, 4), terms)
+
+    a, v = state(), state()
+    # the policy's own bounds may refuse a or v; they are built loose and
+    # their terms kept where the policy holds them
+    keep = {k: c for k, c in a.terms.items()
+            if vertex._WEIGHT[k] <= policy.max_weight
+            and vertex._C0[k] <= policy.max_c0}
+    a = VAState(n, policy, keep or {vertex._EMPTY: 1}, _clean=True)
+    keep = {k: c for k, c in v.terms.items()
+            if vertex._WEIGHT[k] <= policy.max_weight
+            and vertex._C0[k] <= policy.max_c0}
+    v = VAState(n, policy, keep or {vertex._EMPTY: 1}, _clean=True)
+    return a, draw(st.integers(-2, 3)), v
+
+
+def _outcome(apply):
+    """A product's terms with their coefficient types, or its error."""
+    try:
+        res = apply()
+    except TruncationOverflowError as exc:
+        return str(exc)
+    return {k: (c, type(c)) for k, c in res.terms.items()}
+
+
+class TestModeOperator:
+    """Wick's theorem against the recursion: ModeOperator(a, m)(v) equals
+    mode_apply(a, m, v), coefficient types and diagnostics included."""
+
+    def test_zero_modes_of_fields_on_criterion_2_space(self):
+        pol = TruncationPolicy(8, 14)
+        states = monomial_states(2, pol, 3, 4)
+        for x in basis_monomial_fields(2, 8, 3):
+            a = tau_w(x, pol)
+            op = ModeOperator(a, 0)
+            for v in states:
+                assert op(v) == mode_apply(a, 0, v), (x, v)
+
+    @settings(max_examples=400, deadline=None)
+    @given(operator_cases())
+    def test_equals_recursion(self, case):
+        a, m, v = case
+        assert _outcome(lambda: ModeOperator(a, m)(v)) == \
+            _outcome(lambda: mode_apply(a, m, v))
+
+    def test_rejects_a_state_of_another_policy(self):
+        a = VAState.generator(1, TruncationPolicy(4, 4), KIND_B, 1, -1)
+        b = VAState.generator(1, TruncationPolicy(5, 4), KIND_B, 1, -1)
+        with pytest.raises(ShapeError):
+            ModeOperator(a, 0)(b)
+
+
 class TestEnumeration:
     def test_weight_monomial_counts(self):
         # rank 1, weight 1: b_{-1}, c_{-1}
@@ -350,6 +420,14 @@ class TestInterning:
         assert msv_defect(x, y, cases[0][2]) == msv_defect(x, y, fresh_v)
         assert format_state(msv_defect(x, y, fresh_v)) == defect
 
+    @staticmethod
+    def _recursive_defect(x, y, v):
+        """msv_defect with every zero mode taken by the recursion."""
+        def act(f, u):
+            return mode_apply(tau_w(f, u.policy), 0, u)
+        return act(x, act(y, v)) - act(y, act(x, v)) - \
+            act(vf_bracket(x, y), v)
+
     def test_bounded_caches_evict_without_changing_results(self,
                                                            monkeypatch):
         x = parse_vector_field(self.X, 2, 6)
@@ -357,7 +435,8 @@ class TestInterning:
         pol = TruncationPolicy(8, 14)
         states = monomial_states(2, pol, 2, 2)
         clear_mode_cache()
-        unbounded = [msv_defect(x, y, v) for v in states]
+        unbounded = [self._recursive_defect(x, y, v) for v in states]
+        assert unbounded == [msv_defect(x, y, v) for v in states]
         mode_cache, sym_cache = _PeakDict(), _PeakDict()
         monkeypatch.setattr(vertex, "MODE_CACHE_SIZE", 40)
         monkeypatch.setattr(vertex, "SYM_CACHE_SIZE", 16)
@@ -365,9 +444,27 @@ class TestInterning:
         monkeypatch.setattr(vertex, "_SYM_CACHE", sym_cache)
         clear_mode_cache()
         clears = mode_cache.clears, sym_cache.clears
-        assert [msv_defect(x, y, v) for v in states] == unbounded
+        assert [self._recursive_defect(x, y, v) for v in states] == unbounded
         assert mode_cache.clears > clears[0] and sym_cache.clears > clears[1]
         assert 0 < mode_cache.peak <= 40 and 0 < sym_cache.peak <= 16
+
+    def test_operator_columns_are_bounded_and_cleared(self, monkeypatch):
+        x = parse_vector_field(self.X, 2, 6)
+        pol = TruncationPolicy(8, 14)
+        states = monomial_states(2, pol, 2, 2)
+        op = ModeOperator(tau_w(x, pol), 0)
+        unbounded = [op(v) for v in states]
+        (_, _, columns), = op._groups
+        assert len(columns) == len(states)
+        clear_mode_cache()
+        assert not columns
+        monkeypatch.setattr(vertex, "COLUMN_CACHE_SIZE", 16)
+        peak = _PeakDict()
+        op._groups[0] = op._groups[0][:2] + (peak,)
+        assert [op(v) for v in states] == unbounded
+        assert peak.clears > 0 and 0 < peak.peak <= 16
+        clear_mode_cache()
+        assert not peak
 
     def test_format_parse_round_trip(self, rng):
         for _ in range(60):
