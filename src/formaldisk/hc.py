@@ -9,25 +9,22 @@ cross-check).  The failure of the vector-field action to be a Lie map is
 the extension cocycle; :func:`msv_defect` computes it as an operator and
 the tests match it against the explicit second Chern-character cocycle.
 
-Zero modes are applied by :class:`vertex.ModeOperator`, Wick's theorem on
-a fixed state: :func:`rho_w`, :func:`rho_omega1` and the ``homotopy``
-route of :func:`rho_omega2`.  The ``direct`` route takes the first mode of
-a weight-two state by the recursion of :func:`vertex.mode_apply`, so the
-two routes share no code past the embedding.
+Zero modes are applied by Wick's theorem (:func:`vertex.wick_apply`):
+:func:`rho_w`, :func:`rho_omega1` and the ``homotopy`` route of
+:func:`rho_omega2`.  The ``direct`` route takes the first mode of a
+weight-two state by the recursion of :func:`vertex.mode_apply`, so the two
+routes share no code past the embedding.
 
 A sweep applies the same operand to many states, so the work fixed by the
 operand is built once: bounded memos (``MEMO_SIZE`` operands each, least
-recently used evicted first) map a field and policy to the zero mode of
-its embedded state ``tau_w``, a pair of fields to their bracket, and a
-closed two-form, policy and path to what :func:`rho_omega2` applies (the
-zero mode of the embedded radial primitive, or the translated staircase
-one).  The closedness check runs inside that last memo's builder, and a
-raised error is not stored, so a non-closed form is refused on every call.
-Each operator keeps its own bounded memo of the columns it has computed.
-``vertex.clear_mode_cache`` empties these memos and the operators' column
-memos along with the mode caches.  The builders look ``tau_w``,
-``vf_bracket`` and ``poincare_homotopy`` up as module globals, so a rebound
-name takes effect.
+recently used evicted first) map a field and policy to its embedded state
+``tau_w``, a pair of fields to their bracket, and a closed two-form, policy
+and path to the embedded primitive that :func:`rho_omega2` applies.  The
+closedness check runs inside that memo's builder, and a raised error is
+not stored, so a non-closed form is refused on every call.
+``vertex.clear_mode_cache`` empties these memos along with the mode
+caches.  The builders look ``tau_w``, ``vf_bracket`` and
+``poincare_homotopy`` up as module globals, so a rebound name takes effect.
 """
 
 from __future__ import annotations
@@ -40,8 +37,8 @@ from .gf import ch2_gf
 from .jets import (FormalForm, FormalVectorField, JetSeries, de_rham,
                    lie_derivative, poincare_homotopy, staircase_primitive,
                    vf_bracket, _matrix_inverse)
-from .vertex import (KIND_B, KIND_C, ModeOperator, VAState, mode_apply,
-                     on_cache_clear, translate)
+from .vertex import (KIND_B, KIND_C, VAState, mode_apply, on_cache_clear,
+                     translate, wick_apply)
 
 # operands held by each per-operand memo
 MEMO_SIZE = 256
@@ -84,13 +81,13 @@ def tau_w(x: FormalVectorField, policy) -> VAState:
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _rho_w_operator(x: FormalVectorField, policy) -> ModeOperator:
-    return ModeOperator(tau_w(x, policy), 0)
+def _tau_w_memo(x: FormalVectorField, policy) -> VAState:
+    return tau_w(x, policy)
 
 
 def rho_w(x: FormalVectorField, v: VAState) -> VAState:
     """Zero mode of tau_w(x); a grading-preserving derivation of products."""
-    return _rho_w_operator(x, v.policy)(v)
+    return wick_apply(_tau_w_memo(x, v.policy), 0, v)
 
 
 def tau_omega1(theta: FormalForm, policy) -> VAState:
@@ -106,7 +103,7 @@ def tau_omega1(theta: FormalForm, policy) -> VAState:
 
 def rho_omega1(theta: FormalForm, v: VAState) -> VAState:
     """Zero mode of tau_omega1(theta); vanishes when theta is exact."""
-    return ModeOperator(tau_omega1(theta, v.policy), 0)(v)
+    return wick_apply(tau_omega1(theta, v.policy), 0, v)
 
 
 def rho_omega2(omega: FormalForm, v: VAState, path="homotopy") -> VAState:
@@ -121,23 +118,21 @@ def rho_omega2(omega: FormalForm, v: VAState, path="homotopy") -> VAState:
     """
     if omega.degree != 2:
         raise ShapeError("rho_omega2 expects a two-form")
-    action = _omega2_action(omega, v.policy, path)
+    state = _omega2_state(omega, v.policy, path)
     if path == "homotopy":
-        return action(v)
-    return -mode_apply(action, 1, v)
+        return wick_apply(state, 0, v)
+    return -mode_apply(state, 1, v)
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _omega2_action(omega: FormalForm, policy, path):
-    """What rho_omega2 applies: the zero mode of tau_omega1 of the radial
-    primitive (``homotopy``, an operator) or the translate of tau_omega1 of
-    the staircase primitive (``direct``, a state whose first mode the
-    recursion applies)."""
+def _omega2_state(omega: FormalForm, policy, path) -> VAState:
+    """The state whose mode rho_omega2 applies: tau_omega1 of the radial
+    primitive (``homotopy``, zero mode) or the translate of tau_omega1 of
+    the staircase primitive (``direct``, first mode)."""
     if not de_rham(omega).is_zero():
         raise ClosednessError("rho_omega2 requires a closed two-form")
     if path == "homotopy":
-        return ModeOperator(
-            tau_omega1(poincare_homotopy(omega, check=False), policy), 0)
+        return tau_omega1(poincare_homotopy(omega, check=False), policy)
     if path != "direct":
         raise ShapeError(f"unknown rho_omega2 path {path!r}")
     return translate(tau_omega1(staircase_primitive(omega, check=False),
@@ -193,8 +188,8 @@ def _bracket_memo(x: FormalVectorField, y: FormalVectorField):
     return vf_bracket(x, y)
 
 
-on_cache_clear(_rho_w_operator.cache_clear)
-on_cache_clear(_omega2_action.cache_clear)
+on_cache_clear(_tau_w_memo.cache_clear)
+on_cache_clear(_omega2_state.cache_clear)
 on_cache_clear(_bracket_memo.cache_clear)
 
 

@@ -10,15 +10,16 @@ b^j_{-1} multiply by b-symbols (negative modes) or differentiate in c
 (non-negative modes), the modes of c^j_0 multiply by c-symbols or
 differentiate in b with a sign, and every other mode is a
 derivative-of-generator mode.  The n-th product of composite states is
-computed two ways.  :func:`mode_apply` takes the standard normally-ordered
+computed two ways, which share the loop over term pairs, the bounds and
+the diagnostics.  :func:`mode_apply` takes the standard normally-ordered
 recursion (the l = -1 specialisation of the mode-composition identity),
-peeling the canonical leading symbol.  A :class:`ModeOperator`, built once
-for a fixed state and mode, applies Wick's theorem for free fields (Kac,
-*Vertex Algebras for Beginners*, 2nd ed.): each field factor of the state
-annihilates one symbol or creates one.  The vector-field and form actions
-of :mod:`formaldisk.hc` use operators; the mode-composition check, the CLI's
-``mode-apply`` and the direct route of ``hc.rho_omega2`` use the
-recursion, so each is an oracle for the other.
+peeling the canonical leading symbol.  :func:`wick_apply` takes Wick's
+theorem for free fields (Kac, *Vertex Algebras for Beginners*, 2nd ed.):
+each field factor of a monomial annihilates one symbol of the other or
+creates one, with no recursion.  The zero modes of :mod:`formaldisk.hc`
+(its vector-field and form actions) use Wick's theorem; the
+mode-composition check, the CLI's ``mode-apply`` and the direct route of
+``hc.rho_omega2`` use the recursion, so each is an oracle for the other.
 
 Bookkeeping bounds on conformal weight and c_0-degree model the completed
 algebra at finite size; all arithmetic below the bounds is exact, and the
@@ -38,26 +39,27 @@ the memos of :mod:`formaldisk.hc`, hold ids, and an id handed out again
 would silently rename their monomials.  It grows with the distinct
 monomials a process meets, a finite number under any fixed policy bounds.
 
-States are immutable and operations pure.  The recursion memoizes on two
-module-level dicts whose entries are deterministic and policy-independent:
-``_MODE_CACHE`` maps ``(id, m, id)`` to a monomial's m-th product on a
-monomial and ``_SYM_CACHE`` maps ``(symbol, i, id)`` to a symbol's i-th
-mode on a monomial.  Each holds at most ``MODE_CACHE_SIZE`` and
-``SYM_CACHE_SIZE`` entries: a miss that finds its cache full empties that
-cache before it stores, which costs only recomputation.  Concurrent use
-can at worst duplicate a computation (individual dict reads/writes are
-atomic under the GIL, and a lock makes adding an id atomic);
-``clear_mode_cache`` empties both caches, the column memos of every live
-:class:`ModeOperator` (each bounded by ``COLUMN_CACHE_SIZE``), and every
-memo registered through ``on_cache_clear`` (the per-operand memos of
-:mod:`formaldisk.hc`, which hold operators).
+States are immutable and operations pure.  Both products memoize on
+module-level dicts whose entries are deterministic and policy-independent.
+The recursion's ``_MODE_CACHE`` maps ``(id, m, id)`` to a monomial's m-th
+product on a monomial and its ``_SYM_CACHE`` maps ``(symbol, i, id)`` to a
+symbol's i-th mode on a monomial.  Wick's ``_WICK_CACHE`` maps ``(id, m,
+id)`` to the same product, computed without recursion, so it holds only
+the pairs asked for; the creators' products it reuses sit in
+``_CREATED`` and are emptied with it.  Each cache holds at most
+``MODE_CACHE_SIZE``, ``SYM_CACHE_SIZE`` and ``WICK_CACHE_SIZE`` entries: a
+miss that finds its cache full empties that cache before it stores, which
+costs only recomputation.  Concurrent use can at worst duplicate a
+computation (individual dict reads/writes are atomic under the GIL, and a
+lock makes adding an id atomic); ``clear_mode_cache`` empties every cache,
+together with every memo registered through ``on_cache_clear`` (the
+per-operand memos of :mod:`formaldisk.hc`).
 """
 
 from __future__ import annotations
 
 import operator
 import threading
-import weakref
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -400,8 +402,8 @@ def clear_mode_cache():
     stays: live states hold its ids."""
     _MODE_CACHE.clear()
     _SYM_CACHE.clear()
-    for op in list(_OPERATORS):
-        op.clear()
+    _WICK_CACHE.clear()
+    _CREATED.clear()
     for hook in _CLEAR_HOOKS:
         hook()
 
@@ -465,18 +467,6 @@ def print_key(mono):
     return (sum(-s[2] for s in mono), len(mono), tuple(sym_key(s) for s in mono))
 
 
-def _weight_error(a_weights, v, m, policy):
-    """The error :func:`mode_apply` raises on a, m and v under a strict
-    policy: it names the first product over its bound, a's terms taken in
-    order and, for each, v's."""
-    for wa in a_weights:
-        for vid in v.terms:
-            w = wa + _WEIGHT[vid] - m - 1
-            if w > policy.max_weight:
-                return TruncationOverflowError(
-                    f"mode product weight {w} exceeds bound {policy.max_weight}")
-
-
 def _mode_state(acc, n, policy):
     """A mode product's id-keyed terms as a state: the weights are within
     the bound, so only the c0 bound can trip.  Terms above it are dropped,
@@ -498,6 +488,18 @@ def mode_apply(a: VAState, m: int, v: VAState) -> VAState:
     Exact below the policy bounds; a product whose weight would exceed the
     policy either raises (strict) or is dropped (non-strict).
     """
+    return _product(a, m, v, _mode_mono)
+
+
+def wick_apply(a: VAState, m: int, v: VAState) -> VAState:
+    """The m-th product a_(m) v, by Wick's theorem; equal to
+    :func:`mode_apply`, with the same bounds and diagnostics."""
+    return _product(a, m, v, _wick_mono)
+
+
+def _product(a, m, v, mono_product):
+    """a_(m) v from the products of monomials that ``mono_product(aid, m,
+    vid)`` returns, integral and id-keyed."""
     _check_compatible(a, v)
     policy = a.policy
     acc = {}
@@ -509,7 +511,7 @@ def mode_apply(a: VAState, m: int, v: VAState) -> VAState:
                 policy.reject(
                     f"mode product weight {w} exceeds bound {policy.max_weight}")
                 continue
-            res = _mode_mono(aid, m, vid)
+            res = mono_product(aid, m, vid)
             if res:
                 # res is integral; a Fraction of a or v can make an integral
                 # sum, which poly_axpy stores as int
@@ -519,146 +521,87 @@ def mode_apply(a: VAState, m: int, v: VAState) -> VAState:
 
 # -- modes by Wick's theorem ---------------------------------------------------
 
-# columns held by each ModeOperator; a miss that finds the memo full
-# empties it before it stores
-COLUMN_CACHE_SIZE = 1 << 12
+# entries of the Wick cache; a miss that finds it full empties it, and the
+# creators' products with it
+WICK_CACHE_SIZE = 1 << 18
 
-# the live operators, whose column memos clear_mode_cache empties
-_OPERATORS = weakref.WeakSet()
+_WICK_CACHE: dict = {}  # (id, m, id) -> a monomial's m-th product on one
+_CREATED: dict = {}  # (creating factors, mode sum) -> [(monomial, coeff)]
 
 
-class ModeOperator:
-    """The endomorphism a_(m) of a fixed state a and mode m, applied by
-    Wick's theorem instead of the recursion.
+def _wick_mono(aid, m, vid):
+    """(monomial aid)_(m) (monomial vid) by Wick's theorem, id-keyed and
+    cached, so callers only read it.
 
-    a's monomials are normally-ordered products of free fields, and so is
-    a_(m): a term splits each of its r field factors into an annihilating
-    and a creating part, with the factors' modes summing to m + 1 - r.  A
-    factor of symbol (T^k u)/k!, u = b^j_{-1} or c^j_0, has modes
-    (-1)^k C(i, k) u_(i-k) (as in ``_apply_sym_mode``): it annihilates one
-    matching symbol of v (a b-field differentiates a c-symbol, a c-field a
-    b-symbol with sign -1), which fixes its mode, or creates a symbol with
-    a mode i <= -1.  The creators of one split share what is left of the
-    mode sum; their products over those compositions are kept per
-    (creating factors, sum).  Annihilation acts first, so the symbols left
-    of v are multiplied by the created ones.
-
-    One application costs, per monomial of v, one lookup of its column:
-    a_(m) of that monomial with a's coefficients, id-keyed.  A column is
-    computed on its first use, removing and merging symbols on the tuple of
-    v's monomial and interning only the results, with no recursion and no
-    module-level cache.  Each weight of a's terms has its own column memo,
-    of at most ``COLUMN_CACHE_SIZE`` entries; a miss that finds one full
-    empties it, together with the creators' products.  ``clear_mode_cache``
-    empties them all.  Weight and c0 bounds are checked as
-    :func:`mode_apply` checks them, with the same diagnostics.
+    A monomial state is a normally-ordered product of free fields, and so
+    is its m-th mode: each of its r field factors splits into an
+    annihilating and a creating part, the factors' modes summing to
+    m + 1 - r.  A factor of symbol (T^k u)/k!, u = b^j_{-1} or c^j_0, has
+    modes (-1)^k C(i, k) u_(i-k) (as in ``_apply_sym_mode``): it
+    annihilates one matching symbol of v (a b-field differentiates a
+    c-symbol, a c-field a b-symbol with sign -1), which fixes its mode, or
+    creates a symbol with a mode i <= -1.  The creators of one split share
+    what is left of the mode sum; annihilation acts first, so the symbols
+    left of v are multiplied by the created ones.  Symbols are removed and
+    merged on tuples, and only the results are interned.
     """
-
-    __slots__ = ("n", "policy", "m", "_a_weights", "_groups", "_creators",
-                 "__weakref__")
-
-    def __init__(self, a: VAState, m: int):
-        self.n, self.policy, self.m = a.n, a.policy, m
-        self._a_weights = [_WEIGHT[aid] for aid in a.terms]
-        # a's terms by weight, each weight with its column memo: the
-        # weight bound keeps or drops a weight's terms together
-        groups = {}
-        for aid, c in a.terms.items():
-            factors = tuple((s[0], s[1], -s[2] - 1 if s[0] == KIND_B else -s[2])
-                            for s in _MONO[aid])
-            groups.setdefault(_WEIGHT[aid], []).append((factors, c))
-        self._groups = [(w, terms, {}) for w, terms in groups.items()]
-        self._creators = {}  # (creating factors, mode sum) -> [(mono, coeff)]
-        _OPERATORS.add(self)
-
-    def clear(self):
-        """Empty the column memos and the creators' products."""
-        for _, _, columns in self._groups:
-            columns.clear()
-        self._creators.clear()
-
-    def __call__(self, v: VAState) -> VAState:
-        _check_compatible(self, v)
-        policy = self.policy
-        top = self.m + 1 + policy.max_weight
-        weight = _WEIGHT
-        axpy = _kernel.poly_axpy
-        acc = {}
-        over = False  # whether a column used has a term above the c0 bound
-        for vid, vc in v.terms.items():
-            wv = weight[vid]
-            for wa, terms, columns in self._groups:
-                if wa + wv > top:
-                    if policy.strict:
-                        raise _weight_error(self._a_weights, v, self.m, policy)
-                    continue
-                hit = columns.get(vid)
-                if hit is None:
-                    col = self._column(terms, vid)
-                    hit = (col, any(_C0[k] > policy.max_c0 for k in col))
-                    if len(columns) >= COLUMN_CACHE_SIZE:
-                        columns.clear()
-                        self._creators.clear()
-                    columns[vid] = hit
-                if hit[0]:
-                    axpy(acc, hit[0], vc)
-                    over = over or hit[1]
-        if over:
-            return _mode_state(acc, self.n, policy)
-        return VAState(self.n, policy, acc, _clean=True)
-
-    def _column(self, terms, vid):
-        """The sum of c * (factors' monomial)_(m) over ``terms`` on the
-        monomial vid, id-keyed; integral values as int."""
-        out = {}
-        get = out.get
-        m = self.m
-        mono = _MONO[vid]
-        fields = {s[:2] for s in mono}
-        for factors, c in terms:
-            # (v's symbols left, annihilators' mode sum, creating factors)
-            # -> coefficient, one factor at a time; a factor whose field
-            # annihilates no symbol of v only creates
-            splits = {(mono, 0, ()): c}
-            idle = ()
-            for f in factors:
-                # kind ^ 1 is the other kind, the one a field annihilates
-                if (f[0] ^ 1, f[1]) in fields:
-                    splits = _split(splits, f)
-                else:
-                    idle += (f,)
-            total = m + 1 - len(factors)
-            for (rest, used, creating), cc in splits.items():
-                creating += idle
-                if not creating:
-                    if used == total:
-                        pid = _intern(rest)
-                        out[pid] = get(pid, 0) + cc
-                    continue
-                for created, k in self._created(creating, total - used):
-                    pid = _intern(_sorted_mono(rest + created))
-                    out[pid] = get(pid, 0) + cc * k
-        return {k: (c.numerator if type(c) is Fraction and c.denominator == 1
-                    else c) for k, c in out.items() if c}
-
-    def _created(self, creating, total):
-        """[(monomial, coefficient)]: the creating factors' products, their
-        modes i <= -1 summing to ``total``."""
-        key = (creating, total)
-        hit = self._creators.get(key)
-        if hit is None:
-            out = {}
-            for modes in _compositions(total, len(creating)):
-                coeff = 1
-                syms = []
-                for (kind, j, k), i in zip(creating, modes):
-                    coeff *= _binom(i, k) * (1 - 2 * (k & 1))
-                    syms.append((kind, j, i - k if kind == KIND_B else i - k + 1))
-                mono = _sorted_mono(syms)
-                out[mono] = out.get(mono, 0) + coeff
-            hit = self._creators[key] = [(mono, c) for mono, c in out.items()
-                                         if c]
+    key = (aid, m, vid)
+    hit = _WICK_CACHE.get(key)
+    if hit is not None:
         return hit
+    out = {}
+    get = out.get
+    mono = _MONO[vid]
+    fields = {s[:2] for s in mono}
+    # (v's symbols left, annihilators' mode sum, creating factors) ->
+    # coefficient, one factor (kind, j, k) at a time; a factor whose field
+    # annihilates no symbol of v only creates
+    splits = {(mono, 0, ()): 1}
+    idle = ()
+    factors = [(s[0], s[1], -s[2] - 1 if s[0] == KIND_B else -s[2])
+               for s in _MONO[aid]]
+    for f in factors:
+        # kind ^ 1 is the other kind, the one a field annihilates
+        if (f[0] ^ 1, f[1]) in fields:
+            splits = _split(splits, f)
+        else:
+            idle += (f,)
+    total = m + 1 - len(factors)
+    for (rest, used, creating), c in splits.items():
+        creating += idle
+        if not creating:
+            if used == total:
+                k = _intern(rest)
+                out[k] = get(k, 0) + c
+            continue
+        for created, cc in _created(creating, total - used):
+            k = _intern(_sorted_mono(rest + created))
+            out[k] = get(k, 0) + c * cc
+    out = {k: c for k, c in out.items() if c} or _NO_TERMS
+    if len(_WICK_CACHE) >= WICK_CACHE_SIZE:
+        _WICK_CACHE.clear()
+        _CREATED.clear()
+    _WICK_CACHE[key] = out
+    return out
+
+
+def _created(creating, total):
+    """[(monomial, coefficient)]: the creating factors' products, their
+    modes i <= -1 summing to ``total``."""
+    key = (creating, total)
+    hit = _CREATED.get(key)
+    if hit is None:
+        out = {}
+        for modes in _compositions(total, len(creating)):
+            coeff = 1
+            syms = []
+            for (kind, j, k), i in zip(creating, modes):
+                coeff *= _binom(i, k) * (1 - 2 * (k & 1))
+                syms.append((kind, j, i - k if kind == KIND_B else i - k + 1))
+            mono = _sorted_mono(syms)
+            out[mono] = out.get(mono, 0) + coeff
+        hit = _CREATED[key] = [(mono, c) for mono, c in out.items() if c]
+    return hit
 
 
 def _split(splits, factor):

@@ -318,7 +318,7 @@ class TestOperandMemos:
     """The memoised actions equal their formulas rebuilt per state."""
 
     POLICIES = (POL, TruncationPolicy(8, 14))
-    MEMOS = (hc._rho_w_operator, hc._bracket_memo, hc._omega2_action)
+    MEMOS = (hc._tau_w_memo, hc._bracket_memo, hc._omega2_state)
 
     @staticmethod
     def _unmemoised(x, y, v):
@@ -363,9 +363,9 @@ class TestOperandMemos:
                 msv_defect(x, y, v)
                 rho_omega2(c2, v)
             # x, y and [x, y] once each; one bracket; one primitive
-            assert hc._rho_w_operator.cache_info().misses == 3
+            assert hc._tau_w_memo.cache_info().misses == 3
             assert hc._bracket_memo.cache_info().misses == 1
-            assert hc._omega2_action.cache_info().misses == 1
+            assert hc._omega2_state.cache_info().misses == 1
 
     def test_non_closed_form_raises_on_every_call(self):
         t3 = JetSeries.variable(3, 6, 3)

@@ -13,12 +13,11 @@ from formaldisk.errors import ShapeError, TruncationOverflowError
 from formaldisk.grammar import format_state, parse_state, parse_vector_field
 from formaldisk.hc import msv_defect, tau_w
 from formaldisk.jets import basis_monomial_fields, vf_bracket
-from formaldisk.vertex import (KIND_B, KIND_C, ModeOperator,
-                               TruncationPolicy, VAState,
+from formaldisk.vertex import (KIND_B, KIND_C, TruncationPolicy, VAState,
                                borcherds_check, clear_mode_cache,
                                enumerate_basis, enumerate_weight_monomials,
                                filtration_degree, generator_mode, mode_apply,
-                               translate, vacuum, weight_of)
+                               translate, vacuum, weight_of, wick_apply)
 from tests.conftest import monomial_states, random_state
 
 POL = TruncationPolicy(12, 10)
@@ -297,13 +296,13 @@ class TestCoefficients:
                 make()
 
 
-# random states for the operator oracle: up to three basis monomials of
+# random states for the Wick oracle: up to three basis monomials of
 # weight <= 3 and c0-degree <= 2 with rational coefficients
 RATIONALS = st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3))
 
 
 @st.composite
-def operator_cases(draw):
+def product_cases(draw):
     n = draw(st.integers(1, 3))
     policy = TruncationPolicy(draw(st.integers(3, 8)), draw(st.integers(1, 4)),
                               strict=draw(st.booleans()))
@@ -337,8 +336,8 @@ def _outcome(apply):
     return {k: (c, type(c)) for k, c in res.terms.items()}
 
 
-class TestModeOperator:
-    """Wick's theorem against the recursion: ModeOperator(a, m)(v) equals
+class TestWick:
+    """Wick's theorem against the recursion: wick_apply(a, m, v) equals
     mode_apply(a, m, v), coefficient types and diagnostics included."""
 
     def test_zero_modes_of_fields_on_criterion_2_space(self):
@@ -346,22 +345,15 @@ class TestModeOperator:
         states = monomial_states(2, pol, 3, 4)
         for x in basis_monomial_fields(2, 8, 3):
             a = tau_w(x, pol)
-            op = ModeOperator(a, 0)
             for v in states:
-                assert op(v) == mode_apply(a, 0, v), (x, v)
+                assert wick_apply(a, 0, v) == mode_apply(a, 0, v), (x, v)
 
     @settings(max_examples=400, deadline=None)
-    @given(operator_cases())
+    @given(product_cases())
     def test_equals_recursion(self, case):
         a, m, v = case
-        assert _outcome(lambda: ModeOperator(a, m)(v)) == \
+        assert _outcome(lambda: wick_apply(a, m, v)) == \
             _outcome(lambda: mode_apply(a, m, v))
-
-    def test_rejects_a_state_of_another_policy(self):
-        a = VAState.generator(1, TruncationPolicy(4, 4), KIND_B, 1, -1)
-        b = VAState.generator(1, TruncationPolicy(5, 4), KIND_B, 1, -1)
-        with pytest.raises(ShapeError):
-            ModeOperator(a, 0)(b)
 
 
 class TestEnumeration:
@@ -448,23 +440,24 @@ class TestInterning:
         assert mode_cache.clears > clears[0] and sym_cache.clears > clears[1]
         assert 0 < mode_cache.peak <= 40 and 0 < sym_cache.peak <= 16
 
-    def test_operator_columns_are_bounded_and_cleared(self, monkeypatch):
+    def test_bounded_wick_cache_evicts_without_changing_results(
+            self, monkeypatch):
         x = parse_vector_field(self.X, 2, 6)
+        y = parse_vector_field(self.Y, 2, 6)
         pol = TruncationPolicy(8, 14)
         states = monomial_states(2, pol, 2, 2)
-        op = ModeOperator(tau_w(x, pol), 0)
-        unbounded = [op(v) for v in states]
-        (_, _, columns), = op._groups
-        assert len(columns) == len(states)
         clear_mode_cache()
-        assert not columns
-        monkeypatch.setattr(vertex, "COLUMN_CACHE_SIZE", 16)
-        peak = _PeakDict()
-        op._groups[0] = op._groups[0][:2] + (peak,)
-        assert [op(v) for v in states] == unbounded
-        assert peak.clears > 0 and 0 < peak.peak <= 16
+        unbounded = [msv_defect(x, y, v) for v in states]
+        assert vertex._WICK_CACHE and vertex._CREATED
         clear_mode_cache()
-        assert not peak
+        assert not vertex._WICK_CACHE and not vertex._CREATED
+        wick_cache = _PeakDict()
+        monkeypatch.setattr(vertex, "WICK_CACHE_SIZE", 16)
+        monkeypatch.setattr(vertex, "_WICK_CACHE", wick_cache)
+        assert [msv_defect(x, y, v) for v in states] == unbounded
+        assert wick_cache.clears > 0 and 0 < wick_cache.peak <= 16
+        clear_mode_cache()
+        assert not wick_cache
 
     def test_format_parse_round_trip(self, rng):
         for _ in range(60):
