@@ -234,13 +234,24 @@ class JetSeries:
         return out
 
     def __eq__(self, other):
+        # a jet with no term but the constant one equals that constant, so
+        # a jet over jets and a jet over Q with the same value are equal
+        if isinstance(other, (int, Fraction)):
+            return self._is_constant() and self.constant_term() == other
         if not isinstance(other, JetSeries):
             return NotImplemented
         return (self.n, self.order) == (other.n, other.order) and \
             self.coeffs == other.coeffs
 
     def __hash__(self):
+        if self._is_constant():
+            return hash(self.constant_term())
         return hash((self.n, self.order, frozenset(self.coeffs.items())))
+
+    def _is_constant(self):
+        """True when no term but the constant one is stored."""
+        return not self.coeffs or (len(self.coeffs) == 1
+                                   and (0,) * self.n in self.coeffs)
 
     def __repr__(self):
         from .grammar import format_jet

@@ -113,7 +113,7 @@ class TestRhoOmega:
             assert rho_omega2(w, v, path="homotopy") == \
                 rho_omega2(w, v, path="direct")
 
-    def test_operator_route_equals_recursion_on_criterion_2_space(self):
+    def test_wick_route_equals_recursion_on_criterion_2_space(self):
         # homotopy: the zero mode by Wick's theorem; direct: the first mode
         # of a weight-two state by the recursion
         pol = TruncationPolicy(8, 14)

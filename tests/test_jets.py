@@ -450,9 +450,17 @@ class TestInverse:
 
     def test_identity_takes_the_entries_one(self):
         # over jets of jets, one is the constant jet of the coefficients'
-        # one, which is not the constant jet of the rational one
+        # one; it equals the constant jet of the rational one, and a
+        # constant jet equals its constant, with equal hashes
         one = JetSeries.const(1, 3, JetSeries.one(2, 2))
-        assert one_of(one) == one != JetSeries.one(1, 3)
+        assert one == JetSeries.one(1, 3)
+        assert hash(one) == hash(JetSeries.one(1, 3)) == hash(1)
+        assert JetSeries.one(2, 2) == 1 and JetSeries.zero(2, 2) == 0
+        assert JetSeries.const(2, 2, F(1, 2)) == F(1, 2)
+        assert JetSeries.variable(2, 2, 1) != 0
+        assert JetSeries.one(2, 2) + JetSeries.variable(2, 2, 1) != 1
+        assert one_of(one) == one
+        assert type(one_of(one).constant_term()) is JetSeries
         assert one_of(F(2, 3)) == 1 and type(one_of(F(2, 3))) is F
         assert one_of(JetSeries.variable(2, 2, 1)) == JetSeries.one(2, 2)
         u = JetSeries(1, 3, {(0,): JetSeries.const(2, 2, 2),

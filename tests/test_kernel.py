@@ -154,6 +154,10 @@ def dot_batches(draw):
 # a rational row beside a jet row, sharing a dict
 @example(([[({(1,): 2}, {(0,): F(1, 3), (1,): 1})],
            [({(1,): 2}, {(0,): S, (1,): 1})]], 2))
+# jet products that cancel beside a rational one: the sum stores the
+# rational 1 where the schoolbook sum keeps the constant jet 1
+@example(([[({(1,): 1}, {(1,): U * U}), ({(1,): U * U}, {(1,): -1}),
+            ({(1,): 1}, {(1,): 1})]], 2))
 def test_poly_dots_matches_schoolbook_sums(batch):
     rows, order = batch
     before = [[(dict(a), dict(b)) for a, b in row] for row in rows]

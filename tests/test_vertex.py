@@ -311,19 +311,14 @@ def product_cases(draw):
     def state():
         terms = draw(st.dictionaries(basis, RATIONALS, min_size=1,
                                      max_size=3))
-        return VAState(n, TruncationPolicy(8, 4), terms)
+        # built loose, then cut to the terms the drawn policy holds
+        loose = VAState(n, TruncationPolicy(8, 4), terms)
+        keep = {k: c for k, c in loose.terms.items()
+                if vertex._WEIGHT[k] <= policy.max_weight
+                and vertex._C0[k] <= policy.max_c0}
+        return VAState(n, policy, keep or {vertex._EMPTY: 1}, _clean=True)
 
     a, v = state(), state()
-    # the policy's own bounds may refuse a or v; they are built loose and
-    # their terms kept where the policy holds them
-    keep = {k: c for k, c in a.terms.items()
-            if vertex._WEIGHT[k] <= policy.max_weight
-            and vertex._C0[k] <= policy.max_c0}
-    a = VAState(n, policy, keep or {vertex._EMPTY: 1}, _clean=True)
-    keep = {k: c for k, c in v.terms.items()
-            if vertex._WEIGHT[k] <= policy.max_weight
-            and vertex._C0[k] <= policy.max_c0}
-    v = VAState(n, policy, keep or {vertex._EMPTY: 1}, _clean=True)
     return a, draw(st.integers(-2, 3)), v
 
 
