@@ -18,12 +18,10 @@ from .vertex import (KIND_B, KIND_C, TruncationPolicy, VAState, mode_apply,
                      translate)
 
 
-def virasoro_vector(n, policy=None) -> VAState:
+def virasoro_vector(n, policy) -> VAState:
     """L = sum_i b^i_{-1} c^i_{-1}, of conformal weight two."""
     if n < 1:
         raise ShapeError("rank must be >= 1")
-    if policy is None:
-        policy = TruncationPolicy(8, 8)
     out = VAState.zero(n, policy)
     for i in range(1, n + 1):
         out = out + VAState.generator(n, policy, KIND_B, i, -1) * \
@@ -31,15 +29,15 @@ def virasoro_vector(n, policy=None) -> VAState:
     return out
 
 
-def conformal_axiom_check(n, states, policy=None):
-    """Check L_(0) = T, L_(1) = grading, and L_(3) L = n |0> on the samples.
+def conformal_axiom_check(n, states):
+    """Check L_(0) = T, L_(1) = grading, and L_(3) L = n |0> on the samples,
+    of which there must be at least one, under the first sample's policy.
 
     Returns a list of (name, ok, detail) verdicts; all-exact comparisons.
     """
-    if states:
-        policy = states[0].policy
-    elif policy is None:
-        policy = TruncationPolicy(8, 8)
+    if not states:
+        raise ShapeError("conformal_axiom_check needs at least one state")
+    policy = states[0].policy
     lvec = virasoro_vector(n, policy)
     verdicts = []
     ok_t = True

@@ -20,7 +20,7 @@ class ClosednessError(FormalDiskError):
 
 
 class TruncationOverflowError(FormalDiskError):
-    """A state operation exceeded its bookkeeping bounds under strict policy."""
+    """A state operation produced a term past its truncation policy's bounds."""
 
 
 class ParseError(FormalDiskError):

@@ -218,8 +218,8 @@ class _Parser:
             # binom(k, j) c^(k-j) y^j over the j <= k with y^j nonzero:
             # as many products as y's nilpotency index, whatever k is.  A
             # state's y is nilpotent since each symbol adds to the weight or
-            # the c0-degree; y^j goes factor by factor, so a power past a
-            # strict policy names the first monomial past it
+            # the c0-degree; y^j goes factor by factor, so a power past the
+            # policy names the first monomial past it
             y = self.add(x, JetSeries.const(self.n, self.order, -c))
             out = JetSeries.const(self.n, self.order, c ** k)
             yj, binom = None, 1

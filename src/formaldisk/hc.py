@@ -3,23 +3,22 @@
 A vector field f(t) d/dt_j embeds as the weight-one state f(c) b^j_{-1}
 and acts through its zero mode; a one-form f(t) dt_j embeds as
 f(c) T(c^j_0) and likewise acts through the zero mode, which kills exact
-forms, so closed two-forms act through any de Rham primitive (the radial
-one by default, with the direct first-mode formula kept as an independent
-cross-check).  The failure of the vector-field action to be a Lie map is
+forms, so closed two-forms act through any de Rham primitive (here the
+radial one).  The failure of the vector-field action to be a Lie map is
 the extension cocycle; :func:`msv_defect` computes it as an operator and
 the tests match it against the explicit second Chern-character cocycle.
 
 Zero modes are applied by Wick's theorem (:func:`vertex.wick_apply`):
-:func:`rho_w`, :func:`rho_omega1` and the ``homotopy`` route of
-:func:`rho_omega2`.  The ``direct`` route takes the first mode of a
-weight-two state by the recursion of :func:`vertex.mode_apply`, so the two
-routes share no code past the embedding.
+:func:`rho_w`, :func:`rho_omega1` and :func:`rho_omega2`.  The tests hold
+:func:`rho_omega2` against an independent route that shares no code with it
+past the embedding: the first mode of the translated staircase primitive,
+taken by the recursion of :func:`vertex.mode_apply`.
 
 A sweep applies the same operand to many states, so the work fixed by the
 operand is built once: bounded memos (``MEMO_SIZE`` operands each, least
 recently used evicted first) map a field and policy to its embedded state
-``tau_w``, a pair of fields to their bracket, and a closed two-form, policy
-and path to the embedded primitive that :func:`rho_omega2` applies.  The
+``tau_w``, a pair of fields to their bracket, and a closed two-form and
+policy to the embedded primitive that :func:`rho_omega2` applies.  The
 closedness check runs inside that memo's builder, and a raised error is
 not stored, so a non-closed form is refused on every call.
 ``vertex.clear_mode_cache`` empties these memos along with the mode
@@ -35,10 +34,9 @@ from fractions import Fraction
 from .errors import ClosednessError, InvertibilityError, ShapeError
 from .gf import ch2_gf
 from .jets import (FormalForm, FormalVectorField, JetSeries, de_rham,
-                   lie_derivative, poincare_homotopy, staircase_primitive,
-                   vf_bracket, _matrix_inverse)
-from .vertex import (KIND_B, KIND_C, VAState, mode_apply, on_cache_clear,
-                     translate, wick_apply)
+                   lie_derivative, poincare_homotopy, vf_bracket,
+                   _matrix_inverse)
+from .vertex import KIND_B, KIND_C, VAState, on_cache_clear, wick_apply
 
 # operands held by each per-operand memo
 MEMO_SIZE = 256
@@ -106,37 +104,21 @@ def rho_omega1(theta: FormalForm, v: VAState) -> VAState:
     return wick_apply(tau_omega1(theta, v.policy), 0, v)
 
 
-def rho_omega2(omega: FormalForm, v: VAState, path="homotopy") -> VAState:
-    """Action of a closed two-form, i.e. of any de Rham primitive.
-
-    ``homotopy`` feeds the radial primitive to the zero mode of tau_omega1;
-    ``direct`` is the first-mode route: (T u)_(1) = -u_(0) turns the zero
-    mode of a primitive into the first mode of a weight-two state, and the
-    primitive is built by staircase integration rather than radially, so
-    the two paths share no intermediate.  They agree as operators because
-    exact one-forms act by zero; the tests hold them against each other.
-    """
+def rho_omega2(omega: FormalForm, v: VAState) -> VAState:
+    """Action of a closed two-form, i.e. of any de Rham primitive: the zero
+    mode of tau_omega1 of the radial primitive.  Exact one-forms act by
+    zero, so every primitive gives the same operator."""
     if omega.degree != 2:
         raise ShapeError("rho_omega2 expects a two-form")
-    state = _omega2_state(omega, v.policy, path)
-    if path == "homotopy":
-        return wick_apply(state, 0, v)
-    return -mode_apply(state, 1, v)
+    return wick_apply(_omega2_state(omega, v.policy), 0, v)
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _omega2_state(omega: FormalForm, policy, path) -> VAState:
-    """The state whose mode rho_omega2 applies: tau_omega1 of the radial
-    primitive (``homotopy``, zero mode) or the translate of tau_omega1 of
-    the staircase primitive (``direct``, first mode)."""
+def _omega2_state(omega: FormalForm, policy) -> VAState:
+    """tau_omega1 of the radial primitive of a closed two-form."""
     if not de_rham(omega).is_zero():
         raise ClosednessError("rho_omega2 requires a closed two-form")
-    if path == "homotopy":
-        return tau_omega1(poincare_homotopy(omega, check=False), policy)
-    if path != "direct":
-        raise ShapeError(f"unknown rho_omega2 path {path!r}")
-    return translate(tau_omega1(staircase_primitive(omega, check=False),
-                                policy))
+    return tau_omega1(poincare_homotopy(omega, check=False), policy)
 
 
 def gl_act(a_matrix, v: VAState) -> VAState:

@@ -789,7 +789,7 @@ def poincare_homotopy(w: FormalForm, check=True) -> FormalForm:
     """
     if w.degree < 1:
         raise ShapeError("homotopy needs a form of degree >= 1")
-    if check and not de_rham(w).is_zero():
+    if not de_rham(w).is_zero():
         raise ClosednessError("poincare_homotopy requires a closed form")
     n, order, k = w.n, w.order + 1, w.degree
     acc = {}  # index of the (k-1)-form -> its coefficients
@@ -817,7 +817,7 @@ def integrate_var(f: JetSeries, i: int) -> JetSeries:
     return JetSeries(f.n, f.order + 1, out, _clean=True)
 
 
-def staircase_primitive(w: FormalForm, check=True) -> FormalForm:
+def staircase_primitive(w: FormalForm) -> FormalForm:
     """A non-radial primitive of a closed 2-form, by iterated t_a-integration.
 
     Used as an independent counterpart to :func:`poincare_homotopy`: the two
@@ -825,7 +825,7 @@ def staircase_primitive(w: FormalForm, check=True) -> FormalForm:
     """
     if w.degree != 2:
         raise ShapeError("staircase_primitive expects a two-form")
-    if check and not de_rham(w).is_zero():
+    if not de_rham(w).is_zero():
         raise ClosednessError("staircase_primitive requires a closed form")
     n, order = w.n, w.order + 1
     theta = FormalForm.zero(n, order, 1)
@@ -1002,7 +1002,8 @@ def monomial_exponents(n, max_degree, min_degree=0):
 
 
 def basis_monomial_fields(n, order, max_degree, min_degree=0):
-    """All monomial vector fields t^a d_j with min_degree <= |a| <= max_degree."""
+    """All monomial vector fields t^a d_j with min_degree <= |a| <= max_degree
+    and |a| <= order: a field of degree above the order is zero."""
     return [FormalVectorField.monomial(n, order, e, j)
-            for e in monomial_exponents(n, max_degree, min_degree)
+            for e in monomial_exponents(n, min(max_degree, order), min_degree)
             for j in range(1, n + 1)]

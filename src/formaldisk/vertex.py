@@ -18,12 +18,15 @@ theorem for free fields (Kac, *Vertex Algebras for Beginners*, 2nd ed.):
 each field factor of a monomial annihilates one symbol of the other or
 creates one, with no recursion.  The zero modes of :mod:`formaldisk.hc`
 (its vector-field and form actions) use Wick's theorem; the
-mode-composition check, the CLI's ``mode-apply`` and the direct route of
-``hc.rho_omega2`` use the recursion, so each is an oracle for the other.
+mode-composition check, the CLI's ``mode-apply`` and the tests' reference
+route for ``hc.rho_omega2`` use the recursion, so each is an oracle for
+the other.
 
 Bookkeeping bounds on conformal weight and c_0-degree model the completed
-algebra at finite size; all arithmetic below the bounds is exact, and the
-strict policy turns any overflow into an error rather than silent loss.
+algebra at finite size; all arithmetic below the bounds is exact, and any
+term past a bound is refused with :class:`TruncationOverflowError`, never
+dropped: a dropped term could have fed terms below the bounds (b_(0)
+differentiates in c_0).
 
 Monomials are interned (hash-consed): the canonically sorted symbol tuple
 of a monomial gets an int id from one module-level table, which also
@@ -154,33 +157,28 @@ def _intern(mono):
 
 
 class TruncationPolicy:
-    """Bookkeeping bounds: max conformal weight, max c_0-degree, strictness.
+    """Bookkeeping bounds: max conformal weight and max c_0-degree.
 
     Interned: equal bounds give one object, so equal means identical.
     """
 
-    __slots__ = ("max_weight", "max_c0", "strict")
+    __slots__ = ("max_weight", "max_c0")
     _INTERNED: dict = {}
 
-    def __new__(cls, max_weight, max_c0, strict=True):
-        key = (max_weight, max_c0, strict)
+    def __new__(cls, max_weight, max_c0):
+        key = (max_weight, max_c0)
         got = cls._INTERNED.get(key)
         if got is None:
             if max_weight < 0 or max_c0 < 0:
                 raise ShapeError("policy bounds must be non-negative")
             got = super().__new__(cls)
-            got.max_weight, got.max_c0, got.strict = key
+            got.max_weight, got.max_c0 = key
             # a racing thread may have stored one first; keep that one
             got = cls._INTERNED.setdefault(key, got)
         return got
 
-    def reject(self, what):
-        if self.strict:
-            raise TruncationOverflowError(what)
-
     def __repr__(self):
-        mode = "strict" if self.strict else "drop"
-        return f"TruncationPolicy(weight<={self.max_weight}, c0<={self.max_c0}, {mode})"
+        return f"TruncationPolicy(weight<={self.max_weight}, c0<={self.max_c0})"
 
 
 def _check_compatible(a, b):
@@ -222,8 +220,7 @@ class VAState:
                 make_sym(*s)
             k = _intern(mono)
             if _WEIGHT[k] > policy.max_weight or _C0[k] > policy.max_c0:
-                policy.reject(f"monomial exceeds policy: {mono}")
-                continue
+                raise TruncationOverflowError(f"monomial exceeds policy: {mono}")
             clean[k] = clean[k] + c if k in clean else c
         self.terms = {k: norm_coeff(c) for k, c in clean.items() if c}
 
@@ -333,9 +330,7 @@ class VAState:
         return f"VAState({self.n}; {format_state(self)})"
 
 
-def vacuum(n, policy=None) -> VAState:
-    if policy is None:
-        policy = TruncationPolicy(8, 8)
+def vacuum(n, policy) -> VAState:
     return VAState.vacuum(n, policy)
 
 
@@ -379,9 +374,9 @@ def _apply_sym_mode(sym, i, data):
 
 
 # each cache's bound, in entries; from cold, the acceptance test of the
-# extension cocycle (criterion 2) fills 191,729 mode and 43,063 sym
-# entries, and that of the vertex axioms (criterion 1) would fill 296,669
-# and 290,160, above the bound, so each cache empties once during it
+# conformal structure (criterion 3) fills 47,748 mode and 68,721 sym
+# entries, and that of the vertex axioms (criterion 1) stores 310,171 and
+# 312,680, above the bound, so each cache empties once during it
 MODE_CACHE_SIZE = 1 << 18
 SYM_CACHE_SIZE = 1 << 18
 
@@ -469,24 +464,21 @@ def print_key(mono):
 
 def _mode_state(acc, n, policy):
     """A mode product's id-keyed terms as a state: the weights are within
-    the bound, so only the c0 bound can trip.  Terms above it are dropped,
-    or refused under a strict policy, which names the first of them in
-    print order."""
+    the bound, so only the c0 bound can trip; a term above it is refused,
+    naming the first such monomial in print order."""
     max_c0 = policy.max_c0
-    over = [k for k in acc if _C0[k] > max_c0]
+    over = [_MONO[k] for k in acc if _C0[k] > max_c0]
     if over:
-        policy.reject("mode product exceeds c0 bound: "
-                      f"{min((_MONO[k] for k in over), key=print_key)}")
-        for k in over:
-            del acc[k]
+        raise TruncationOverflowError(
+            f"mode product exceeds c0 bound: {min(over, key=print_key)}")
     return VAState(n, policy, acc, _clean=True)
 
 
 def mode_apply(a: VAState, m: int, v: VAState) -> VAState:
     """The m-th product a_(m) v, by the normally-ordered recursion.
 
-    Exact below the policy bounds; a product whose weight would exceed the
-    policy either raises (strict) or is dropped (non-strict).
+    Exact below the policy bounds; a product with a term past them raises
+    :class:`TruncationOverflowError`.
     """
     return _product(a, m, v, _mode_mono)
 
@@ -508,9 +500,8 @@ def _product(a, m, v, mono_product):
         for vid, vc in v.terms.items():
             w = wa + _WEIGHT[vid] - m - 1
             if w > policy.max_weight:
-                policy.reject(
+                raise TruncationOverflowError(
                     f"mode product weight {w} exceeds bound {policy.max_weight}")
-                continue
             res = mono_product(aid, m, vid)
             if res:
                 # res is integral; a Fraction of a or v can make an integral
@@ -522,7 +513,9 @@ def _product(a, m, v, mono_product):
 # -- modes by Wick's theorem ---------------------------------------------------
 
 # entries of the Wick cache; a miss that finds it full empties it, and the
-# creators' products with it
+# creators' products with it.  From cold, the acceptance test of the
+# extension cocycle (criterion 2), whose zero modes all go through it and
+# none through the recursion, fills 64,302
 WICK_CACHE_SIZE = 1 << 18
 
 _WICK_CACHE: dict = {}  # (id, m, id) -> a monomial's m-th product on one

@@ -107,6 +107,17 @@ class TestDispatch:
         assert code == 0
         assert doc["checks"][-1]["detail"] == f"{len(calls)} monomial fields"
 
+    @pytest.mark.parametrize("rank, order, count", [
+        (1, 0, 1), (1, 1, 2), (2, 0, 2), (2, 1, 6)])
+    def test_conformal_check_counts_only_nonzero_fields(self, rank, order,
+                                                        count, capsys):
+        # the fields of degree <= 3 that are not zero at the jet order
+        code, doc = run_inproc(["conformal-check", "--rank", str(rank),
+                                "--max-weight", "1", "--jet-order",
+                                str(order)], capsys)
+        assert code == 0
+        assert doc["checks"][-1]["detail"] == f"{count} monomial fields"
+
     def test_witten_log_table(self, capsys):
         code, doc = run_inproc(["witten-log", "--rank", "1",
                                 "--chern-degree", "4", "--q-order", "2"],
@@ -286,7 +297,7 @@ class TestContract:
          "((1, 1, 0), (1, 1, 0), (1, 1, 0), (1, 1, 0), (1, 1, 0))"),
     ])
     def test_c0_overflow_names_a_monomial(self, args, named, capsys):
-        # a strict run stops at a term above the c0 bound and names it; on
+        # a run stops at a term above the c0 bound and names it; on
         # these inputs the first in print order is the one the recursion
         # met first
         assert main(["rho-w", *args]) == 2

@@ -2,9 +2,12 @@
 
 from fractions import Fraction as F
 
+import pytest
+
 from formaldisk.conformal import (c1_defect, conformal_axiom_check,
                                   virasoro_vector)
 from formaldisk.constants import CONFORMAL_ANOMALY_SIGN
+from formaldisk.errors import ShapeError
 from formaldisk.gf import c1_gf
 from formaldisk.grammar import format_state, parse_vector_field
 from formaldisk.hc import rho_omega2, rho_w, tau_omega1
@@ -35,6 +38,11 @@ class TestAxioms:
             states = monomial_states(n, POL, 3, 2)
             verdicts = conformal_axiom_check(n, states)
             assert all(ok for _, ok, _ in verdicts), verdicts
+
+    def test_no_states_is_refused(self):
+        # three passing verdicts on no states would check nothing
+        with pytest.raises(ShapeError, match="at least one state"):
+            conformal_axiom_check(2, [])
 
     def test_l0_is_translation(self):
         lvec = virasoro_vector(1, POL)

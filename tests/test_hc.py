@@ -30,6 +30,15 @@ def field(text, n, order=6):
     return parse_vector_field(text, n, order)
 
 
+def direct_omega2(w, policy):
+    """rho_omega2's independent reference, built once per form: (T u)_(1) =
+    -u_(0) turns the zero mode of a primitive into the first mode of a
+    weight-two state, taken by the recursion, and the staircase primitive
+    differs from the radial one by an exact form, which acts by zero."""
+    state = translate(tau_omega1(staircase_primitive(w), policy))
+    return lambda v: -mode_apply(state, 1, v)
+
+
 class TestTau:
     def test_tau_w_examples(self):
         assert format_state(tau_w(field("t1 d1", 1), POL)) == "b[1,-1]*c[1,0]"
@@ -109,22 +118,22 @@ class TestRhoOmega:
     def test_paths_agree(self, rng):
         w = FormalForm(2, 6, 2, {(1, 2): JetSeries.one(2, 6) +
                                  JetSeries.monomial(2, 6, (1, 1), F(2))})
+        direct = direct_omega2(w, POL)
         for v in monomial_states(2, POL, 3, 2):
-            assert rho_omega2(w, v, path="homotopy") == \
-                rho_omega2(w, v, path="direct")
+            assert rho_omega2(w, v) == direct(v)
 
     def test_wick_route_equals_recursion_on_criterion_2_space(self):
-        # homotopy: the zero mode by Wick's theorem; direct: the first mode
-        # of a weight-two state by the recursion
+        # the zero mode by Wick's theorem against the first mode of a
+        # weight-two state by the recursion
         pol = TruncationPolicy(8, 14)
         states = monomial_states(2, pol, 3, 4)
         for x, y in (("t1^2*t2 d1", "t1*t2^2 d2"), ("t1^3 d2", "t2^3 d1"),
                      ("t1^2 d2 + t2^3 d1", "t1*t2^2 d1 + t1^3 d2")):
             w = ch2_gf(field(x, 2, 8), field(y, 2, 8))
             assert not w.is_zero()
+            direct = direct_omega2(w, pol)
             for v in states:
-                assert rho_omega2(w, v, path="homotopy") == \
-                    rho_omega2(w, v, path="direct"), (x, y, v)
+                assert rho_omega2(w, v) == direct(v), (x, y, v)
 
     def test_b_free_states_killed_by_constant_form(self, rng):
         w = wedge(FormalForm.dt(2, 6, 1), FormalForm.dt(2, 6, 2))
@@ -159,29 +168,51 @@ class TestRhoOmega:
             assert ab == ba
 
 
-class TestPolicyDrops:
-    """A non-strict policy drops the terms above its c0 bound; the
-    documents are those of the recursion, pinned."""
+class TestBoundsRefuse:
+    """A policy refuses every term past its bounds and drops none: under a
+    tight policy each operation either raises or equals, term for term,
+    the same operation under a loose one.  A dropped term can feed terms
+    below the bounds (b_(0) differentiates in c_0), so a policy that
+    dropped would give wrong results here."""
 
-    LAX = TruncationPolicy(8, 2, strict=False)
-    V = ("c[1,0]*c[2,0] + c[2,0]*c[2,0] + b[1,-1]*c[2,0]"
-         " + 1/2*b[2,-1]*c[1,0]*c[2,-1]")
+    TIGHT = (TruncationPolicy(3, 2), TruncationPolicy(4, 3),
+             TruncationPolicy(6, 2))
+    LOOSE = TruncationPolicy(12, 14)
 
-    def test_rho_w_and_defect(self):
+    @staticmethod
+    def _outcome(apply, *states):
+        try:
+            return apply(*states).terms
+        except TruncationOverflowError:
+            return None
+
+    def test_tight_runs_raise_or_equal_the_loose_run(self, rng):
         x = field("t1^2 d1 + t2^2 d2", 2)
         y = field("t1*t2 d2 - t2 d1", 2)
-        v = parse_state(self.V, 2, self.LAX)
-        assert format_state(rho_w(x, v)) == (
-            "-2*b[1,-1]*c[1,0]*c[2,0] + b[1,-1]*c[2,0]*c[2,0]"
-            " - c[1,0]*c[2,-2] + 1/2*b[2,-1]*c[1,0]*c[1,0]*c[2,-1]")
-        assert format_state(msv_defect(x, y, v)) == (
-            "-2*c[1,0]*c[2,-1] - 2*c[1,-1]*c[2,0] + 4*c[2,0]*c[2,-1]"
-            " - c[1,0]*c[1,0]*c[1,-2] + c[1,0]*c[1,0]*c[2,-2]"
-            " - 1/2*c[1,0]*c[1,-1]*c[1,-1] + c[1,0]*c[1,-2]*c[2,0]")
-        # the strict policy of the same bounds refuses v's first product
-        strict = parse_state(self.V, 2, TruncationPolicy(8, 2))
-        with pytest.raises(TruncationOverflowError, match="c0 bound"):
-            rho_w(x, strict)
+        w = ch2_gf(x, y)
+        raised = 0
+        for _ in range(20):
+            # v, then the two states of the nested product
+            terms = [random_state(rng, 2, self.LOOSE, max_weight=wt,
+                                  max_c0=c0, terms=3).mono_terms()
+                     for wt, c0 in ((3, 2), (2, 1), (1, 1))]
+            m1, m2 = rng.randint(-2, 1), rng.randint(-2, 1)
+            ops = (lambda v, a, b: msv_defect(x, y, v),
+                   lambda v, a, b: rho_omega2(w, v),
+                   lambda v, a, b: mode_apply(a, m1, mode_apply(b, m2, v)))
+            for op in ops:
+                loose = self._outcome(
+                    op, *(VAState(2, self.LOOSE, t) for t in terms))
+                assert loose is not None
+                for pol in self.TIGHT:
+                    tight = self._outcome(
+                        op, *(VAState(2, pol, t) for t in terms))
+                    if tight is None:
+                        raised += 1
+                    else:
+                        assert tight == loose, (pol, terms)
+        # both outcomes occur
+        assert 0 < raised < 180
 
 
 class TestGLAction:
@@ -348,7 +379,7 @@ class TestOperandMemos:
                     assert rho_w(x, v) == rho, (sweep, pol, v)
                     assert msv_defect(x, y, v) == defect, (sweep, pol, v)
                     for path in ("homotopy", "direct"):
-                        assert rho_omega2(c2, v, path=path) == \
+                        assert rho_omega2(c2, v) == \
                             self._omega2_unmemoised(c2, v, path), \
                             (sweep, pol, v, path)
 
@@ -370,9 +401,9 @@ class TestOperandMemos:
     def test_non_closed_form_raises_on_every_call(self):
         t3 = JetSeries.variable(3, 6, 3)
         w = FormalForm(3, 6, 2, {(1, 2): t3})
-        for path in ("homotopy", "direct", "homotopy"):
+        for _ in range(3):
             with pytest.raises(ClosednessError):
-                rho_omega2(w, vacuum(3, POL), path=path)
+                rho_omega2(w, vacuum(3, POL))
 
     def test_memos_hold_at_most_their_bound(self):
         clear_mode_cache()

@@ -197,30 +197,17 @@ class TestPolicy:
         with pytest.raises(TruncationOverflowError):
             mode_apply(b, -2, b)
 
-    def test_drop_mode(self):
-        lax = TruncationPolicy(1, 1, strict=False)
-        b = VAState.generator(1, lax, KIND_B, 1, -1)
-        assert (b * b).is_zero()
-        assert mode_apply(b, -2, b).is_zero()
-
     def test_c0_bound_trips_in_mode_products(self):
         # c_0 times a monomial of c0-degree k: one c_0 above a bound of k
         for k in (1, 2, 3):
-            for strict in (True, False):
-                pol = TruncationPolicy(4, k, strict=strict)
-                c0 = VAState.generator(1, pol, KIND_C, 1, 0)
-                v = VAState(1, pol, {((KIND_C, 1, 0),) * k: 1})
-                if strict:
-                    with pytest.raises(TruncationOverflowError):
-                        mode_apply(c0, -1, v)
-                else:
-                    assert mode_apply(c0, -1, v).is_zero()
+            pol = TruncationPolicy(4, k)
+            c0 = VAState.generator(1, pol, KIND_C, 1, 0)
+            v = VAState(1, pol, {((KIND_C, 1, 0),) * k: 1})
+            with pytest.raises(TruncationOverflowError):
+                mode_apply(c0, -1, v)
 
     def test_policies_are_interned(self):
         assert TruncationPolicy(4, 4) is TruncationPolicy(4, 4)
-        assert TruncationPolicy(4, 4) is TruncationPolicy(4, 4, strict=True)
-        assert TruncationPolicy(4, 4) is not \
-            TruncationPolicy(4, 4, strict=False)
         assert TruncationPolicy(4, 4) != TruncationPolicy(4, 5)
         with pytest.raises(ShapeError, match="non-negative"):
             TruncationPolicy(-1, 4)
@@ -304,8 +291,7 @@ RATIONALS = st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3))
 @st.composite
 def product_cases(draw):
     n = draw(st.integers(1, 3))
-    policy = TruncationPolicy(draw(st.integers(3, 8)), draw(st.integers(1, 4)),
-                              strict=draw(st.booleans()))
+    policy = TruncationPolicy(draw(st.integers(3, 8)), draw(st.integers(1, 4)))
     basis = st.sampled_from(enumerate_basis(n, 3, 2))
 
     def state():
