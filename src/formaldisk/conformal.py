@@ -62,7 +62,7 @@ def conformal_axiom_check(n, states):
     return verdicts
 
 
-def c1_defect(x: FormalVectorField, policy=None):
+def c1_defect(x: FormalVectorField):
     """The one-form read off from (rho_W(X) L)_(2) on weight-one states.
 
     Returns (alpha_form, kernel_ok, matches) where kernel_ok reports that
@@ -70,8 +70,7 @@ def c1_defect(x: FormalVectorField, policy=None):
     ``matches`` compares alpha_form with the calibrated sign times c1(X).
     """
     n, order = x.n, x.order
-    if policy is None:
-        policy = TruncationPolicy(6, max(8, order + 2))
+    policy = TruncationPolicy(6, max(8, order + 2))
     lvec = virasoro_vector(n, policy)
     moved = rho_w(x, lvec)
 

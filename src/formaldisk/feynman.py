@@ -132,11 +132,11 @@ def product_dz_values(fields, z):
 class QuadConfig:
     """Deterministic quadrature parameters."""
 
-    __slots__ = ("grid_n", "t_nodes", "eps_schedule")
+    __slots__ = ("grid_n", "eps_schedule")
 
-    def __init__(self, grid_n=192, t_nodes=64, eps_schedule=(0.1, 0.05, 0.02, 0.01)):
-        if grid_n < 8 or t_nodes < 2:
-            raise ShapeError("quadrature resolutions too small")
+    def __init__(self, grid_n=192, eps_schedule=(0.1, 0.05, 0.02, 0.01)):
+        if grid_n < 8:
+            raise ShapeError("quadrature grid too small")
         sched = [float(e) for e in eps_schedule]
         if len(sched) < 2:
             raise ShapeError("eps schedule needs at least two entries")
@@ -144,7 +144,6 @@ class QuadConfig:
                 later >= earlier for earlier, later in zip(sched, sched[1:])):
             raise ShapeError("eps schedule must be positive and strictly decreasing")
         self.grid_n = int(grid_n)
-        self.t_nodes = int(t_nodes)
         self.eps_schedule = sched
 
 
@@ -173,6 +172,11 @@ def t_integral_limits(eps):
     return first, second
 
 
+# Gauss-Legendre node counts: the regulator t-integrals and the propagator
+QUAD_NODES = 512
+PROPAGATOR_NODES = 64
+
+
 @functools.lru_cache(maxsize=8)
 def _gauss_legendre(n_nodes):
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per node
@@ -182,7 +186,7 @@ def _gauss_legendre(n_nodes):
     return nodes, weights
 
 
-def t_integral_quadrature(eps, n_nodes=512):
+def t_integral_quadrature(eps):
     """The same two integrals by Gauss-Legendre quadrature (cross-check).
 
     Substitutes t = e^s so the eps-scale peak has O(1) width in s; with
@@ -192,7 +196,7 @@ def t_integral_quadrature(eps, n_nodes=512):
     if not sys.float_info.min <= eps < 1:
         raise ShapeError(f"quadrature eps must lie in "
                          f"[{sys.float_info.min!r}, 1), got {eps!r}")
-    x, w = _gauss_legendre(n_nodes)
+    x, w = _gauss_legendre(QUAD_NODES)
     s0, s1 = math.log(eps), 0.0
     s = 0.5 * (s1 - s0) * x + 0.5 * (s1 + s0)
     r = eps / (np.exp(s) + eps)
@@ -202,7 +206,7 @@ def t_integral_quadrature(eps, n_nodes=512):
     return first, second
 
 
-def propagator(eps, length, z, w, config=DEFAULT_CONFIG):
+def propagator(eps, length, z, w):
     """P_{eps<L}(z,w) by t-quadrature of -(zbar-wbar)/(4t) K_t(z,w)."""
     if not 0 < eps < length:
         raise ShapeError("need 0 < eps < L")
@@ -213,7 +217,7 @@ def propagator(eps, length, z, w, config=DEFAULT_CONFIG):
     a = abs(z - w) ** 2 / 4.0
     # substitute t = e^s to resolve the 1/t^2 scale near eps
     s0, s1 = math.log(eps), math.log(length)
-    x, wq = _gauss_legendre(config.t_nodes)
+    x, wq = _gauss_legendre(PROPAGATOR_NODES)
     s = 0.5 * (s1 - s0) * x + 0.5 * (s1 + s0)
     t = np.exp(s)
     integrand = -dbar / (16.0 * math.pi * t ** 2) * np.exp(-a / t) * t

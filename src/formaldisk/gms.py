@@ -168,7 +168,7 @@ class _Currents:
     def mu(self) -> FormalForm:
         """The radial primitive of alpha3; the homotopy raises its order
         back to the working order."""
-        return poincare_homotopy(self.alpha3, check=False)
+        return poincare_homotopy(self.alpha3)
 
 
 def _currents(phi: JetAutomorphism, left=False, right=False) -> _Currents:

@@ -19,8 +19,9 @@ operand is built once: bounded memos (``MEMO_SIZE`` operands each, least
 recently used evicted first) map a field and policy to its embedded state
 ``tau_w``, a pair of fields to their bracket, and a closed two-form and
 policy to the embedded primitive that :func:`rho_omega2` applies.  The
-closedness check runs inside that memo's builder, and a raised error is
-not stored, so a non-closed form is refused on every call.
+closedness check is the one of ``poincare_homotopy``, which runs inside
+that memo's builder, and a raised error is not stored, so a non-closed form
+is refused on every call.
 ``vertex.clear_mode_cache`` empties these memos along with the mode
 caches.  The builders look ``tau_w``, ``vf_bracket`` and
 ``poincare_homotopy`` up as module globals, so a rebound name takes effect.
@@ -115,10 +116,9 @@ def rho_omega2(omega: FormalForm, v: VAState) -> VAState:
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _omega2_state(omega: FormalForm, policy) -> VAState:
-    """tau_omega1 of the radial primitive of a closed two-form."""
-    if not de_rham(omega).is_zero():
-        raise ClosednessError("rho_omega2 requires a closed two-form")
-    return tau_omega1(poincare_homotopy(omega, check=False), policy)
+    """tau_omega1 of the radial primitive of a closed two-form;
+    ``poincare_homotopy`` refuses a non-closed one."""
+    return tau_omega1(poincare_homotopy(omega), policy)
 
 
 def gl_act(a_matrix, v: VAState) -> VAState:

@@ -274,14 +274,12 @@ class JetSeries:
                 norm_coeff(v) if type(v) is Fraction else v
         return JetSeries(self.n, self.order, out, _clean=True)
 
-    def subs(self, args, order=None):
+    def subs(self, args):
         """Substitute the JetSeries tuple ``args`` (zero constant terms) for
-        the variables.  Result order defaults to min(self.order, args order)."""
+        the variables, at order min(self.order, args order)."""
         if len(args) != self.n:
             raise ShapeError("substitution needs one series per variable")
-        if order is None:
-            order = min(self.order, args[0].order)
-        return Substitution(args, order).jet(self)
+        return Substitution(args, min(self.order, args[0].order)).jet(self)
 
 
 class FormalForm:
@@ -780,7 +778,7 @@ def jet_invert(x):
     raise ShapeError(f"cannot invert {type(x).__name__}")
 
 
-def poincare_homotopy(w: FormalForm, check=True) -> FormalForm:
+def poincare_homotopy(w: FormalForm) -> FormalForm:
     """Radial (Euler-operator) homotopy h with d h(w) = w for closed w.
 
     Uses the standard coordinates: h(t^a dt_I) multiplies by coordinates and

@@ -30,17 +30,16 @@ differentiates in c_0).
 
 Monomials are interned (hash-consed): the canonically sorted symbol tuple
 of a monomial gets an int id from one module-level table, which also
-stores its weight, its c_0-degree, its leading symbol and the id of the
-rest, so the recursion peels symbols and reads weights by list index.
+stores its weight and its c_0-degree, so products read them by list index.
 :attr:`VAState.terms` maps ids to coefficients.  Tuples appear only where
 symbols are inserted, removed or read: the checked constructor, the
-multiset product, translation, a single-symbol mode on a cache miss, and
-conversion and printing (:meth:`VAState.mono_terms`).  Equal monomials have
-equal ids, so equal states have equal ``terms``.  The table is append-only
-and is never cleared, not even by ``clear_mode_cache``: live states, and
-the memos of :mod:`formaldisk.hc`, hold ids, and an id handed out again
-would silently rename their monomials.  It grows with the distinct
-monomials a process meets, a finite number under any fixed policy bounds.
+multiset product, translation, the mode caches' misses, and conversion
+and printing (:meth:`VAState.mono_terms`).  Equal monomials have equal
+ids, so equal states have equal ``terms``.  The table is append-only and
+is never cleared, not even by ``clear_mode_cache``: live states, and the
+memos of :mod:`formaldisk.hc`, hold ids, and an id handed out again would
+silently rename their monomials.  It grows with the distinct monomials a
+process meets, a finite number under any fixed policy bounds.
 
 States are immutable and operations pure.  Both products memoize on
 module-level dicts whose entries are deterministic and policy-independent.
@@ -102,10 +101,6 @@ def sym_weight(s):
     return -s[2]
 
 
-def mono_b_count(mono):
-    return sum(1 for s in mono if s[0] == KIND_B)
-
-
 def _sorted_mono(syms):
     # two stable sorts on C-level keys give the order of sym_key
     return tuple(sorted(sorted(syms, key=_MODE, reverse=True), key=_FIELD))
@@ -115,36 +110,9 @@ def _sorted_mono(syms):
 
 _IDS: dict = {}  # canonically sorted monomial tuple -> id
 _MONO: list = []  # id -> monomial tuple
-_LEAD: list = []  # id -> leading symbol (None for the empty monomial)
-_REST: list = []  # id -> id of the monomial without its leading symbol
 _WEIGHT: list = []  # id -> conformal weight
 _C0: list = []  # id -> c_0-degree
 _INTERN_LOCK = threading.Lock()
-
-
-def _add_row(mono, lead, rest, weight, c0):
-    i = len(_MONO)
-    _MONO.append(mono)
-    _LEAD.append(lead)
-    _REST.append(rest)
-    _WEIGHT.append(weight)
-    _C0.append(c0)
-    # published last: a reader that finds the id finds its whole row
-    _IDS[mono] = i
-    return i
-
-
-_EMPTY = _add_row((), None, -1, 0, 0)
-
-
-def _intern_locked(mono):
-    i = _IDS.get(mono)
-    if i is None:
-        lead = mono[0]
-        rest = _intern_locked(mono[1:])
-        i = _add_row(mono, lead, rest, _WEIGHT[rest] - lead[2],
-                     _C0[rest] + (lead[0] == KIND_C and lead[2] == 0))
-    return i
 
 
 def _intern(mono):
@@ -152,8 +120,18 @@ def _intern(mono):
     i = _IDS.get(mono)
     if i is None:
         with _INTERN_LOCK:
-            i = _intern_locked(mono)
+            i = _IDS.get(mono)
+            if i is None:
+                i = len(_MONO)
+                _MONO.append(mono)
+                _WEIGHT.append(-sum(s[2] for s in mono))
+                _C0.append(sum(1 for s in mono if s[0] == KIND_C and s[2] == 0))
+                # published last: a reader that finds the id finds its row
+                _IDS[mono] = i
     return i
+
+
+_EMPTY = _intern(())
 
 
 class TruncationPolicy:
@@ -273,7 +251,8 @@ class VAState:
 
     def filtration_degree(self):
         """Number of b-symbols; max over monomials when inhomogeneous."""
-        return max((mono_b_count(_MONO[k]) for k in self.terms), default=0)
+        return max((sum(1 for s in _MONO[k] if s[0] == KIND_B)
+                    for k in self.terms), default=0)
 
     # -- linear structure -------------------------------------------------------
 
@@ -423,13 +402,14 @@ def _mode_mono(aid, m, vid):
     hit = _MODE_CACHE.get(key)
     if hit is not None:
         return hit
-    s = _LEAD[aid]
-    rest = _REST[aid]
-    if s is None:
+    mono = _MONO[aid]
+    if not mono:
         out = {vid: ONE} if m == -1 else {}
-    elif rest == _EMPTY:
-        out = _sym_mode_mono(s, m, vid)
+    elif len(mono) == 1:
+        out = _sym_mode_mono(mono[0], m, vid)
     else:
+        s = mono[0]
+        rest = _intern(mono[1:])
         out = {}
         sym_cache = _SYM_CACHE
         axpy = _kernel.state_axpy
@@ -661,15 +641,6 @@ def generator_mode(kind, j, i):
         return VAState(v.n, v.policy,
                        _apply_gen_mode(kind, j, i, v.mono_terms()))
     return op
-
-
-def weight_of(v: VAState):
-    """Weight decomposition of a state (spec name for the bookkeeping map)."""
-    return v.weight_decomposition()
-
-
-def filtration_degree(v: VAState) -> int:
-    return v.filtration_degree()
 
 
 def borcherds_check(a: VAState, b: VAState, c: VAState, l: int, m: int):

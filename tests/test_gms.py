@@ -173,7 +173,7 @@ class TestWorkingOrder:
         def radial(cube):  # mu at order K+2, exact to order K+1
             if cube.is_zero():
                 return FormalForm.zero(f1.n, order + 2, 2)
-            return poincare_homotopy(cube, check=False).with_order(order + 2)
+            return poincare_homotopy(cube).with_order(order + 2)
 
         mu1, mu2, mu21 = radial(cube1), radial(cube2), radial(cube21)
         assert mu(f1) == mu1.with_order(order + 1)

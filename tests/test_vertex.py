@@ -16,8 +16,8 @@ from formaldisk.jets import basis_monomial_fields, vf_bracket
 from formaldisk.vertex import (KIND_B, KIND_C, TruncationPolicy, VAState,
                                borcherds_check, clear_mode_cache,
                                enumerate_basis, enumerate_weight_monomials,
-                               filtration_degree, generator_mode, mode_apply,
-                               translate, vacuum, weight_of, wick_apply)
+                               generator_mode, mode_apply, translate, vacuum,
+                               wick_apply)
 from tests.conftest import monomial_states, random_state
 
 POL = TruncationPolicy(12, 10)
@@ -116,7 +116,7 @@ class TestWeights:
 
     def test_weight_decomposition(self):
         mixed = gen(1, KIND_C, 1, 0) + gen(1, KIND_B, 1, -1)
-        parts = weight_of(mixed)
+        parts = mixed.weight_decomposition()
         assert sorted(parts) == [0, 1]
         with pytest.raises(ShapeError):
             mixed.weight()
@@ -144,10 +144,10 @@ class TestWeights:
 class TestFiltration:
     def test_degree_examples(self):
         c0 = gen(1, KIND_C, 1, 0)
-        assert filtration_degree(c0 * c0 * c0) == 0
+        assert (c0 * c0 * c0).filtration_degree() == 0
         b1, b2 = gen(1, KIND_B, 1, -1), gen(1, KIND_B, 1, -2)
-        assert filtration_degree(b1 * b2 * c0) == 2
-        assert filtration_degree(vacuum(1, POL)) == 0
+        assert (b1 * b2 * c0).filtration_degree() == 2
+        assert vacuum(1, POL).filtration_degree() == 0
 
     def test_classical_limit_bound(self, rng):
         for _ in range(60):
@@ -487,3 +487,9 @@ class TestInterning:
         assert all(b == built[0] for b in built.values())
         assert len(vertex._IDS) == len(vertex._MONO)
         assert all(vertex._IDS[m] == i for i, m in enumerate(vertex._MONO))
+        # every row's columns are those of its monomial
+        assert len(vertex._WEIGHT) == len(vertex._C0) == len(vertex._MONO)
+        for i, m in enumerate(vertex._MONO):
+            assert vertex._WEIGHT[i] == -sum(s[2] for s in m)
+            assert vertex._C0[i] == sum(1 for s in m
+                                        if s[0] == KIND_C and s[2] == 0)
