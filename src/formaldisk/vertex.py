@@ -45,15 +45,24 @@ States are immutable and operations pure.  Both products memoize on
 module-level dicts whose entries are deterministic and policy-independent.
 The recursion's ``_MODE_CACHE`` maps ``(id, m, id)`` to a monomial's m-th
 product on a monomial and its ``_SYM_CACHE`` maps ``(symbol, i, id)`` to a
-symbol's i-th mode on a monomial.  Wick's ``_WICK_CACHE`` maps ``(id, m,
-id)`` to the same product, computed without recursion, so it holds only
-the pairs asked for; the creators' products it reuses sit in
-``_CREATED`` and are emptied with it.  Each cache holds at most
-``MODE_CACHE_SIZE``, ``SYM_CACHE_SIZE`` and ``WICK_CACHE_SIZE`` entries: a
-miss that finds its cache full empties that cache before it stores, which
-costs only recomputation.  Concurrent use can at worst duplicate a
-computation (individual dict reads/writes are atomic under the GIL, and a
-lock makes adding an id atomic); ``clear_mode_cache`` empties every cache,
+symbol's i-th mode on a monomial.  Wick's ``_WICK_CACHE`` holds the same
+products, computed without recursion, so it holds only the pairs asked
+for, and with no Python container per product: its key is the one int
+``((m << 32 | id) << 32) | id`` (injective for every m while ids stay
+below 2^32), and its value the int ``start << 32 | end`` that places
+the product's ids and coefficients, in turn, in one flat list,
+``_WICK_RUNS``.  A product on a monomial with c_0 symbols is factored
+through the cached products on its c_0-free part (see ``_wick_mono``), so
+Wick's splits run once per c_0-free monomial; the creators' products they
+reuse sit in ``_CREATED`` and are emptied with the cache.  Each cache
+holds at most ``MODE_CACHE_SIZE``, ``SYM_CACHE_SIZE`` and
+``WICK_CACHE_SIZE`` entries: a miss that finds its cache full empties that
+cache before it stores, which costs only recomputation.  Concurrent use
+can at worst duplicate a computation: individual dict reads/writes are
+atomic under the GIL, one lock makes adding an id atomic and another makes
+storing a run, or emptying the Wick cache with its runs, atomic, and a
+reader re-reads the count of evictions after copying a run, so it never
+uses a run emptied under it.  ``clear_mode_cache`` empties every cache,
 together with every memo registered through ``on_cache_clear`` (the
 per-operand memos of :mod:`formaldisk.hc`).
 """
@@ -63,6 +72,7 @@ from __future__ import annotations
 import operator
 import threading
 from fractions import Fraction
+from itertools import filterfalse
 from types import MappingProxyType
 
 from . import _kernel
@@ -372,12 +382,13 @@ def on_cache_clear(hook):
 
 
 def clear_mode_cache():
-    """Empty the two mode caches and the registered memos.  The intern table
+    """Empty the mode caches, the Wick cache with its runs and the
+    creators' products, and the registered memos.  The intern table
     stays: live states hold its ids."""
     _MODE_CACHE.clear()
     _SYM_CACHE.clear()
-    _WICK_CACHE.clear()
-    _CREATED.clear()
+    with _WICK_LOCK:
+        _empty_wick()
     for hook in _CLEAR_HOOKS:
         hook()
 
@@ -487,24 +498,126 @@ def _product(a, m, v, mono_product):
                 # res is integral; a Fraction of a or v can make an integral
                 # sum, which poly_axpy stores as int
                 _kernel.poly_axpy(acc, res, ac * vc)
-    return _mode_state(acc, a.n, policy)
+    # only a c^j_0 factor of a, creating at mode -1, creates a c_0 symbol,
+    # so the c0-degree of a_(m) v is at most a's largest plus v's largest
+    c0 = _C0.__getitem__
+    if acc and max(map(c0, a.terms)) + max(map(c0, v.terms)) > \
+            policy.max_c0:
+        return _mode_state(acc, a.n, policy)
+    return VAState(a.n, policy, acc, _clean=True)
 
 
 # -- modes by Wick's theorem ---------------------------------------------------
 
-# entries of the Wick cache; a miss that finds it full empties it, and the
-# creators' products with it.  From cold, the acceptance test of the
+# entries of the Wick cache; a miss that finds it full empties it, with its
+# runs and the creators' products.  From cold, the acceptance test of the
 # extension cocycle (criterion 2), whose zero modes all go through it and
-# none through the recursion, fills 64,302
+# none through the recursion, fills 66,137 entries and 379,040 slots of runs
 WICK_CACHE_SIZE = 1 << 18
 
-_WICK_CACHE: dict = {}  # (id, m, id) -> a monomial's m-th product on one
+_WICK_CACHE: dict = {}  # ((m << 32 | id) << 32) | id -> start << 32 | end
+_WICK_RUNS: list = []  # runs of ids and coefficients in turn
 _CREATED: dict = {}  # (creating factors, mode sum) -> [(monomial, coeff)]
+# evictions so far; one empties the cache, counts itself, then empties the
+# runs, so a reader that reads the same count before finding a run and
+# after copying it copied it whole
+_WICK_EPOCH = 0
+_WICK_LOCK = threading.Lock()
+
+
+def _empty_wick():
+    """Empty the Wick cache, its runs and the creators' products; the
+    caller holds ``_WICK_LOCK``."""
+    global _WICK_EPOCH
+    _WICK_CACHE.clear()
+    _WICK_EPOCH += 1
+    _WICK_RUNS.clear()
+    _CREATED.clear()
 
 
 def _wick_mono(aid, m, vid):
     """(monomial aid)_(m) (monomial vid) by Wick's theorem, id-keyed and
-    cached, so callers only read it.
+    integral, as a new dict built from the product's cached run.
+
+    A miss on a monomial v with c_0 symbols splits v = P w into its c_0
+    symbols P and the rest w.  Only a b-factor (T^k b^j)/k! of a can
+    annihilate a c^j_0 of P: at generator mode 0, where its own mode is k
+    and its coefficient (-1)^k.  So
+
+        a_(m) (P w) = sum_B prod_{f in B} (-1)^{k_f} (d_B P)
+                      (a minus B)_(m - |B| - sum_{f in B} k_f) w,
+
+    B running over the sets of b-factors of a that each take a c_0 of P,
+    and d_B P being P differentiated once in each c_0 taken.  Wick's
+    splits (:func:`_wick_free`) then run once per (a minus B, mode, w),
+    and a miss on (a, m, v) multiplies those cached products by monomials
+    in the c_0.
+    """
+    key = ((m << 32 | aid) << 32) | vid
+    epoch = _WICK_EPOCH
+    run = _WICK_CACHE.get(key)
+    if run is not None:
+        flat = _WICK_RUNS[run >> 32:run & 0xFFFFFFFF]
+        if epoch == _WICK_EPOCH:
+            it = iter(flat)
+            return dict(zip(it, it))
+    out = (_wick_factored if _C0[vid] else _wick_free)(aid, m, vid)
+    out = {k: c for k, c in out.items() if c}
+    flat = []
+    for k, c in out.items():
+        flat += (k, c)
+    with _WICK_LOCK:
+        if len(_WICK_CACHE) >= WICK_CACHE_SIZE:
+            _empty_wick()
+        start = len(_WICK_RUNS)
+        _WICK_RUNS.extend(flat)
+        # published last: a reader that finds the key finds its run
+        _WICK_CACHE[key] = start << 32 | len(_WICK_RUNS)
+    return out
+
+
+def _wick_factored(aid, m, vid):
+    """{id: coefficient} of a_(m) v for v with c_0 symbols, from the cached
+    products on v's c_0-free part (see :func:`_wick_mono`)."""
+    mono = _MONO[vid]
+    c0 = tuple(filterfalse(_MODE, mono))
+    wid = _intern(tuple(filter(_MODE, mono)))
+    amono = _MONO[aid]
+    # (b-factors of a taken, c_0 symbols left, mode shift, coefficient)
+    parts = [((), c0, 0, 1)]
+    for s in amono:
+        if s[0] != KIND_B:
+            break  # b-symbols sort first
+        target = (KIND_C, s[1], 0)
+        if target in c0:
+            # (T^k b)/k! at mode k is (-1)^k b_(0) = (-1)^k d/dc_0, and
+            # 1 + k = -s[2]
+            sign = 1 - 2 * ((-s[2] - 1) & 1)
+            for i in range(len(parts)):
+                taken, left, shift, c = parts[i]
+                if target in left:
+                    pos = left.index(target)
+                    parts.append((taken + (s,), left[:pos] + left[pos + 1:],
+                                  shift - s[2], sign * left.count(target) * c))
+    out = {}
+    get = out.get
+    for taken, left, shift, c in parts:
+        rid = aid
+        if taken:
+            rest = list(amono)
+            for s in taken:
+                rest.remove(s)
+            rid = _intern(tuple(rest))
+        for k, cc in _wick_mono(rid, m - shift, wid).items():
+            if left:
+                k = _intern(_sorted_mono(_MONO[k] + left))
+            out[k] = get(k, 0) + c * cc
+    return out
+
+
+def _wick_free(aid, m, vid):
+    """{id: coefficient} of (monomial aid)_(m) (monomial vid) by Wick's
+    theorem, for any v (:func:`_wick_mono` calls it for v free of c_0).
 
     A monomial state is a normally-ordered product of free fields, and so
     is its m-th mode: each of its r field factors splits into an
@@ -518,10 +631,6 @@ def _wick_mono(aid, m, vid):
     left of v are multiplied by the created ones.  Symbols are removed and
     merged on tuples, and only the results are interned.
     """
-    key = (aid, m, vid)
-    hit = _WICK_CACHE.get(key)
-    if hit is not None:
-        return hit
     out = {}
     get = out.get
     mono = _MONO[vid]
@@ -550,11 +659,6 @@ def _wick_mono(aid, m, vid):
         for created, cc in _created(creating, total - used):
             k = _intern(_sorted_mono(rest + created))
             out[k] = get(k, 0) + c * cc
-    out = {k: c for k, c in out.items() if c} or _NO_TERMS
-    if len(_WICK_CACHE) >= WICK_CACHE_SIZE:
-        _WICK_CACHE.clear()
-        _CREATED.clear()
-    _WICK_CACHE[key] = out
     return out
 
 

@@ -288,24 +288,47 @@ class TestCoefficients:
 RATIONALS = st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3))
 
 
+def _cut(draw, n, policy, monos):
+    """A state of up to three of ``monos`` with rational coefficients,
+    built loose, then cut to the terms the drawn policy holds."""
+    terms = draw(st.dictionaries(st.sampled_from(monos), RATIONALS,
+                                 min_size=1, max_size=3))
+    loose = VAState(n, TruncationPolicy(12, 10), terms)
+    keep = {k: c for k, c in loose.terms.items()
+            if vertex._WEIGHT[k] <= policy.max_weight
+            and vertex._C0[k] <= policy.max_c0}
+    return VAState(n, policy, keep or {vertex._EMPTY: 1}, _clean=True)
+
+
 @st.composite
 def product_cases(draw):
     n = draw(st.integers(1, 3))
     policy = TruncationPolicy(draw(st.integers(3, 8)), draw(st.integers(1, 4)))
-    basis = st.sampled_from(enumerate_basis(n, 3, 2))
-
-    def state():
-        terms = draw(st.dictionaries(basis, RATIONALS, min_size=1,
-                                     max_size=3))
-        # built loose, then cut to the terms the drawn policy holds
-        loose = VAState(n, TruncationPolicy(8, 4), terms)
-        keep = {k: c for k, c in loose.terms.items()
-                if vertex._WEIGHT[k] <= policy.max_weight
-                and vertex._C0[k] <= policy.max_c0}
-        return VAState(n, policy, keep or {vertex._EMPTY: 1}, _clean=True)
-
-    a, v = state(), state()
+    basis = enumerate_basis(n, 3, 2)
+    a, v = _cut(draw, n, policy, basis), _cut(draw, n, policy, basis)
     return a, draw(st.integers(-2, 3)), v
+
+
+@st.composite
+def factored_cases(draw):
+    """Products whose Wick miss factors through several sets of b-factors:
+    a's monomials carry b[j,-2] and a second b-factor of field j, and v's
+    carry up to four c_0 symbols."""
+    n = draw(st.integers(1, 2))
+    j = draw(st.integers(1, n))
+    policy = TruncationPolicy(draw(st.integers(6, 12)), draw(st.integers(2, 8)))
+    # c_0 twice, so that a takes a c_0 symbol as often as one of each other
+    extras = [(kind, i, mode) for i in range(1, n + 1)
+              for kind, mode in ((KIND_C, 0), (KIND_C, 0), (KIND_C, -1),
+                                 (KIND_B, -1))]
+    monos = []
+    for _ in range(draw(st.integers(1, 3))):
+        second = (KIND_B, j, draw(st.integers(-3, -1)))
+        more = draw(st.lists(st.sampled_from(extras), max_size=3))
+        monos.append(((KIND_B, j, -2), second, *more))
+    a = _cut(draw, n, policy, monos)
+    v = _cut(draw, n, policy, enumerate_basis(n, 2, 4))
+    return a, draw(st.integers(-3, 3)), v
 
 
 def _outcome(apply):
@@ -315,6 +338,17 @@ def _outcome(apply):
     except TruncationOverflowError as exc:
         return str(exc)
     return {k: (c, type(c)) for k, c in res.terms.items()}
+
+
+def _check_wick(a, m, v):
+    """wick_apply equals mode_apply, and the product's c0-degree is at most
+    the largest of a's plus the largest of v's."""
+    got = _outcome(lambda: wick_apply(a, m, v))
+    assert got == _outcome(lambda: mode_apply(a, m, v)), (a, m, v)
+    if isinstance(got, dict):
+        top = max(vertex._C0[k] for k in a.terms) + \
+            max(vertex._C0[k] for k in v.terms)
+        assert all(vertex._C0[k] <= top for k in got), (a, m, v)
 
 
 class TestWick:
@@ -327,14 +361,22 @@ class TestWick:
         for x in basis_monomial_fields(2, 8, 3):
             a = tau_w(x, pol)
             for v in states:
-                assert wick_apply(a, 0, v) == mode_apply(a, 0, v), (x, v)
+                _check_wick(a, 0, v)
+        # each product is cached with no container of its own
+        assert vertex._WICK_CACHE
+        assert all(type(key) is int and type(run) is int
+                   for key, run in vertex._WICK_CACHE.items())
+        assert all(type(x) is int for x in vertex._WICK_RUNS)
 
     @settings(max_examples=400, deadline=None)
     @given(product_cases())
     def test_equals_recursion(self, case):
-        a, m, v = case
-        assert _outcome(lambda: wick_apply(a, m, v)) == \
-            _outcome(lambda: mode_apply(a, m, v))
+        _check_wick(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(factored_cases())
+    def test_equals_recursion_when_b_factors_take_c0(self, case):
+        _check_wick(*case)
 
 
 class TestEnumeration:
@@ -367,10 +409,33 @@ class _PeakDict(dict):
         super().clear()
 
 
+class _WickDict(_PeakDict):
+    """A Wick cache stand-in that also checks, after every store, that
+    ``_WICK_RUNS`` holds exactly the runs of the stored entries, and counts
+    the clears made while a factored miss (one on a monomial with c_0
+    symbols) is under way."""
+
+    def __init__(self):
+        super().__init__()
+        self.factoring = 0
+        self.clears_inside = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        assert len(vertex._WICK_RUNS) == sum(
+            (run & 0xFFFFFFFF) - (run >> 32) for run in self.values())
+
+    def clear(self):
+        self.clears_inside += self.factoring > 0
+        super().clear()
+
+
 class TestInterning:
     """States hold monomial ids from a table that no cache clear touches
     and that gives one id per monomial, also under threads; the mode
-    caches are bounded; printing does not depend on ids."""
+    caches are bounded, and the Wick cache gives the same products to
+    threads that empty it under each other; printing does not depend on
+    ids."""
 
     X = "t1*t2 d1 + t2^2 d2"
     Y = "t1^2 d2 - t2 d1"
@@ -429,16 +494,63 @@ class TestInterning:
         states = monomial_states(2, pol, 2, 2)
         clear_mode_cache()
         unbounded = [msv_defect(x, y, v) for v in states]
-        assert vertex._WICK_CACHE and vertex._CREATED
+        assert vertex._WICK_CACHE and vertex._WICK_RUNS and vertex._CREATED
         clear_mode_cache()
-        assert not vertex._WICK_CACHE and not vertex._CREATED
-        wick_cache = _PeakDict()
+        assert not (vertex._WICK_CACHE or vertex._WICK_RUNS
+                    or vertex._CREATED)
+        wick_cache = _WickDict()
         monkeypatch.setattr(vertex, "WICK_CACHE_SIZE", 16)
         monkeypatch.setattr(vertex, "_WICK_CACHE", wick_cache)
+        factored = vertex._wick_factored
+
+        def counted(*args):
+            wick_cache.factoring += 1
+            try:
+                return factored(*args)
+            finally:
+                wick_cache.factoring -= 1
+
+        monkeypatch.setattr(vertex, "_wick_factored", counted)
         assert [msv_defect(x, y, v) for v in states] == unbounded
         assert wick_cache.clears > 0 and 0 < wick_cache.peak <= 16
+        assert wick_cache.clears_inside > 0
         clear_mode_cache()
-        assert not wick_cache
+        assert not wick_cache and not vertex._WICK_RUNS
+
+    def test_concurrent_wick_products_with_evictions(self, monkeypatch):
+        # a bound small enough that threads empty the Wick cache, and its
+        # runs, under each other's reads
+        pol = TruncationPolicy(8, 14)
+        states = monomial_states(2, pol, 2, 3)
+        fields = [tau_w(x, pol) for x in basis_monomial_fields(2, 8, 3)]
+        expected = [[mode_apply(a, 0, v) for v in states] for a in fields]
+        monkeypatch.setattr(vertex, "WICK_CACHE_SIZE", 16)
+        clear_mode_cache()
+        got = {}
+        start = threading.Barrier(8, timeout=60)
+
+        def work(seed):
+            order = list(range(len(fields)))
+            random.Random(seed).shuffle(order)
+            start.wait()
+            got[seed] = {i: [wick_apply(fields[i], 0, v) for v in states]
+                         for i in order}
+
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8
+        for products in got.values():
+            assert [products[i] for i in range(len(fields))] == expected
 
     def test_format_parse_round_trip(self, rng):
         for _ in range(60):
