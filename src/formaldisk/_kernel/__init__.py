@@ -3,6 +3,13 @@
 Callers reach them as ``_kernel.poly_mul`` and so on, looked up on this
 module at call time, so a profiler can rebind them here; ``_impl`` names
 the module that holds the originals.
+
+The package's own products call only the ``poly_*`` kernels.  The three
+``state_*`` kernels, on states keyed by symbol tuples, serve the
+normally-ordered recursion that the tests keep as the oracle of
+``vertex.mode_apply`` (``tests/recursion.py``); they stay here because the
+benchmark's traced run puts a span on each of them by this name, until
+that run drops those spans.
 """
 
 from . import _pure as _impl

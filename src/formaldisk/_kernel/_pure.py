@@ -7,7 +7,8 @@ They operate on plain containers:
 
 where a mode symbol is an int triple ``(kind, j, m)`` with kind 0 for b,
 1 for c.  The two axpys only add, so they also serve states keyed by the
-monomial ids of :mod:`formaldisk.vertex`.
+monomial ids of :mod:`formaldisk.vertex`.  The ``state_*`` kernels serve
+only the tests' recursion oracle (see :mod:`formaldisk._kernel`).
 
 Coefficient contract.  The main code path stores exact rationals: ``int``
 or ``fractions.Fraction``.  :func:`poly_mul` multiplies such operands as

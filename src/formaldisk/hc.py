@@ -8,11 +8,13 @@ radial one).  The failure of the vector-field action to be a Lie map is
 the extension cocycle; :func:`msv_defect` computes it as an operator and
 the tests match it against the explicit second Chern-character cocycle.
 
-Zero modes are applied by Wick's theorem (:func:`vertex.wick_apply`):
-:func:`rho_w`, :func:`rho_omega1` and :func:`rho_omega2`.  The tests hold
-:func:`rho_omega2` against an independent route that shares no code with it
-past the embedding: the first mode of the translated staircase primitive,
-taken by the recursion of :func:`vertex.mode_apply`.
+Zero modes are applied by :func:`vertex.mode_apply`, the package's one
+n-th product, which takes Wick's theorem: :func:`rho_w`, :func:`rho_omega1`
+and :func:`rho_omega2`.  The tests hold :func:`rho_omega2` against an
+independent route that shares no code with it past the embedding: the
+first mode of the translated staircase primitive, taken by the
+normally-ordered recursion that ``tests/recursion.py`` keeps as the
+oracle.
 
 A sweep applies the same operand to many states, so the work fixed by the
 operand is built once: bounded memos (``MEMO_SIZE`` operands each, least
@@ -23,7 +25,7 @@ closedness check is the one of ``poincare_homotopy``, which runs inside
 that memo's builder, and a raised error is not stored, so a non-closed form
 is refused on every call.
 ``vertex.clear_mode_cache`` empties these memos along with the mode
-caches.  The builders look ``tau_w``, ``vf_bracket`` and
+cache.  The builders look ``tau_w``, ``vf_bracket`` and
 ``poincare_homotopy`` up as module globals, so a rebound name takes effect.
 """
 
@@ -37,7 +39,7 @@ from .gf import ch2_gf
 from .jets import (FormalForm, FormalVectorField, JetSeries, de_rham,
                    lie_derivative, poincare_homotopy, vf_bracket,
                    _matrix_inverse)
-from .vertex import KIND_B, KIND_C, VAState, on_cache_clear, wick_apply
+from .vertex import KIND_B, KIND_C, VAState, mode_apply, on_cache_clear
 
 # operands held by each per-operand memo
 MEMO_SIZE = 256
@@ -86,7 +88,7 @@ def _tau_w_memo(x: FormalVectorField, policy) -> VAState:
 
 def rho_w(x: FormalVectorField, v: VAState) -> VAState:
     """Zero mode of tau_w(x); a grading-preserving derivation of products."""
-    return wick_apply(_tau_w_memo(x, v.policy), 0, v)
+    return mode_apply(_tau_w_memo(x, v.policy), 0, v)
 
 
 def tau_omega1(theta: FormalForm, policy) -> VAState:
@@ -102,7 +104,7 @@ def tau_omega1(theta: FormalForm, policy) -> VAState:
 
 def rho_omega1(theta: FormalForm, v: VAState) -> VAState:
     """Zero mode of tau_omega1(theta); vanishes when theta is exact."""
-    return wick_apply(tau_omega1(theta, v.policy), 0, v)
+    return mode_apply(tau_omega1(theta, v.policy), 0, v)
 
 
 def rho_omega2(omega: FormalForm, v: VAState) -> VAState:
@@ -111,7 +113,7 @@ def rho_omega2(omega: FormalForm, v: VAState) -> VAState:
     zero, so every primitive gives the same operator."""
     if omega.degree != 2:
         raise ShapeError("rho_omega2 expects a two-form")
-    return wick_apply(_omega2_state(omega, v.policy), 0, v)
+    return mode_apply(_omega2_state(omega, v.policy), 0, v)
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)

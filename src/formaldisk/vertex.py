@@ -4,23 +4,15 @@ States are polynomials in the creation symbols b^j_m (m <= -1, weight -m)
 and c^j_m (m <= 0, weight -m) with rational coefficients, stored as ``int``
 when integral and as ``fractions.Fraction`` otherwise (every operation
 normalises them, as the jets do); all generators are even, so monomials
-are plain multisets.  The vertex
-structure is driven entirely by the two generating fields: the modes of
-b^j_{-1} multiply by b-symbols (negative modes) or differentiate in c
-(non-negative modes), the modes of c^j_0 multiply by c-symbols or
-differentiate in b with a sign, and every other mode is a
-derivative-of-generator mode.  The n-th product of composite states is
-computed two ways, which share the loop over term pairs, the bounds and
-the diagnostics.  :func:`mode_apply` takes the standard normally-ordered
-recursion (the l = -1 specialisation of the mode-composition identity),
-peeling the canonical leading symbol.  :func:`wick_apply` takes Wick's
-theorem for free fields (Kac, *Vertex Algebras for Beginners*, 2nd ed.):
-each field factor of a monomial annihilates one symbol of the other or
-creates one, with no recursion.  The zero modes of :mod:`formaldisk.hc`
-(its vector-field and form actions) use Wick's theorem; the
-mode-composition check, the CLI's ``mode-apply`` and the tests' reference
-route for ``hc.rho_omega2`` use the recursion, so each is an oracle for
-the other.
+are plain multisets.  The n-th product of composite states,
+:func:`mode_apply`, is computed one way, by Wick's theorem for free fields
+(Kac, *Vertex Algebras for Beginners*, 2nd ed.): each field factor of a
+monomial annihilates one symbol of the other or creates one, with no
+recursion.  The mode-composition check, the CLI's ``mode-apply``, the
+conformal checks and the zero modes of :mod:`formaldisk.hc` all call it.
+The tests keep the standard normally-ordered recursion (the l = -1
+specialisation of the mode-composition identity, peeling the canonical
+leading symbol) in ``tests/recursion.py`` as its oracle.
 
 Bookkeeping bounds on conformal weight and c_0-degree model the completed
 algebra at finite size; all arithmetic below the bounds is exact, and any
@@ -33,47 +25,43 @@ of a monomial gets an int id from one module-level table, which also
 stores its weight and its c_0-degree, so products read them by list index.
 :attr:`VAState.terms` maps ids to coefficients.  Tuples appear only where
 symbols are inserted, removed or read: the checked constructor, the
-multiset product, translation, the mode caches' misses, and conversion
-and printing (:meth:`VAState.mono_terms`).  Equal monomials have equal
-ids, so equal states have equal ``terms``.  The table is append-only and
-is never cleared, not even by ``clear_mode_cache``: live states, and the
-memos of :mod:`formaldisk.hc`, hold ids, and an id handed out again would
-silently rename their monomials.  It grows with the distinct monomials a
-process meets, a finite number under any fixed policy bounds.
+multiset product, translation, the mode cache's misses, and conversion and
+printing (:meth:`VAState.mono_terms`).  Equal monomials have equal ids, so
+equal states have equal ``terms``.  The table is append-only and is never
+cleared, not even by ``clear_mode_cache``: live states, and the memos of
+:mod:`formaldisk.hc`, hold ids, and an id handed out again would silently
+rename their monomials.  It grows with the distinct monomials a process
+meets, a finite number under any fixed policy bounds.
 
-States are immutable and operations pure.  Both products memoize on
-module-level dicts whose entries are deterministic and policy-independent.
-The recursion's ``_MODE_CACHE`` maps ``(id, m, id)`` to a monomial's m-th
-product on a monomial and its ``_SYM_CACHE`` maps ``(symbol, i, id)`` to a
-symbol's i-th mode on a monomial.  Wick's ``_WICK_CACHE`` holds the same
-products, computed without recursion, so it holds only the pairs asked
-for, and with no Python container per product: its key is the one int
-``((m << 32 | id) << 32) | id`` (injective for every m while ids stay
-below 2^32), and its value the int ``start << 32 | end`` that places
-the product's ids and coefficients, in turn, in one flat list,
+States are immutable and operations pure.  Products of monomials are
+memoized with no Python container per product: ``_MODE_CACHE`` maps the
+one int ``((m << 32 | id) << 32) | id`` (injective for every m while ids
+stay below 2^32) to the int ``start << 32 | end`` that places the
+product's ids and coefficients, in turn, in one flat list,
 ``_WICK_RUNS``.  A product on a monomial with c_0 symbols is factored
 through the cached products on its c_0-free part (see ``_wick_mono``), so
-Wick's splits run once per c_0-free monomial; the creators' products they
-reuse sit in ``_CREATED`` and are emptied with the cache.  Each cache
-holds at most ``MODE_CACHE_SIZE``, ``SYM_CACHE_SIZE`` and
-``WICK_CACHE_SIZE`` entries: a miss that finds its cache full empties that
-cache before it stores, which costs only recomputation.  Concurrent use
-can at worst duplicate a computation: individual dict reads/writes are
-atomic under the GIL, one lock makes adding an id atomic and another makes
-storing a run, or emptying the Wick cache with its runs, atomic, and a
-reader re-reads the count of evictions after copying a run, so it never
-uses a run emptied under it.  ``clear_mode_cache`` empties every cache,
-together with every memo registered through ``on_cache_clear`` (the
-per-operand memos of :mod:`formaldisk.hc`).
+Wick's splits run once per c_0-free monomial.  ``_SYM_CACHE`` holds the
+creators' products they reuse.  The cache holds at most
+``MODE_CACHE_SIZE`` entries: a miss that finds it full empties it, with
+its runs and the creators' products, before it stores, which costs only
+recomputation.  Concurrent use can at worst duplicate a computation:
+individual dict reads/writes are atomic under the GIL, one lock makes
+adding an id atomic and another makes storing a run, or emptying the cache
+with its runs, atomic, and a reader re-reads the count of evictions after
+copying a run, so it never uses a run emptied under it.
+``clear_mode_cache`` empties the caches, together with every memo
+registered through ``on_cache_clear`` (the per-operand memos of
+:mod:`formaldisk.hc`).
 """
 
 from __future__ import annotations
 
 import operator
 import threading
+from bisect import bisect
 from fractions import Fraction
 from itertools import filterfalse
-from types import MappingProxyType
+from math import comb
 
 from . import _kernel
 from .errors import ShapeError, TruncationOverflowError
@@ -237,7 +225,7 @@ class VAState:
         return {mono[k]: c for k, c in self.terms.items()}
 
     def coefficient(self, syms):
-        return self.terms.get(_IDS.get(_sorted_mono(syms)), Fraction(0))
+        return self.terms.get(_IDS.get(_sorted_mono(syms)), 0)
 
     def weight_decomposition(self):
         """Map conformal weight -> homogeneous component."""
@@ -334,45 +322,6 @@ def _binom(i, k):
     return num // den
 
 
-def _apply_gen_mode(kind, j, i, data):
-    """Mode i of the generating state (b^j_{-1} or c^j_0) on a dict keyed
-    by monomial tuples."""
-    if kind == KIND_B:
-        if i < 0:
-            return _kernel.state_mul_sym(data, (KIND_B, j, i))
-        return _kernel.state_deriv_sym(data, (KIND_C, j, -i), 1)
-    if i <= -1:
-        return _kernel.state_mul_sym(data, (KIND_C, j, i + 1))
-    return _kernel.state_deriv_sym(data, (KIND_B, j, -i - 1), -1)
-
-
-def _apply_sym_mode(sym, i, data):
-    """Mode i of the single-symbol state sym, using
-    (T^k u)_(i) = (-1)^k i(i-1)...(i-k+1) u_(i-k)."""
-    kind, j, m = sym
-    k = -m - 1 if kind == KIND_B else -m
-    if k == 0:  # generator symbol, unit coefficient
-        return _apply_gen_mode(kind, j, i, data)
-    coeff = _binom(i, k) * ((-1) ** (k & 1))
-    if not coeff:
-        return {}
-    out = _apply_gen_mode(kind, j, i - k, data)
-    if coeff != 1 and out:
-        out = {mo: coeff * c for mo, c in out.items()}
-    return out
-
-
-# each cache's bound, in entries; from cold, the acceptance test of the
-# conformal structure (criterion 3) fills 47,748 mode and 68,721 sym
-# entries, and that of the vertex axioms (criterion 1) stores 310,171 and
-# 312,680, above the bound, so each cache empties once during it
-MODE_CACHE_SIZE = 1 << 18
-SYM_CACHE_SIZE = 1 << 18
-
-_MODE_CACHE: dict = {}
-_SYM_CACHE: dict = {}
-# about half of all cached results are empty; they share one read-only map
-_NO_TERMS = MappingProxyType({})
 _CLEAR_HOOKS: list = []
 
 
@@ -382,69 +331,13 @@ def on_cache_clear(hook):
 
 
 def clear_mode_cache():
-    """Empty the mode caches, the Wick cache with its runs and the
-    creators' products, and the registered memos.  The intern table
-    stays: live states hold its ids."""
-    _MODE_CACHE.clear()
-    _SYM_CACHE.clear()
+    """Empty the mode cache with its runs and the creators' products, and
+    the registered memos.  The intern table stays: live states hold its
+    ids."""
     with _WICK_LOCK:
         _empty_wick()
     for hook in _CLEAR_HOOKS:
         hook()
-
-
-def _sym_mode_mono(sym, i, vid):
-    """Memoized single-symbol mode on the monomial with id ``vid``."""
-    key = (sym, i, vid)
-    hit = _SYM_CACHE.get(key)
-    if hit is None:
-        raw = _apply_sym_mode(sym, i, {_MONO[vid]: ONE})
-        hit = {_intern(mo): c for mo, c in raw.items()} or _NO_TERMS
-        if len(_SYM_CACHE) >= SYM_CACHE_SIZE:
-            _SYM_CACHE.clear()
-        _SYM_CACHE[key] = hit
-    return hit
-
-
-def _mode_mono(aid, m, vid):
-    """Raw m-th product (monomial aid)_(m) (monomial vid), id-keyed; the
-    result is cached, so callers only read it."""
-    key = (aid, m, vid)
-    hit = _MODE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    mono = _MONO[aid]
-    if not mono:
-        out = {vid: ONE} if m == -1 else {}
-    elif len(mono) == 1:
-        out = _sym_mode_mono(mono[0], m, vid)
-    else:
-        s = mono[0]
-        rest = _intern(mono[1:])
-        out = {}
-        sym_cache = _SYM_CACHE
-        axpy = _kernel.state_axpy
-        # sum_i S_(-1-i) (R_(m+i) v): R_(m+i) v = 0 once m+i >= wt(R)+wt(v)
-        top = _WEIGHT[rest] + _WEIGHT[vid] - m
-        for i in range(0, top):
-            inner = _mode_mono(rest, m + i, vid)
-            for mono2, c2 in inner.items():
-                sv = sym_cache.get((s, -1 - i, mono2))
-                if sv is None:
-                    sv = _sym_mode_mono(s, -1 - i, mono2)
-                axpy(out, sv, c2)
-        # sum_i R_(m-1-i) (S_(i) v): S_(i) v = 0 once i >= wt(S)+wt(v)
-        top = sym_weight(s) + _WEIGHT[vid]
-        for i in range(0, top):
-            sv = _sym_mode_mono(s, i, vid)
-            for mono2, c2 in sv.items():
-                axpy(out, _mode_mono(rest, m - 1 - i, mono2), c2)
-    if not out:
-        out = _NO_TERMS
-    if len(_MODE_CACHE) >= MODE_CACHE_SIZE:
-        _MODE_CACHE.clear()
-    _MODE_CACHE[key] = out
-    return out
 
 
 def print_key(mono):
@@ -466,23 +359,11 @@ def _mode_state(acc, n, policy):
 
 
 def mode_apply(a: VAState, m: int, v: VAState) -> VAState:
-    """The m-th product a_(m) v, by the normally-ordered recursion.
+    """The m-th product a_(m) v, by Wick's theorem.
 
     Exact below the policy bounds; a product with a term past them raises
     :class:`TruncationOverflowError`.
     """
-    return _product(a, m, v, _mode_mono)
-
-
-def wick_apply(a: VAState, m: int, v: VAState) -> VAState:
-    """The m-th product a_(m) v, by Wick's theorem; equal to
-    :func:`mode_apply`, with the same bounds and diagnostics."""
-    return _product(a, m, v, _wick_mono)
-
-
-def _product(a, m, v, mono_product):
-    """a_(m) v from the products of monomials that ``mono_product(aid, m,
-    vid)`` returns, integral and id-keyed."""
     _check_compatible(a, v)
     policy = a.policy
     acc = {}
@@ -493,7 +374,7 @@ def _product(a, m, v, mono_product):
             if w > policy.max_weight:
                 raise TruncationOverflowError(
                     f"mode product weight {w} exceeds bound {policy.max_weight}")
-            res = mono_product(aid, m, vid)
+            res = _wick_mono(aid, m, vid)
             if res:
                 # res is integral; a Fraction of a or v can make an integral
                 # sum, which poly_axpy stores as int
@@ -507,17 +388,18 @@ def _product(a, m, v, mono_product):
     return VAState(a.n, policy, acc, _clean=True)
 
 
-# -- modes by Wick's theorem ---------------------------------------------------
+# -- products of monomials by Wick's theorem ------------------------------------
 
-# entries of the Wick cache; a miss that finds it full empties it, with its
+# entries of the mode cache; a miss that finds it full empties it, with its
 # runs and the creators' products.  From cold, the acceptance test of the
-# extension cocycle (criterion 2), whose zero modes all go through it and
-# none through the recursion, fills 66,137 entries and 379,040 slots of runs
-WICK_CACHE_SIZE = 1 << 18
+# vertex axioms (criterion 1) fills 32,876 entries and 1,011,942 slots of
+# runs, that of the extension cocycle (criterion 2) 66,137 and 379,040, and
+# that of the conformal structure (criterion 3) 15,387 and 25,354
+MODE_CACHE_SIZE = 1 << 18
 
-_WICK_CACHE: dict = {}  # ((m << 32 | id) << 32) | id -> start << 32 | end
+_MODE_CACHE: dict = {}  # ((m << 32 | id) << 32) | id -> start << 32 | end
 _WICK_RUNS: list = []  # runs of ids and coefficients in turn
-_CREATED: dict = {}  # (creating factors, mode sum) -> [(monomial, coeff)]
+_SYM_CACHE: dict = {}  # (creating symbols, spare) -> [(monomial, coeff)]
 # evictions so far; one empties the cache, counts itself, then empties the
 # runs, so a reader that reads the same count before finding a run and
 # after copying it copied it whole
@@ -526,13 +408,13 @@ _WICK_LOCK = threading.Lock()
 
 
 def _empty_wick():
-    """Empty the Wick cache, its runs and the creators' products; the
+    """Empty the mode cache, its runs and the creators' products; the
     caller holds ``_WICK_LOCK``."""
     global _WICK_EPOCH
-    _WICK_CACHE.clear()
+    _MODE_CACHE.clear()
     _WICK_EPOCH += 1
     _WICK_RUNS.clear()
-    _CREATED.clear()
+    _SYM_CACHE.clear()
 
 
 def _wick_mono(aid, m, vid):
@@ -555,7 +437,7 @@ def _wick_mono(aid, m, vid):
     """
     key = ((m << 32 | aid) << 32) | vid
     epoch = _WICK_EPOCH
-    run = _WICK_CACHE.get(key)
+    run = _MODE_CACHE.get(key)
     if run is not None:
         flat = _WICK_RUNS[run >> 32:run & 0xFFFFFFFF]
         if epoch == _WICK_EPOCH:
@@ -567,12 +449,12 @@ def _wick_mono(aid, m, vid):
     for k, c in out.items():
         flat += (k, c)
     with _WICK_LOCK:
-        if len(_WICK_CACHE) >= WICK_CACHE_SIZE:
+        if len(_MODE_CACHE) >= MODE_CACHE_SIZE:
             _empty_wick()
         start = len(_WICK_RUNS)
         _WICK_RUNS.extend(flat)
         # published last: a reader that finds the key finds its run
-        _WICK_CACHE[key] = start << 32 | len(_WICK_RUNS)
+        _MODE_CACHE[key] = start << 32 | len(_WICK_RUNS)
     return out
 
 
@@ -623,103 +505,108 @@ def _wick_free(aid, m, vid):
     is its m-th mode: each of its r field factors splits into an
     annihilating and a creating part, the factors' modes summing to
     m + 1 - r.  A factor of symbol (T^k u)/k!, u = b^j_{-1} or c^j_0, has
-    modes (-1)^k C(i, k) u_(i-k) (as in ``_apply_sym_mode``): it
-    annihilates one matching symbol of v (a b-field differentiates a
-    c-symbol, a c-field a b-symbol with sign -1), which fixes its mode, or
-    creates a symbol with a mode i <= -1.  The creators of one split share
-    what is left of the mode sum; annihilation acts first, so the symbols
-    left of v are multiplied by the created ones.  Symbols are removed and
-    merged on tuples, and only the results are interned.
+    modes (-1)^k C(i, k) u_(i-k): it annihilates one matching symbol of v
+    (a b-field differentiates a c-symbol, a c-field a b-symbol with sign
+    -1), which fixes its mode, or creates a symbol with a mode i <= -1
+    (:func:`_created`).  The creators of one split share what is left of
+    the mode sum; annihilation acts first, so the symbols left of v are
+    multiplied by the created ones.  Symbols are removed and merged on
+    tuples, and only the results are interned.
     """
     out = {}
     get = out.get
     mono = _MONO[vid]
     fields = {s[:2] for s in mono}
-    # (v's symbols left, annihilators' mode sum, creating factors) ->
-    # coefficient, one factor (kind, j, k) at a time; a factor whose field
-    # annihilates no symbol of v only creates
+    # (v's symbols left, annihilators' mode sum, creating symbols of a) ->
+    # coefficient, one factor at a time; a factor whose field annihilates
+    # no symbol of v only creates
     splits = {(mono, 0, ()): 1}
     idle = ()
-    factors = [(s[0], s[1], -s[2] - 1 if s[0] == KIND_B else -s[2])
-               for s in _MONO[aid]]
-    for f in factors:
+    amono = _MONO[aid]
+    for s in amono:
         # kind ^ 1 is the other kind, the one a field annihilates
-        if (f[0] ^ 1, f[1]) in fields:
-            splits = _split(splits, f)
+        if (s[0] ^ 1, s[1]) in fields:
+            splits = _split(splits, s)
         else:
-            idle += (f,)
-    total = m + 1 - len(factors)
+            idle += (s,)
+    total = m + 1 - len(amono)
     for (rest, used, creating), c in splits.items():
-        creating += idle
+        if idle:
+            creating = tuple(sorted(creating + idle))
         if not creating:
             if used == total:
                 k = _intern(rest)
                 out[k] = get(k, 0) + c
             continue
-        for created, cc in _created(creating, total - used):
+        # the creators' modes i = -1 - d, d >= 0, sum to total - used
+        spare = used - total - len(creating)
+        if spare < 0:
+            continue
+        for created, cc in _created(creating, spare):
             k = _intern(_sorted_mono(rest + created))
             out[k] = get(k, 0) + c * cc
     return out
 
 
-def _created(creating, total):
-    """[(monomial, coefficient)]: the creating factors' products, their
-    modes i <= -1 summing to ``total``."""
-    key = (creating, total)
-    hit = _CREATED.get(key)
+def _created(creating, spare):
+    """[(monomial, coefficient)]: the products of the creating symbols of
+    a, each factor taking a mode i = -1 - d, the d >= 0 summing to
+    ``spare``.
+
+    A factor (T^k u)/k! of symbol (kind, j, m), k = -m - 1 + kind, at mode
+    i = -1 - d has coefficient (-1)^k C(i, k) = C(k + d, k) and creates
+    (kind, j, m - d).  The factors are taken one at a time, the first
+    against the cached products of the others, so equal partial monomials
+    with equal mode sums are merged once.
+    """
+    key = (creating, spare)
+    hit = _SYM_CACHE.get(key)
     if hit is None:
-        out = {}
-        for modes in _compositions(total, len(creating)):
-            coeff = 1
-            syms = []
-            for (kind, j, k), i in zip(creating, modes):
-                coeff *= _binom(i, k) * (1 - 2 * (k & 1))
-                syms.append((kind, j, i - k if kind == KIND_B else i - k + 1))
-            mono = _sorted_mono(syms)
-            out[mono] = out.get(mono, 0) + coeff
-        hit = _CREATED[key] = [(mono, c) for mono, c in out.items() if c]
+        kind, j, m = creating[0]
+        k = -m - 1 + kind
+        if len(creating) == 1:
+            hit = [(((kind, j, m - spare),), comb(k + spare, k))]
+        else:
+            others = creating[1:]
+            out = {}
+            get = out.get
+            for d in range(spare + 1):
+                s = (kind, j, m - d)
+                c = comb(k + d, k)
+                for part, cc in _created(others, spare - d):
+                    i = bisect(part, (kind, j, d - m), key=sym_key)
+                    mono = part[:i] + (s,) + part[i:]
+                    out[mono] = get(mono, 0) + c * cc
+            hit = list(out.items())
+        _SYM_CACHE[key] = hit
     return hit
 
 
-def _split(splits, factor):
-    """Each split extended by the factor (kind, j, k): creating, or
+def _split(splits, s):
+    """Each split extended by the factor of symbol s: creating, or
     annihilating one matching symbol of what is left of v, by the mode
     i >= 0 of its generator: b_(i) = d/dc_{-i}, c_(i) = -d/db_{-i-1}."""
-    kind, j, k = factor
-    sign = 1 - 2 * (k & 1)
-    if kind == KIND_C:
-        sign, target, shift = -sign, KIND_B, 1
-    else:
-        target, shift = KIND_C, 0
+    kind, j, m = s
+    k = -m - 1 + kind
+    sign = (1 - 2 * (k & 1)) * (1 - 2 * kind)
+    target = kind ^ 1
     out = {}
     get = out.get
     for (rest, used, creating), c in splits.items():
-        key = (rest, used, creating + (factor,))
+        key = (rest, used, creating + (s,))
         out[key] = get(key, 0) + c
         prev = None
-        for pos, s in enumerate(rest):
-            if s[0] != target or s[1] != j or s == prev:
+        for pos, t in enumerate(rest):
+            if t[0] != target or t[1] != j or t == prev:
                 continue
-            prev = s
-            i = -s[2] - shift
-            coeff = sign * rest.count(s)
+            prev = t
+            i = -t[2] - kind
+            coeff = sign * rest.count(t)
             if k:
-                coeff *= _binom(i + k, k)
+                coeff *= comb(i + k, k)
             key = (rest[:pos] + rest[pos + 1:], used + i + k, creating)
             out[key] = get(key, 0) + coeff * c
     return out
-
-
-def _compositions(total, parts):
-    """Tuples of ``parts`` integers <= -1 summing to ``total``."""
-    if parts == 1:
-        if total <= -1:
-            yield (total,)
-        return
-    # each of the other parts takes at least -1 of what is left
-    for i in range(-1, total + parts - 2, -1):
-        for rest in _compositions(total - i, parts - 1):
-            yield (i,) + rest
 
 
 def translate(v: VAState) -> VAState:
@@ -737,14 +624,6 @@ def translate(v: VAState) -> VAState:
             cc = factor * c
             out[key] = out[key] + cc if key in out else cc
     return VAState(v.n, v.policy, out)
-
-
-def generator_mode(kind, j, i):
-    """The endomorphism (generator)_(i) as a function on states."""
-    def op(v: VAState) -> VAState:
-        return VAState(v.n, v.policy,
-                       _apply_gen_mode(kind, j, i, v.mono_terms()))
-    return op
 
 
 def borcherds_check(a: VAState, b: VAState, c: VAState, l: int, m: int):

@@ -298,7 +298,7 @@ class TestContract:
     ])
     def test_c0_overflow_names_a_monomial(self, args, named, capsys):
         # a run stops at a term above the c0 bound and names it; on
-        # these inputs the first in print order is the one the recursion
+        # these inputs the first in print order is the one the product
         # met first
         assert main(["rho-w", *args]) == 2
         captured = capsys.readouterr()

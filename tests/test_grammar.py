@@ -96,6 +96,9 @@ class TestStates:
         assert v.coefficient(()) == 2
         assert v.coefficient([(KIND_C, 1, 0)]) == 1
         assert v.coefficient([(KIND_B, 1, -1)]) == -1
+        # an absent monomial reads 0, an int like every integral coefficient
+        absent = v.coefficient([(KIND_B, 1, -1), (KIND_C, 1, 0)])
+        assert absent == 0 and type(absent) is int
 
     def test_mode_range_enforced(self):
         with pytest.raises(ParseError):

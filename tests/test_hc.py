@@ -21,6 +21,7 @@ from formaldisk.grammar import format_state, parse_state, parse_vector_field
 from formaldisk.vertex import (KIND_B, KIND_C, TruncationPolicy, VAState,
                                clear_mode_cache, enumerate_basis, mode_apply,
                                translate, vacuum)
+from tests import recursion
 from tests.conftest import monomial_states, random_state
 
 POL = TruncationPolicy(10, 12)
@@ -33,10 +34,11 @@ def field(text, n, order=6):
 def direct_omega2(w, policy):
     """rho_omega2's independent reference, built once per form: (T u)_(1) =
     -u_(0) turns the zero mode of a primitive into the first mode of a
-    weight-two state, taken by the recursion, and the staircase primitive
-    differs from the radial one by an exact form, which acts by zero."""
+    weight-two state, taken by the recursion oracle, and the staircase
+    primitive differs from the radial one by an exact form, which acts by
+    zero."""
     state = translate(tau_omega1(staircase_primitive(w), policy))
-    return lambda v: -mode_apply(state, 1, v)
+    return lambda v: -recursion.mode_apply(state, 1, v)
 
 
 class TestTau:
@@ -346,7 +348,8 @@ class TestExtendedBracket:
 
 
 class TestOperandMemos:
-    """The memoised actions equal their formulas rebuilt per state."""
+    """The memoised actions equal their formulas rebuilt per state, with
+    every mode taken by the recursion oracle."""
 
     POLICIES = (POL, TruncationPolicy(8, 14))
     MEMOS = (hc._tau_w_memo, hc._bracket_memo, hc._omega2_state)
@@ -355,7 +358,7 @@ class TestOperandMemos:
     def _unmemoised(x, y, v):
         """rho_w and msv_defect with every operand rebuilt for this state."""
         def act(f, u):
-            return mode_apply(tau_w(f, v.policy), 0, u)
+            return recursion.mode_apply(tau_w(f, v.policy), 0, u)
         first = act(x, act(y, v)) - act(y, act(x, v))
         return act(x, v), first - act(vf_bracket(x, y), v)
 
@@ -363,9 +366,10 @@ class TestOperandMemos:
     def _omega2_unmemoised(w, v, path):
         if path == "homotopy":
             theta = poincare_homotopy(w)
-            return mode_apply(tau_omega1(theta, v.policy), 0, v)
+            return recursion.mode_apply(tau_omega1(theta, v.policy), 0, v)
         theta = staircase_primitive(w)
-        return -mode_apply(translate(tau_omega1(theta, v.policy)), 1, v)
+        return -recursion.mode_apply(translate(tau_omega1(theta, v.policy)),
+                                     1, v)
 
     def test_match_unmemoised_formulas(self, rng):
         x = field("t1*t2 d1 + 1/2*t2^2 d2", 2)

@@ -2,7 +2,9 @@
 function it wraps, and its product probe still reads the kernel's operands:
 renaming or deleting a wrapped function, or handing ``poly_mul`` operands
 keyed other than by exponent tuples, breaks the traced benchmark run, and
-these tests break first.  The sums of products, ``poly_dots``, are looked up
+these tests break first.  The same holds for the cache sizes that
+``perfbench/workloads.py`` reads after every sweep, and for the span on
+``vertex.mode_apply``, which must see the products of ``hc``.  The sums of products, ``poly_dots``, are looked up
 on ``formaldisk._kernel`` at call time, so a span can be put around them
 there.
 
@@ -19,11 +21,12 @@ import subprocess
 import sys
 
 import formaldisk.cli  # noqa: F401  (imports every module the tracer wraps)
-from formaldisk import _kernel, gms
-from formaldisk.grammar import parse_automorphism
+from formaldisk import _kernel, gms, hc, vertex
+from formaldisk.grammar import parse_automorphism, parse_vector_field
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 # prints, as JSON, the modules of argv[1] that are missing after importing
 # cli and whether numpy is loaded after the import, after a `ch2` call and
@@ -45,11 +48,47 @@ print(json.dumps(report))
 """
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracer():
+    return _load("perfbench_tracer", TRACER)
+
+
+def _defect_operands():
+    x = parse_vector_field("t1*t2 d1 + t2^2 d2", 2, 6)
+    y = parse_vector_field("t1^2 d2 - t2 d1", 2, 6)
+    pol = vertex.TruncationPolicy(8, 14)
+    return x, y, vertex.VAState(2, pol, {((0, 1, -1), (1, 2, 0)): 1})
+
+
+def test_workloads_read_the_cache_sizes():
+    workloads = _load("perfbench_workloads", WORKLOADS)
+    vertex.clear_mode_cache()
+    assert workloads.cache_sizes() == {"vertex.mode_cache.entries": 0,
+                                       "vertex.sym_cache.entries": 0}
+    hc.msv_defect(*_defect_operands())
+    sizes = workloads.cache_sizes()
+    assert sizes == {"vertex.mode_cache.entries": len(vertex._MODE_CACHE),
+                     "vertex.sym_cache.entries": len(vertex._SYM_CACHE)}
+    assert sizes["vertex.mode_cache.entries"] > 0
+
+
+def test_traced_defect_records_mode_apply_calls():
+    operands = _defect_operands()
+    t = _load_tracer().Tracer()
+    try:
+        t.install()
+        hc.msv_defect(*operands)
+    finally:
+        t.restore()
+    # [X, Y] acts once, X and Y twice each
+    assert t.metric("vertex.mode_apply", "calls") == 5
+    assert t.metric("hc.msv_defect", "calls") == 1
 
 
 def _resolve(module, path):

@@ -16,8 +16,8 @@ from formaldisk.jets import basis_monomial_fields, vf_bracket
 from formaldisk.vertex import (KIND_B, KIND_C, TruncationPolicy, VAState,
                                borcherds_check, clear_mode_cache,
                                enumerate_basis, enumerate_weight_monomials,
-                               generator_mode, mode_apply, translate, vacuum,
-                               wick_apply)
+                               mode_apply, translate, vacuum)
+from tests import recursion
 from tests.conftest import monomial_states, random_state
 
 POL = TruncationPolicy(12, 10)
@@ -80,8 +80,9 @@ class TestGeneratorModes:
         assert mode_apply(b, 0, c0) == vacuum(1, POL)
         assert mode_apply(c0, 0, b) == vacuum(1, POL).scale(-1)
         assert mode_apply(b, -2, vacuum(1, POL)) == gen(1, KIND_B, 1, -2)
-        assert generator_mode(KIND_B, 1, 0)(c0) == vacuum(1, POL)
-        assert generator_mode(KIND_C, 1, 0)(b) == vacuum(1, POL).scale(-1)
+        assert recursion.generator_mode(KIND_B, 1, 0)(c0) == vacuum(1, POL)
+        assert recursion.generator_mode(KIND_C, 1, 0)(b) == \
+            vacuum(1, POL).scale(-1)
 
     def test_number_operator(self):
         # (c0 b_{-1})_(0) f = p f on degree-p polynomials in the c-symbols;
@@ -283,8 +284,8 @@ class TestCoefficients:
                 make()
 
 
-# random states for the Wick oracle: up to three basis monomials of
-# weight <= 3 and c0-degree <= 2 with rational coefficients
+# random states for the recursion oracle: up to three monomials with
+# rational coefficients
 RATIONALS = st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3))
 
 
@@ -301,12 +302,38 @@ def _cut(draw, n, policy, monos):
 
 
 @st.composite
-def product_cases(draw):
+def basis_cases(draw):
+    """Basis monomials of weight <= 3 and c0-degree <= 2, under small
+    policies."""
     n = draw(st.integers(1, 3))
     policy = TruncationPolicy(draw(st.integers(3, 8)), draw(st.integers(1, 4)))
     basis = enumerate_basis(n, 3, 2)
     a, v = _cut(draw, n, policy, basis), _cut(draw, n, policy, basis)
     return a, draw(st.integers(-2, 3)), v
+
+
+@st.composite
+def creating_cases(draw):
+    """Criterion 1's regime, policy (20, 10) and states of weight <= 4 and
+    c0-degree <= 2, at modes -6..-3, where a's monomials carry three or
+    four equal factors (and maybe one more of their field), such as
+    b[1,-1]^3 or c[1,-2]^2*c[1,-1], which mostly create."""
+    n = draw(st.integers(1, 2))
+    policy = TruncationPolicy(20, 10)
+    monos = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from((KIND_B, KIND_C)))
+        j = draw(st.integers(1, n))
+        modes = st.integers(-2, -1 if kind == KIND_B else 0)
+        mono = ((kind, j, draw(modes)),) * draw(st.integers(3, 4))
+        monos.append(mono + tuple(draw(st.lists(
+            modes.map(lambda m, kind=kind, j=j: (kind, j, m)), max_size=1))))
+    a = _cut(draw, n, policy, monos)
+    v = _cut(draw, n, policy, enumerate_basis(n, 4, 2))
+    return a, draw(st.integers(-6, -3)), v
+
+
+product_cases = st.one_of(basis_cases(), creating_cases())
 
 
 @st.composite
@@ -341,10 +368,10 @@ def _outcome(apply):
 
 
 def _check_wick(a, m, v):
-    """wick_apply equals mode_apply, and the product's c0-degree is at most
-    the largest of a's plus the largest of v's."""
-    got = _outcome(lambda: wick_apply(a, m, v))
-    assert got == _outcome(lambda: mode_apply(a, m, v)), (a, m, v)
+    """mode_apply equals the recursion oracle, and the product's c0-degree
+    is at most the largest of a's plus the largest of v's."""
+    got = _outcome(lambda: mode_apply(a, m, v))
+    assert got == _outcome(lambda: recursion.mode_apply(a, m, v)), (a, m, v)
     if isinstance(got, dict):
         top = max(vertex._C0[k] for k in a.terms) + \
             max(vertex._C0[k] for k in v.terms)
@@ -352,8 +379,8 @@ def _check_wick(a, m, v):
 
 
 class TestWick:
-    """Wick's theorem against the recursion: wick_apply(a, m, v) equals
-    mode_apply(a, m, v), coefficient types and diagnostics included."""
+    """Wick's theorem against the recursion: mode_apply(a, m, v) equals
+    the oracle's, coefficient types and diagnostics included."""
 
     def test_zero_modes_of_fields_on_criterion_2_space(self):
         pol = TruncationPolicy(8, 14)
@@ -363,13 +390,13 @@ class TestWick:
             for v in states:
                 _check_wick(a, 0, v)
         # each product is cached with no container of its own
-        assert vertex._WICK_CACHE
+        assert vertex._MODE_CACHE
         assert all(type(key) is int and type(run) is int
-                   for key, run in vertex._WICK_CACHE.items())
+                   for key, run in vertex._MODE_CACHE.items())
         assert all(type(x) is int for x in vertex._WICK_RUNS)
 
     @settings(max_examples=400, deadline=None)
-    @given(product_cases())
+    @given(product_cases)
     def test_equals_recursion(self, case):
         _check_wick(*case)
 
@@ -410,7 +437,7 @@ class _PeakDict(dict):
 
 
 class _WickDict(_PeakDict):
-    """A Wick cache stand-in that also checks, after every store, that
+    """A mode cache stand-in that also checks, after every store, that
     ``_WICK_RUNS`` holds exactly the runs of the stored entries, and counts
     the clears made while a factored miss (one on a monomial with c_0
     symbols) is under way."""
@@ -432,10 +459,9 @@ class _WickDict(_PeakDict):
 
 class TestInterning:
     """States hold monomial ids from a table that no cache clear touches
-    and that gives one id per monomial, also under threads; the mode
-    caches are bounded, and the Wick cache gives the same products to
-    threads that empty it under each other; printing does not depend on
-    ids."""
+    and that gives one id per monomial, also under threads; the mode cache
+    is bounded, and gives the same products to threads that empty it under
+    each other; printing does not depend on ids."""
 
     X = "t1*t2 d1 + t2^2 d2"
     Y = "t1^2 d2 - t2 d1"
@@ -462,29 +488,9 @@ class TestInterning:
     def _recursive_defect(x, y, v):
         """msv_defect with every zero mode taken by the recursion."""
         def act(f, u):
-            return mode_apply(tau_w(f, u.policy), 0, u)
+            return recursion.mode_apply(tau_w(f, u.policy), 0, u)
         return act(x, act(y, v)) - act(y, act(x, v)) - \
             act(vf_bracket(x, y), v)
-
-    def test_bounded_caches_evict_without_changing_results(self,
-                                                           monkeypatch):
-        x = parse_vector_field(self.X, 2, 6)
-        y = parse_vector_field(self.Y, 2, 6)
-        pol = TruncationPolicy(8, 14)
-        states = monomial_states(2, pol, 2, 2)
-        clear_mode_cache()
-        unbounded = [self._recursive_defect(x, y, v) for v in states]
-        assert unbounded == [msv_defect(x, y, v) for v in states]
-        mode_cache, sym_cache = _PeakDict(), _PeakDict()
-        monkeypatch.setattr(vertex, "MODE_CACHE_SIZE", 40)
-        monkeypatch.setattr(vertex, "SYM_CACHE_SIZE", 16)
-        monkeypatch.setattr(vertex, "_MODE_CACHE", mode_cache)
-        monkeypatch.setattr(vertex, "_SYM_CACHE", sym_cache)
-        clear_mode_cache()
-        clears = mode_cache.clears, sym_cache.clears
-        assert [self._recursive_defect(x, y, v) for v in states] == unbounded
-        assert mode_cache.clears > clears[0] and sym_cache.clears > clears[1]
-        assert 0 < mode_cache.peak <= 40 and 0 < sym_cache.peak <= 16
 
     def test_bounded_wick_cache_evicts_without_changing_results(
             self, monkeypatch):
@@ -493,14 +499,15 @@ class TestInterning:
         pol = TruncationPolicy(8, 14)
         states = monomial_states(2, pol, 2, 2)
         clear_mode_cache()
-        unbounded = [msv_defect(x, y, v) for v in states]
-        assert vertex._WICK_CACHE and vertex._WICK_RUNS and vertex._CREATED
+        unbounded = [self._recursive_defect(x, y, v) for v in states]
+        assert [msv_defect(x, y, v) for v in states] == unbounded
+        assert vertex._MODE_CACHE and vertex._WICK_RUNS and vertex._SYM_CACHE
         clear_mode_cache()
-        assert not (vertex._WICK_CACHE or vertex._WICK_RUNS
-                    or vertex._CREATED)
+        assert not (vertex._MODE_CACHE or vertex._WICK_RUNS
+                    or vertex._SYM_CACHE)
         wick_cache = _WickDict()
-        monkeypatch.setattr(vertex, "WICK_CACHE_SIZE", 16)
-        monkeypatch.setattr(vertex, "_WICK_CACHE", wick_cache)
+        monkeypatch.setattr(vertex, "MODE_CACHE_SIZE", 16)
+        monkeypatch.setattr(vertex, "_MODE_CACHE", wick_cache)
         factored = vertex._wick_factored
 
         def counted(*args):
@@ -518,13 +525,14 @@ class TestInterning:
         assert not wick_cache and not vertex._WICK_RUNS
 
     def test_concurrent_wick_products_with_evictions(self, monkeypatch):
-        # a bound small enough that threads empty the Wick cache, and its
+        # a bound small enough that threads empty the mode cache, and its
         # runs, under each other's reads
         pol = TruncationPolicy(8, 14)
         states = monomial_states(2, pol, 2, 3)
         fields = [tau_w(x, pol) for x in basis_monomial_fields(2, 8, 3)]
-        expected = [[mode_apply(a, 0, v) for v in states] for a in fields]
-        monkeypatch.setattr(vertex, "WICK_CACHE_SIZE", 16)
+        expected = [[recursion.mode_apply(a, 0, v) for v in states]
+                    for a in fields]
+        monkeypatch.setattr(vertex, "MODE_CACHE_SIZE", 16)
         clear_mode_cache()
         got = {}
         start = threading.Barrier(8, timeout=60)
@@ -533,7 +541,7 @@ class TestInterning:
             order = list(range(len(fields)))
             random.Random(seed).shuffle(order)
             start.wait()
-            got[seed] = {i: [wick_apply(fields[i], 0, v) for v in states]
+            got[seed] = {i: [mode_apply(fields[i], 0, v) for v in states]
                          for i in order}
 
         threads = [threading.Thread(target=work, args=(seed,))
