@@ -89,6 +89,15 @@ def _check_orders(args):
             raise FormalDiskError(f"--{flag.replace('_', '-')} must be >= 0")
 
 
+def _check_form_degree(args, degree):
+    """A check that compares ``degree``-forms compares nothing below rank
+    ``degree``, where they vanish identically, so it is a usage error."""
+    if args.rank < degree:
+        raise FormalDiskError(
+            f"--rank {args.rank} leaves no {degree}-form to compare; this "
+            f"check needs --rank >= {degree}")
+
+
 def _check_truncation(args):
     """A character check at chern degree 0 and q-order 0 compares only the
     constant 1 that every factor is normalised to, so it is a usage error."""
@@ -163,6 +172,7 @@ def cmd_atiyah(args):
 def cmd_pw_check(args):
     f1 = parse_automorphism(args.f1, args.rank, args.jet_order)
     f2 = parse_automorphism(args.f2, args.rank, args.jet_order)
+    _check_form_degree(args, 3)
     ok, residual = gms.pw_check(f1, f2)
     return ({"residual": format_form(residual)},
             [("polyakov-wiegmann", ok, "exact at truncation")])
@@ -171,6 +181,7 @@ def cmd_pw_check(args):
 def cmd_gms_d1(args):
     x = parse_vector_field(args.x, args.rank, args.jet_order)
     y = parse_vector_field(args.y, args.rank, args.jet_order)
+    _check_form_degree(args, 2)
     lie, c2, ok = gms.d1_compare(x, y)
     return ({"lie_level": format_form(lie), "ch2": format_form(c2)},
             [("derivative of lifted cocycle matches ch2", ok,

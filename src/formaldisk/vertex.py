@@ -20,9 +20,26 @@ term past a bound is refused with :class:`TruncationOverflowError`, never
 dropped: a dropped term could have fed terms below the bounds (b_(0)
 differentiates in c_0).
 
-Monomials are interned (hash-consed): the canonically sorted symbol tuple
-of a monomial gets an int id from one module-level table, which also
-stores its weight and its c_0-degree, so products read them by list index.
+Inside this module a symbol (kind, j, m) is one int, its code
+``kind << 40 | j << 20 | -m``: kind, index and weight each have a field,
+so integer order is the canonical order of :func:`sym_key`, the low 20
+bits are the weight (zero only for a c_0 symbol, as a b-symbol weighs at
+least 1), ``code >> 20`` is the field (kind, j), and the mode m - d has
+the code plus d.  A monomial is the sorted tuple of its codes, so merging
+two is ``tuple(sorted(...))`` and inserting one symbol a plain ``bisect``.
+The codes stay inside: the checked constructor, :meth:`VAState.generator`,
+:meth:`VAState.mono_terms`, :meth:`VAState.coefficient`, translation, the
+enumerations, :func:`print_key` and every diagnostic take or give symbol
+triples.  A symbol whose index or weight does not fit its 20-bit field is
+refused with :class:`ShapeError` before it is encoded (after the policy
+check, whose diagnostic comes first), and so is a mode product whose
+weight does not fit, since its symbols weigh at most the product: a code
+never aliases another symbol.
+
+Monomials are interned (hash-consed): the sorted code tuple of a monomial
+gets an int id from one module-level table, whose rows hold the tuple
+(``_MONO``, with ``_IDS`` its inverse), its weight (``_WEIGHT``) and its
+c_0-degree (``_C0``), so products read them by list index.
 :attr:`VAState.terms` maps ids to coefficients.  Tuples appear only where
 symbols are inserted, removed or read: the checked constructor, the
 multiset product, translation, the mode cache's misses, and conversion and
@@ -56,7 +73,6 @@ registered through ``on_cache_clear`` (the per-operand memos of
 
 from __future__ import annotations
 
-import operator
 import threading
 from bisect import bisect
 from fractions import Fraction
@@ -81,11 +97,10 @@ def sym_key(s):
     return (s[0], s[1], -s[2])
 
 
-_FIELD = operator.itemgetter(0, 1)
-_MODE = operator.itemgetter(2)
-
-
 def make_sym(kind, j, m):
+    if kind not in (KIND_B, KIND_C):
+        raise ShapeError(f"symbol kind must be {KIND_B} (b) or {KIND_C} (c), "
+                         f"got {kind}")
     if kind == KIND_B and m > -1:
         raise ShapeError(f"b-symbol mode must be <= -1, got {m}")
     if kind == KIND_C and m > 0:
@@ -99,22 +114,49 @@ def sym_weight(s):
     return -s[2]
 
 
-def _sorted_mono(syms):
-    # two stable sorts on C-level keys give the order of sym_key
-    return tuple(sorted(sorted(syms, key=_MODE, reverse=True), key=_FIELD))
+def _canonical(syms):
+    """Symbol triples in the canonical order of :func:`sym_key`."""
+    return tuple(sorted(syms, key=sym_key))
+
+
+# -- symbol codes (module docstring) --------------------------------------------
+
+_LOW = (1 << 20) - 1  # the weight field, and the largest index and weight
+_C = KIND_C << 40  # the least c-code: b-codes sort first
+_FLIP = 1 << 20  # code >> 20 is the field (kind, j); this flips its kind
+
+
+def _code(s):
+    """The code of a checked symbol triple; an index or weight that does
+    not fit its field is refused, never aliased."""
+    kind, j, m = s
+    if j > _LOW or -m > _LOW:
+        raise ShapeError(f"symbol {s} does not fit the symbol code: index "
+                         f"and weight must be below {_LOW + 1}")
+    return kind << 40 | j << 20 | -m
+
+
+def _decode(mono):
+    """The symbol triples of a tuple of codes."""
+    return tuple((x >> 40, x >> 20 & _LOW, -(x & _LOW)) for x in mono)
+
+
+# a code's weight, zero exactly for a c_0 symbol; a C-level callable, so
+# filter() splits a monomial into its c_0 symbols and the rest in C
+_WEIGHS = _LOW.__and__
 
 
 # -- the intern table: one row per id, never cleared (module docstring) -------
 
-_IDS: dict = {}  # canonically sorted monomial tuple -> id
-_MONO: list = []  # id -> monomial tuple
+_IDS: dict = {}  # sorted tuple of codes -> id
+_MONO: list = []  # id -> sorted tuple of codes
 _WEIGHT: list = []  # id -> conformal weight
 _C0: list = []  # id -> c_0-degree
 _INTERN_LOCK = threading.Lock()
 
 
 def _intern(mono):
-    """Id of a canonically sorted monomial tuple, added on first sight."""
+    """Id of a sorted tuple of codes, added on first sight."""
     i = _IDS.get(mono)
     if i is None:
         with _INTERN_LOCK:
@@ -122,8 +164,8 @@ def _intern(mono):
             if i is None:
                 i = len(_MONO)
                 _MONO.append(mono)
-                _WEIGHT.append(-sum(s[2] for s in mono))
-                _C0.append(sum(1 for s in mono if s[0] == KIND_C and s[2] == 0))
+                _WEIGHT.append(sum(x & _LOW for x in mono))
+                _C0.append(sum(1 for x in mono if not x & _LOW))
                 # published last: a reader that finds the id finds its row
                 _IDS[mono] = i
     return i
@@ -168,8 +210,9 @@ class VAState:
     """Exact element of the (truncated) chiral-differential-operator space.
 
     ``terms`` maps monomial ids (see the module docstring) to nonzero
-    coefficients.  The checked constructor takes monomial tuples in any
-    symbol order; ``_clean=True`` takes ids and trusts them.
+    coefficients.  The checked constructor takes monomials as tuples of
+    symbol triples in any order; ``_clean=True`` takes ids and trusts
+    them.
     """
 
     __slots__ = ("n", "policy", "terms")
@@ -189,16 +232,19 @@ class VAState:
         for mono, c in terms.items():
             if not c:
                 continue
-            mono = _sorted_mono(mono)
+            mono = _canonical(mono)
             for s in mono:
                 if not 1 <= s[1] <= n:
                     raise ShapeError(f"symbol index {s[1]} out of range 1..{n}")
                 make_sym(*s)
-            k = _intern(mono)
-            if _WEIGHT[k] > policy.max_weight or _C0[k] > policy.max_c0:
+            if -sum(s[2] for s in mono) > policy.max_weight or \
+                    sum(1 for s in mono if s[0] == KIND_C and s[2] == 0) > \
+                    policy.max_c0:
                 raise TruncationOverflowError(f"monomial exceeds policy: {mono}")
-            clean[k] = clean[k] + c if k in clean else c
-        self.terms = {k: norm_coeff(c) for k, c in clean.items() if c}
+            # canonical triples give sorted codes
+            codes = tuple(map(_code, mono))
+            clean[codes] = clean[codes] + c if codes in clean else c
+        self.terms = {_intern(m): norm_coeff(c) for m, c in clean.items() if c}
 
     # -- constructors -------------------------------------------------------
 
@@ -220,12 +266,16 @@ class VAState:
         return not self.terms
 
     def mono_terms(self):
-        """The terms keyed by canonically sorted monomial tuples."""
+        """The terms keyed by canonically sorted tuples of symbol triples."""
         mono = _MONO
-        return {mono[k]: c for k, c in self.terms.items()}
+        return {_decode(mono[k]): c for k, c in self.terms.items()}
 
     def coefficient(self, syms):
-        return self.terms.get(_IDS.get(_sorted_mono(syms)), 0)
+        try:
+            mono = tuple(sorted(_code(make_sym(*s)) for s in syms))
+        except ShapeError:
+            return 0  # no state holds an invalid symbol, nor one past the code
+        return self.terms.get(_IDS.get(mono), 0)
 
     def weight_decomposition(self):
         """Map conformal weight -> homogeneous component."""
@@ -249,7 +299,7 @@ class VAState:
 
     def filtration_degree(self):
         """Number of b-symbols; max over monomials when inhomogeneous."""
-        return max((sum(1 for s in _MONO[k] if s[0] == KIND_B)
+        return max((sum(1 for x in _MONO[k] if x < _C)
                     for k in self.terms), default=0)
 
     # -- linear structure -------------------------------------------------------
@@ -284,13 +334,24 @@ class VAState:
             return self.scale(other)
         _check_compatible(self, other)
         out = {}
-        right = other.mono_terms().items()
-        for m1, c1 in self.mono_terms().items():
+        right = [(_MONO[k], c) for k, c in other.terms.items()]
+        for k1, c1 in self.terms.items():
+            m1 = _MONO[k1]
             for m2, c2 in right:
-                key = _sorted_mono(m1 + m2)
+                key = tuple(sorted(m1 + m2))
                 c = c1 * c2
                 out[key] = out[key] + c if key in out else c
-        return VAState(self.n, self.policy, out)
+        policy = self.policy
+        terms = {}
+        for mono, c in out.items():
+            if not c:
+                continue
+            k = _intern(mono)
+            if _WEIGHT[k] > policy.max_weight or _C0[k] > policy.max_c0:
+                raise TruncationOverflowError(
+                    f"monomial exceeds policy: {_decode(mono)}")
+            terms[k] = norm_coeff(c)
+        return VAState(self.n, policy, terms, _clean=True)
 
     __rmul__ = __mul__
 
@@ -351,7 +412,7 @@ def _mode_state(acc, n, policy):
     the bound, so only the c0 bound can trip; a term above it is refused,
     naming the first such monomial in print order."""
     max_c0 = policy.max_c0
-    over = [_MONO[k] for k in acc if _C0[k] > max_c0]
+    over = [_decode(_MONO[k]) for k in acc if _C0[k] > max_c0]
     if over:
         raise TruncationOverflowError(
             f"mode product exceeds c0 bound: {min(over, key=print_key)}")
@@ -362,18 +423,26 @@ def mode_apply(a: VAState, m: int, v: VAState) -> VAState:
     """The m-th product a_(m) v, by Wick's theorem.
 
     Exact below the policy bounds; a product with a term past them raises
-    :class:`TruncationOverflowError`.
+    :class:`TruncationOverflowError`, and one within them whose weight does
+    not fit the symbol code raises :class:`ShapeError`.
     """
     _check_compatible(a, v)
     policy = a.policy
+    # a term's symbols weigh at most the term, so a weight that fits the
+    # code keeps every symbol of the product in it
+    top = min(policy.max_weight, _LOW)
     acc = {}
     for aid, ac in a.terms.items():
         wa = _WEIGHT[aid]
         for vid, vc in v.terms.items():
             w = wa + _WEIGHT[vid] - m - 1
-            if w > policy.max_weight:
-                raise TruncationOverflowError(
-                    f"mode product weight {w} exceeds bound {policy.max_weight}")
+            if w > top:
+                if w > policy.max_weight:
+                    raise TruncationOverflowError(
+                        f"mode product weight {w} exceeds bound "
+                        f"{policy.max_weight}")
+                raise ShapeError(f"mode product weight {w} does not fit the "
+                                 f"symbol code: it must be below {_LOW + 1}")
             res = _wick_mono(aid, m, vid)
             if res:
                 # res is integral; a Fraction of a or v can make an integral
@@ -392,14 +461,15 @@ def mode_apply(a: VAState, m: int, v: VAState) -> VAState:
 
 # entries of the mode cache; a miss that finds it full empties it, with its
 # runs and the creators' products.  From cold, the acceptance test of the
-# vertex axioms (criterion 1) fills 32,876 entries and 1,011,942 slots of
-# runs, that of the extension cocycle (criterion 2) 66,137 and 379,040, and
-# that of the conformal structure (criterion 3) 15,387 and 25,354
+# vertex axioms (criterion 1) fills 32,876 entries, 1,011,942 slots of runs
+# and 13,873 creators' products, that of the extension cocycle (criterion 2)
+# 66,137, 379,040 and 308, and that of the conformal structure (criterion 3)
+# 15,387, 25,354 and 30, which a test pins
 MODE_CACHE_SIZE = 1 << 18
 
 _MODE_CACHE: dict = {}  # ((m << 32 | id) << 32) | id -> start << 32 | end
 _WICK_RUNS: list = []  # runs of ids and coefficients in turn
-_SYM_CACHE: dict = {}  # (creating symbols, spare) -> [(monomial, coeff)]
+_SYM_CACHE: dict = {}  # (creating codes, spare) -> [(codes, coefficient)]
 # evictions so far; one empties the cache, counts itself, then empties the
 # runs, so a reader that reads the same count before finding a run and
 # after copying it copied it whole
@@ -462,25 +532,26 @@ def _wick_factored(aid, m, vid):
     """{id: coefficient} of a_(m) v for v with c_0 symbols, from the cached
     products on v's c_0-free part (see :func:`_wick_mono`)."""
     mono = _MONO[vid]
-    c0 = tuple(filterfalse(_MODE, mono))
-    wid = _intern(tuple(filter(_MODE, mono)))
+    c0 = tuple(filterfalse(_WEIGHS, mono))
+    wid = _intern(tuple(filter(_WEIGHS, mono)))
     amono = _MONO[aid]
     # (b-factors of a taken, c_0 symbols left, mode shift, coefficient)
     parts = [((), c0, 0, 1)]
     for s in amono:
-        if s[0] != KIND_B:
-            break  # b-symbols sort first
-        target = (KIND_C, s[1], 0)
+        if s >= _C:
+            break  # b-codes sort first
+        target = _C | (s >> 20 << 20)  # c^j_0 of the b-symbol's j
         if target in c0:
             # (T^k b)/k! at mode k is (-1)^k b_(0) = (-1)^k d/dc_0, and
-            # 1 + k = -s[2]
-            sign = 1 - 2 * ((-s[2] - 1) & 1)
+            # 1 + k is the symbol's weight
+            w = s & _LOW
+            sign = 1 - 2 * ((w - 1) & 1)
             for i in range(len(parts)):
                 taken, left, shift, c = parts[i]
                 if target in left:
                     pos = left.index(target)
                     parts.append((taken + (s,), left[:pos] + left[pos + 1:],
-                                  shift - s[2], sign * left.count(target) * c))
+                                  shift + w, sign * left.count(target) * c))
     out = {}
     get = out.get
     for taken, left, shift, c in parts:
@@ -492,7 +563,7 @@ def _wick_factored(aid, m, vid):
             rid = _intern(tuple(rest))
         for k, cc in _wick_mono(rid, m - shift, wid).items():
             if left:
-                k = _intern(_sorted_mono(_MONO[k] + left))
+                k = _intern(tuple(sorted(_MONO[k] + left)))
             out[k] = get(k, 0) + c * cc
     return out
 
@@ -511,12 +582,12 @@ def _wick_free(aid, m, vid):
     (:func:`_created`).  The creators of one split share what is left of
     the mode sum; annihilation acts first, so the symbols left of v are
     multiplied by the created ones.  Symbols are removed and merged on
-    tuples, and only the results are interned.
+    sorted tuples of codes, and only the results are interned.
     """
     out = {}
     get = out.get
     mono = _MONO[vid]
-    fields = {s[:2] for s in mono}
+    fields = {x >> 20 for x in mono}
     # (v's symbols left, annihilators' mode sum, creating symbols of a) ->
     # coefficient, one factor at a time; a factor whose field annihilates
     # no symbol of v only creates
@@ -524,8 +595,8 @@ def _wick_free(aid, m, vid):
     idle = ()
     amono = _MONO[aid]
     for s in amono:
-        # kind ^ 1 is the other kind, the one a field annihilates
-        if (s[0] ^ 1, s[1]) in fields:
+        # a field annihilates the symbols of its other kind
+        if (s >> 20) ^ _FLIP in fields:
             splits = _split(splits, s)
         else:
             idle += (s,)
@@ -543,7 +614,7 @@ def _wick_free(aid, m, vid):
         if spare < 0:
             continue
         for created, cc in _created(creating, spare):
-            k = _intern(_sorted_mono(rest + created))
+            k = _intern(tuple(sorted(rest + created)))
             out[k] = get(k, 0) + c * cc
     return out
 
@@ -555,26 +626,27 @@ def _created(creating, spare):
 
     A factor (T^k u)/k! of symbol (kind, j, m), k = -m - 1 + kind, at mode
     i = -1 - d has coefficient (-1)^k C(i, k) = C(k + d, k) and creates
-    (kind, j, m - d).  The factors are taken one at a time, the first
-    against the cached products of the others, so equal partial monomials
-    with equal mode sums are merged once.
+    (kind, j, m - d), whose code is the factor's plus d.  The factors are
+    taken one at a time, the first against the cached products of the
+    others, so equal partial monomials with equal mode sums are merged
+    once.
     """
     key = (creating, spare)
     hit = _SYM_CACHE.get(key)
     if hit is None:
-        kind, j, m = creating[0]
-        k = -m - 1 + kind
+        first = creating[0]
+        k = (first & _LOW) - 1 + (first >> 40)
         if len(creating) == 1:
-            hit = [(((kind, j, m - spare),), comb(k + spare, k))]
+            hit = [((first + spare,), comb(k + spare, k))]
         else:
             others = creating[1:]
             out = {}
             get = out.get
             for d in range(spare + 1):
-                s = (kind, j, m - d)
+                s = first + d
                 c = comb(k + d, k)
                 for part, cc in _created(others, spare - d):
-                    i = bisect(part, (kind, j, d - m), key=sym_key)
+                    i = bisect(part, s)
                     mono = part[:i] + (s,) + part[i:]
                     out[mono] = get(mono, 0) + c * cc
             hit = list(out.items())
@@ -583,13 +655,13 @@ def _created(creating, spare):
 
 
 def _split(splits, s):
-    """Each split extended by the factor of symbol s: creating, or
+    """Each split extended by the factor of symbol code s: creating, or
     annihilating one matching symbol of what is left of v, by the mode
     i >= 0 of its generator: b_(i) = d/dc_{-i}, c_(i) = -d/db_{-i-1}."""
-    kind, j, m = s
-    k = -m - 1 + kind
+    kind = s >> 40
+    k = (s & _LOW) - 1 + kind
     sign = (1 - 2 * (k & 1)) * (1 - 2 * kind)
-    target = kind ^ 1
+    target = (s >> 20) ^ _FLIP
     out = {}
     get = out.get
     for (rest, used, creating), c in splits.items():
@@ -597,10 +669,10 @@ def _split(splits, s):
         out[key] = get(key, 0) + c
         prev = None
         for pos, t in enumerate(rest):
-            if t[0] != target or t[1] != j or t == prev:
+            if t >> 20 != target or t == prev:
                 continue
             prev = t
-            i = -t[2] - kind
+            i = (t & _LOW) - kind
             coeff = sign * rest.count(t)
             if k:
                 coeff *= comb(i + k, k)
@@ -620,7 +692,7 @@ def translate(v: VAState) -> VAState:
             if not factor:
                 continue
             repl = (kind, j, m - 1)
-            key = _sorted_mono(mono[:pos] + (repl,) + mono[pos + 1:])
+            key = _canonical(mono[:pos] + (repl,) + mono[pos + 1:])
             cc = factor * c
             out[key] = out[key] + cc if key in out else cc
     return VAState(v.n, v.policy, out)
@@ -662,7 +734,7 @@ def enumerate_weight_monomials(n, weight):
 
     def rec(start, remaining, acc):
         if remaining == 0:
-            out.append(_sorted_mono(acc))
+            out.append(_canonical(acc))
             return
         for idx in range(start, len(syms)):
             s = syms[idx]
@@ -680,7 +752,7 @@ def enumerate_c0_monomials(n, max_degree):
 
     def rec(j, remaining, acc):
         if j > n:
-            out.append(_sorted_mono(acc))
+            out.append(_canonical(acc))
             return
         for k in range(remaining + 1):
             rec(j + 1, remaining - k, acc + ((KIND_C, j, 0),) * k)
@@ -695,5 +767,5 @@ def enumerate_basis(n, max_weight, max_c0):
     for w in range(max_weight + 1):
         for wm in enumerate_weight_monomials(n, w):
             for cm in enumerate_c0_monomials(n, max_c0):
-                out.append(_sorted_mono(wm + cm))
+                out.append(_canonical(wm + cm))
     return out

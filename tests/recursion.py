@@ -14,7 +14,8 @@ c-symbols or differentiate in b with a sign.  It shares with the package
 only the intern table, the state kernels of :mod:`formaldisk._kernel` and
 the diagnostics of the bounds, and none of Wick's theorem, so the tests
 hold every product of the package against it, coefficient types and
-diagnostics included.
+diagnostics included.  It works on symbol triples: a monomial's codes are
+decoded when it is read from the table and encoded when it is interned.
 
 Both memos are keyed by monomial ids and hold at most ``MEMO_SIZE``
 entries (a store into a full one empties it first); a monomial's m-th
@@ -67,6 +68,16 @@ def _apply_sym_mode(sym, i, data):
     return out
 
 
+def _syms(k):
+    """The canonically sorted symbol triples of the monomial with id k."""
+    return vertex._decode(vertex._MONO[k])
+
+
+def _id(mono):
+    """The id of a canonically sorted tuple of symbol triples."""
+    return vertex._intern(tuple(map(vertex._code, mono)))
+
+
 def _store(memo, key, value):
     if len(memo) >= MEMO_SIZE:
         memo.clear()
@@ -78,8 +89,8 @@ def _sym_mode_mono(sym, i, vid):
     key = (sym, i, vid)
     hit = _SYM_MEMO.get(key)
     if hit is None:
-        raw = _apply_sym_mode(sym, i, {vertex._MONO[vid]: ONE})
-        hit = {vertex._intern(mo): c for mo, c in raw.items()} or _NO_TERMS
+        raw = _apply_sym_mode(sym, i, {_syms(vid): ONE})
+        hit = {_id(mo): c for mo, c in raw.items()} or _NO_TERMS
         _store(_SYM_MEMO, key, hit)
     return hit
 
@@ -91,14 +102,14 @@ def _mode_mono(aid, m, vid):
     hit = _MODE_MEMO.get(key)
     if hit is not None:
         return hit
-    mono = vertex._MONO[aid]
+    mono = _syms(aid)
     if not mono:
         out = {vid: ONE} if m == -1 else {}
     elif len(mono) == 1:
         out = _sym_mode_mono(mono[0], m, vid)
     else:
         s = mono[0]
-        rest = vertex._intern(mono[1:])
+        rest = _id(mono[1:])
         out = {}
         axpy = _kernel.state_axpy
         weight = vertex._WEIGHT

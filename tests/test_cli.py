@@ -74,8 +74,9 @@ class TestDispatch:
 
     def test_pw_and_d1(self, capsys):
         code, doc = run_inproc(
-            ["pw-check", "--rank", "2", "--jet-order", "4",
-             "--f1", "(t1+t2^2, t2)", "--f2", "(t1, t2+t1^2)"], capsys)
+            ["pw-check", "--rank", "3", "--jet-order", "4",
+             "--f1", "(t1+t2^2, t2, t3)", "--f2", "(t1, t2+t1^2, t3+t1*t2)"],
+            capsys)
         assert code == 0 and doc["checks"][0]["ok"]
         code, doc = run_inproc(
             ["gms-d1", "--rank", "2", "--jet-order", "5",
@@ -616,6 +617,28 @@ class TestNumericFlags:
         assert (code, out) == (2, "")
         assert err == ("error: --chern-degree 0 with --q-order 0 leaves "
                        "nothing to compare; raise either\n")
+
+    @pytest.mark.parametrize("argv, degree", [
+        (["pw-check", "--rank", "2", "--jet-order", "3",
+          "--f1", "(t1+t2^2,t2)", "--f2", "(t1,t2+t1^2)"], 3),
+        (["pw-check", "--rank", "1", "--jet-order", "4",
+          "--f1", "(t1+t1^2)", "--f2", "(t1-t1^3)"], 3),
+        (["gms-d1", "--rank", "1", "--x", "t1^2 d1", "--y", "t1^3 d1"], 2),
+    ], ids=["pw-rank2", "pw-rank1", "d1-rank1"])
+    def test_rank_without_forms_is_usage_error(self, argv, degree):
+        # pw-check compares 3-forms and gms-d1 2-forms; below that rank
+        # both vanish identically, so the check would pass on nothing
+        code, out, err = run_captured(argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: --rank {argv[2]} leaves no {degree}-form to "
+                       f"compare; this check needs --rank >= {degree}\n")
+
+    def test_rank_is_refused_after_the_operands_parse(self):
+        code, out, err = run_captured(
+            ["pw-check", "--rank", "2", "--f1", "(t1, t2)",
+             "--f2", "(t1, t2+1/0*t1^2)"])
+        assert (code, out) == (2, "")
+        assert err.endswith("^ zero denominator\n")
 
 
 # Values drawn for the numeric flags: well-formed small ones and malformed

@@ -1,5 +1,7 @@
 """Mode calculus: vacuum, translation, products, composition identity."""
 
+import contextlib
+import io
 import random
 import sys
 import threading
@@ -8,7 +10,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from formaldisk import vertex
+from formaldisk import cli, vertex
+from formaldisk.conformal import conformal_axiom_check
 from formaldisk.errors import ShapeError, TruncationOverflowError
 from formaldisk.grammar import format_state, parse_state, parse_vector_field
 from formaldisk.hc import msv_defect, tau_w
@@ -16,7 +19,7 @@ from formaldisk.jets import basis_monomial_fields, vf_bracket
 from formaldisk.vertex import (KIND_B, KIND_C, TruncationPolicy, VAState,
                                borcherds_check, clear_mode_cache,
                                enumerate_basis, enumerate_weight_monomials,
-                               mode_apply, translate, vacuum)
+                               mode_apply, sym_key, translate, vacuum)
 from tests import recursion
 from tests.conftest import monomial_states, random_state
 
@@ -406,6 +409,98 @@ class TestWick:
         _check_wick(*case)
 
 
+# the largest index and weight that fit a field of a symbol's code
+EDGE = (1 << 20) - 1
+
+
+@st.composite
+def symbols(draw, max_index=EDGE, max_weight=EDGE):
+    """A valid symbol triple whose index and weight fit the code."""
+    kind = draw(st.sampled_from((KIND_B, KIND_C)))
+    weight = draw(st.integers(1 if kind == KIND_B else 0, max_weight))
+    return (kind, draw(st.integers(1, max_index)), -weight)
+
+
+class TestSymbolCode:
+    """Inside ``vertex`` a symbol is one int, ``kind << 40 | j << 20 | -m``,
+    and a monomial the sorted tuple of its codes."""
+
+    @given(symbols(), symbols())
+    def test_integer_order_is_canonical_order(self, s, t):
+        cs, ct = vertex._code(s), vertex._code(t)
+        assert (cs < ct) == (sym_key(s) < sym_key(t))
+        assert (cs == ct) == (s == t)
+
+    @given(st.lists(symbols(), max_size=6))
+    def test_decoding_round_trips(self, syms):
+        assert vertex._decode(tuple(map(vertex._code, syms))) == tuple(syms)
+
+    @given(st.lists(symbols(max_index=3, max_weight=4), min_size=1,
+                    max_size=6).flatmap(
+        lambda syms: st.tuples(st.just(syms), st.permutations(syms))))
+    def test_any_symbol_order_interns_to_one_id(self, case):
+        syms, shuffled = case
+        pol = TruncationPolicy(24, 6)
+        one = VAState(3, pol, {tuple(syms): 1})
+        other = VAState(3, pol, {tuple(shuffled): 1})
+        assert one.terms == other.terms
+        (k,) = one.terms
+        assert vertex._MONO[k] == tuple(sorted(map(vertex._code, syms)))
+        assert one.mono_terms() == {
+            tuple(sorted(syms, key=sym_key)): 1}
+        assert other.coefficient(reversed(shuffled)) == 1
+
+    def test_symbols_at_the_edge_of_a_field(self):
+        wide = TruncationPolicy(1 << 22, 4)
+        for kind, j, m in ((KIND_C, 1, -EDGE), (KIND_B, EDGE, -1),
+                           (KIND_B, EDGE, -EDGE)):
+            v = VAState.generator(EDGE, wide, kind, j, m)
+            assert v.mono_terms() == {((kind, j, m),): 1}
+            assert v.weight() == -m
+        # one past a field would spill into the next: c[1, -2^20] would
+        # read as c[1, 0], and b[2^20, -1] as c[0, -1]
+        held = VAState.generator(2, wide, KIND_C, 1, 0)
+        for sym in ((KIND_C, 1, -EDGE - 1), (KIND_B, EDGE + 1, -1)):
+            with pytest.raises(ShapeError, match="does not fit"):
+                VAState(EDGE + 1, wide, {(sym,): 1})
+            assert held.coefficient((sym,)) == 0
+        assert held.coefficient(((KIND_C, 1, 0),)) == 1
+
+    def test_products_past_a_field_are_refused(self):
+        wide = TruncationPolicy(1 << 22, 4)
+        top = VAState.generator(1, wide, KIND_C, 1, -EDGE)
+        vac = vacuum(1, wide)
+        assert mode_apply(top, -1, vac) == top
+        # T c[1, -EDGE] = (EDGE + 1) c[1, -EDGE - 1], one past the field
+        for make in (lambda: mode_apply(top, -2, vac),
+                     lambda: translate(top)):
+            with pytest.raises(ShapeError, match="does not fit"):
+                make()
+        # under a policy that the product passes, the policy's diagnostic
+        edge = TruncationPolicy(EDGE, 4)
+        with pytest.raises(TruncationOverflowError, match="exceeds bound"):
+            mode_apply(VAState.generator(1, edge, KIND_C, 1, -EDGE), -2,
+                       vacuum(1, edge))
+
+    @pytest.mark.parametrize("state, bound, err", [
+        ("c[1,-5000000000]", 8,
+         "error: monomial exceeds policy: ((1, 1, -5000000000),)\n"),
+        (f"c[1,-{EDGE + 1}]", 1 << 21,
+         f"c[1,-{EDGE + 1}]\n^ symbol (1, 1, -{EDGE + 1}) does not fit the "
+         f"symbol code: index and weight must be below {EDGE + 1}\n"),
+        (f"c[1,-{EDGE}]", 1 << 21,
+         f"error: mode product weight {EDGE + 1} does not fit the symbol "
+         f"code: it must be below {EDGE + 1}\n"),
+    ], ids=["policy", "symbol", "product"])
+    def test_cli_refuses_a_symbol_past_the_code(self, state, bound, err):
+        out, errs = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(errs):
+            code = cli.main(["mode-apply", "--rank", "2", "--state=" + state,
+                             "--mode", "-2", "--on", "vac",
+                             "--max-weight", str(bound)])
+        assert (code, out.getvalue(), errs.getvalue()) == (2, "", err)
+
+
 class TestEnumeration:
     def test_weight_monomial_counts(self):
         # rank 1, weight 1: b_{-1}, c_{-1}
@@ -524,6 +619,18 @@ class TestInterning:
         clear_mode_cache()
         assert not wick_cache and not vertex._WICK_RUNS
 
+    def test_criterion_3_fills_the_quoted_cache_sizes(self):
+        # the fill quoted above vertex.MODE_CACHE_SIZE: a representation
+        # that cached other products would fill other sizes
+        clear_mode_cache()
+        for n in (1, 2, 3):
+            pol = TruncationPolicy(10, 6)
+            states = [VAState(n, pol, {m: F(1)})
+                      for m in enumerate_basis(n, 4, 2 if n <= 2 else 1)]
+            assert all(ok for _, ok, _ in conformal_axiom_check(n, states))
+        assert (len(vertex._MODE_CACHE), len(vertex._WICK_RUNS),
+                len(vertex._SYM_CACHE)) == (15_387, 25_354, 30)
+
     def test_concurrent_wick_products_with_evictions(self, monkeypatch):
         # a bound small enough that threads empty the mode cache, and its
         # runs, under each other's reads
@@ -610,6 +717,8 @@ class TestInterning:
         # every row's columns are those of its monomial
         assert len(vertex._WEIGHT) == len(vertex._C0) == len(vertex._MONO)
         for i, m in enumerate(vertex._MONO):
-            assert vertex._WEIGHT[i] == -sum(s[2] for s in m)
-            assert vertex._C0[i] == sum(1 for s in m
+            assert m == tuple(sorted(m))
+            syms = vertex._decode(m)
+            assert vertex._WEIGHT[i] == -sum(s[2] for s in syms)
+            assert vertex._C0[i] == sum(1 for s in syms
                                         if s[0] == KIND_C and s[2] == 0)
