@@ -136,6 +136,11 @@ def cmd_rho_w(args):
 def cmd_msv_check(args):
     x = parse_vector_field(args.x, args.rank, args.jet_order)
     y = parse_vector_field(args.y, args.rank, args.jet_order)
+    top = hc.exact_bracket(x, y).degree()
+    if top > args.jet_order:
+        raise FormalDiskError(
+            f"[X, Y] has a term of degree {top}, above --jet-order "
+            f"{args.jet_order}; raise --jet-order to {top}")
     cocycle = gf.ch2_gf(x, y)
     pol = TruncationPolicy(args.max_weight + 4, args.max_c0 + 8)
     monos = vertex.enumerate_basis(args.rank, args.max_weight, args.max_c0)

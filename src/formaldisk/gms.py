@@ -23,28 +23,40 @@ alpha3 of f2 truncates f2's left currents and alpha3 of f1 its right ones
 (the right currents R_a = g M_a g^{-1} are conjugate to the left ones M_a,
 so tr([R_a, R_b] R_c) = tr([M_a, M_b] M_c)), while alpha3 of an
 automorphism that no alpha2 reads (f2 o f1 in ``pw_check``) multiplies the
-Jacobian inverse and partials at K; the inverse is built once, at K+1 when
-alpha2 reads a current of that automorphism and at K otherwise.  Every value
-is then exact at the order it is reported, and the residuals are exactly
-zero, not zero-up-to-top-degree.
+Jacobian adjugate and partials at K; the adjugate is built once, at K+1
+when alpha2 reads a current of that automorphism and at K otherwise.  Every
+value is then exact at the order it is reported, and the residuals are
+exactly zero, not zero-up-to-top-degree.
+
+No Jacobian is inverted.  With N_a = adj(g) d_a g, the current is
+M_a = N_a / det g, and the jets commute, so each form is a trace of
+numerators scaled once per component:
+
+* the (a<b<c) component of alpha3 is tr([M_a, M_b] M_c)
+  = tr([N_a, N_b] N_c) / det(g)^3, and
+* the (a<b) component of alpha2 = tr(P ^ R) is tr(P_a R_b) - tr(P_b R_a),
+  the same sums over the numerators (f1's right ones and the pullback of
+  f2's left ones) divided by det(g1) (det g2 o f1).
+
+For criterion 6's unipotent jets g is the identity plus linear terms, so
+the numerators are sparse polynomials of low degree and only the one
+scaling per component is dense.  The adjugate and determinant come from
+cofactors (:func:`~formaldisk.jets.adjugate`), over any coefficient ring.
+alpha3 inverts its determinant once, at K, and alpha2 inverts the one
+product det(g1) (det g2 o f1) at K+1, after det g2 is pulled back.
 
 Each automorphism a check uses gets one :class:`_Currents`, which builds
-its Jacobian inverse, the current sides that are read and its substitution
-operator once, on first use; alpha3 and mu return zero below rank three
-before any of that work.  The traces are taken form component by form
-component.  Write the currents as A = sum_a M_a dt_a with M_a a matrix of
-jets; the trace is cyclic and the jets commute, so
-
-* the (a<b<c) component of alpha3 is tr([M_a, M_b] M_c), and
-* the (a<b) component of alpha2 = tr(P ^ R) is tr(P_a R_b) - tr(P_b R_a),
-
-and no off-diagonal entry of a matrix product is formed only to be
-dropped by the trace.  Each batch of traces is one kernel call, a sum of
-products per component (:func:`~formaldisk.jets.trace_products`), and so
-is each batch of matrix products (the n currents of one side, alpha3's
-commutators) and alpha2's pullback sums, so that a jet read by several
-products of a batch is brought into the kernel's integer form once.
-The whole-matrix product
+its adjugate and determinant, the current numerators that are read and its
+substitution operator once, on first use; alpha3 and mu return zero below
+rank three before any of that work.  The traces are taken form component
+by form component, and no off-diagonal entry of a matrix product is formed
+only to be dropped by the trace.  Each batch of traces is one kernel call,
+a sum of products per component
+(:func:`~formaldisk.jets.trace_products`), and so is each batch of matrix
+products (the n numerators of one side, alpha3's commutators), each size
+of minors, alpha2's pullback sums and each form's scaling, so that a jet
+read by several products of a batch is brought into the kernel's integer
+form once.  The whole-matrix product
 :meth:`~formaldisk.jets.FormMatrix.wedge_mul` computes the same forms and
 is the reference the tests hold these to.
 """
@@ -58,8 +70,8 @@ from .constants import GMS_D1_SCALE
 from .errors import ShapeError
 from .gf import ch2_gf
 from .jets import (FormalForm, FormalVectorField, JetAutomorphism, JetMatrix,
-                   JetSeries, Substitution, de_rham, jacobian, jet_compose,
-                   jet_dots, jet_invert, matrix_products, poincare_homotopy,
+                   JetSeries, Substitution, adjugate, de_rham, jacobian,
+                   jet_compose, jet_dots, matrix_products, poincare_homotopy,
                    trace_products)
 
 
@@ -85,15 +97,18 @@ class _Currents:
 
     ``phi`` is known to order ``order + 2`` or more, so that the partials of
     its Jacobian are exact at the working order ``order`` (K+1 for a check
-    reported at K).  With g = Jac(phi): ``left[a]`` and ``right[a]`` are the
-    jet matrices of dt_a-coefficients of g^{-1} dg and dg g^{-1}, and
-    ``sub`` pulls jets and forms back along phi, all at the working order.
+    reported at K).  With g = Jac(phi) and M_a = g^{-1} d_a g:
+    ``left[a]`` = adj(g) d_a g and ``right[a]`` = d_a g adj(g) are the
+    numerators of the currents M_a = left[a] / det g and
+    g M_a g^{-1} = right[a] / det g, ``det`` is det g, and ``sub`` pulls
+    jets and forms back along phi, all at the working order.
 
     ``left`` and ``right`` say which current sides a reader takes at the
-    working order.  The Jacobian inverse is built there when one is read,
-    and one order below, where alpha3 lives, when neither is.  alpha3
-    truncates a current side that is read, the left one if both are, and
-    otherwise forms its own products one order below.
+    working order.  The adjugate and the determinant are built there when
+    one is read, and one order below, where alpha3 lives, when neither is;
+    only alpha3 inverts the determinant, at its own order.  alpha3
+    truncates a side that is read, the left one if both are, and otherwise
+    forms its own numerators one order below.
     """
 
     def __init__(self, phi: JetAutomorphism, order, left=False, right=False):
@@ -101,35 +116,39 @@ class _Currents:
         self.order = order
         self.reads_left = left
         self.reads_right = right
-        self.inverse_order = order if left or right else order - 1
+        self.adjugate_order = order if left or right else order - 1
 
     @cached_property
     def _jacobian(self):
-        """(g^{-1}, [d_a g for each direction a]) at the highest order read:
-        the partials are taken before truncating."""
-        order = self.inverse_order
+        """(adj g, det g, [d_a g for each direction a]) at the highest order
+        read: the partials are taken before truncating."""
+        order = self.adjugate_order
         g = jacobian(self.phi)
         dg = [g.map_entries(lambda f, a=a: f.partial(a))
               for a in range(1, self.phi.n + 1)]
-        return jet_invert(_truncate(g, order)), [_truncate(d, order)
-                                                 for d in dg]
+        return (*adjugate(_truncate(g, order)),
+                [_truncate(d, order) for d in dg])
+
+    @property
+    def det(self) -> JetSeries:
+        return self._jacobian[1]
 
     def _truncated_jacobian(self, order):
-        ginv, dg = self._jacobian
-        if order > ginv.order:
+        adj, _, dg = self._jacobian
+        if order > adj.order:
             raise ShapeError("currents read above the order of their "
-                             "Jacobian inverse")
-        return _truncate(ginv, order), [_truncate(d, order) for d in dg]
+                             "Jacobian adjugate")
+        return _truncate(adj, order), [_truncate(d, order) for d in dg]
 
     @cached_property
     def left(self):
-        ginv, dg = self._truncated_jacobian(self.order)
-        return matrix_products([(ginv, d) for d in dg])
+        adj, dg = self._truncated_jacobian(self.order)
+        return matrix_products([(adj, d) for d in dg])
 
     @cached_property
     def right(self):
-        ginv, dg = self._truncated_jacobian(self.order)
-        return matrix_products([(d, ginv) for d in dg])
+        adj, dg = self._truncated_jacobian(self.order)
+        return matrix_products([(d, adj) for d in dg])
 
     @cached_property
     def sub(self) -> Substitution:
@@ -142,8 +161,9 @@ class _Currents:
 
         The trace is cyclic, so of the six orderings of M_a M_b M_c the
         three even ones have one trace and the three odd ones another, and
-        the (a<b<c) component is tr([M_a, M_b] M_c).  The right currents
-        R_a = g M_a g^{-1} give the same traces.
+        the (a<b<c) component is tr([M_a, M_b] M_c), that is
+        tr([N_a, N_b] N_c) / det(g)^3 for the numerators N_a.  The right
+        numerators d_a g adj(g) = g N_a g^{-1} give the same traces.
         """
         n, order = self.phi.n, self.order - 1
         if n < 3:
@@ -153,16 +173,19 @@ class _Currents:
         elif self.reads_right:
             m = [_truncate(x, order) for x in self.right]
         else:
-            ginv, dg = self._truncated_jacobian(order)
-            m = matrix_products([(ginv, d) for d in dg])
+            adj, dg = self._truncated_jacobian(order)
+            m = matrix_products([(adj, d) for d in dg])
         ab = list(combinations(range(n - 1), 2))
         prods = matrix_products([(m[a], m[b]) for a, b in ab]
                                 + [(m[b], m[a]) for a, b in ab])
         comm = {k: x - y for k, x, y in zip(ab, prods, prods[len(ab):])}
         abc = list(combinations(range(n), 3))
         traces = trace_products([(comm[a, b], m[c]) for a, b, c in abc])
+        dinv = self.det.with_order(order).inverse()
+        cube = dinv * dinv * dinv
         return FormalForm(n, order, 3, {
-            (a + 1, b + 1, c + 1): t for (a, b, c), t in zip(abc, traces)})
+            (a + 1, b + 1, c + 1): t for (a, b, c), t in
+            zip(abc, jet_dots([[(t, cube)] for t in traces], n, order))})
 
     @cached_property
     def mu(self) -> FormalForm:
@@ -191,6 +214,10 @@ def _alpha2(c1: _Currents, c2: _Currents) -> FormalForm:
     The pullback placement is the one that satisfies Polyakov-Wiegmann
     exactly (tests pin it down).  With P_a and R_b the dt-coefficients of
     the two factors, the (a<b) component is tr(P_a R_b) - tr(P_b R_a).
+    Both are taken over the numerators, P'_a and R'_b, and scaled once by
+    the inverse of det(g1) (det g2 o f1): substitution is a ring map, so the
+    pulled denominator is the pullback of det g2, a polynomial of low
+    degree, and the one inverse is taken after the substitution.
     """
     n, order, sub = c1.phi.n, c1.order, c1.sub
     # dphi[c][a] = d_a phi_c, and f1^*(N dt_c) = (N o f1) sum_a dphi[c][a] dt_a
@@ -206,9 +233,11 @@ def _alpha2(c1: _Currents, c2: _Currents) -> FormalForm:
     ab = list(combinations(rng, 2))
     traces = trace_products([(p[a], r[b]) for a, b in ab]
                             + [(p[b], r[a]) for a, b in ab])
+    scale = (c1.det * sub.jet(c2.det)).inverse()
+    comps = jet_dots([[(x - y, scale)]
+                      for x, y in zip(traces, traces[len(ab):])], n, order)
     return FormalForm(n, order, 2, {
-        (a + 1, b + 1): x - y
-        for (a, b), x, y in zip(ab, traces, traces[len(ab):])})
+        (a + 1, b + 1): f for (a, b), f in zip(ab, comps)})
 
 
 def _alpha_tilde(c1: _Currents, c2: _Currents, c21: _Currents) -> FormalForm:
@@ -313,7 +342,7 @@ def d1_compare(x: FormalVectorField, y: FormalVectorField):
     ring map that keeps the s*u coordinate; every step of alpha~ is a ring
     operation, a rational scaling or the inverse of a unit; and both rings
     call an element a unit exactly when its constant term is nonzero, so
-    the Jacobian inverse pivots alike in both.
+    the determinant that alpha2 inverts is a unit in both.
 
     On this path alpha~ is alpha2: the Jacobian of id + sX, of id + uY and
     of their composite is the identity plus a matrix in the ideal (s, u),

@@ -158,7 +158,8 @@ def gl_act(a_matrix, v: VAState) -> VAState:
 
 def msv_defect(x: FormalVectorField, y: FormalVectorField,
                v: VAState) -> VAState:
-    """D(X,Y)v = [rho_W(X), rho_W(Y)] v - rho_W([X,Y]) v.
+    """D(X,Y)v = [rho_W(X), rho_W(Y)] v - rho_W([X,Y]) v, with the
+    bracket taken whole (:func:`exact_bracket`).
 
     Nonzero exactly because the vector fields act only projectively; the
     defect is the extension cocycle applied to v.
@@ -167,9 +168,22 @@ def msv_defect(x: FormalVectorField, y: FormalVectorField,
     return first - rho_w(_bracket_memo(x, y), v)
 
 
+def exact_bracket(x: FormalVectorField,
+                  y: FormalVectorField) -> FormalVectorField:
+    """[X, Y] of the polynomials X and Y with every term kept.
+
+    The zero modes act on the whole polynomial, so a bracket truncated at
+    the fields' order would leave a defect that is no cocycle.  Its terms
+    have degree at most deg X + deg Y - 1, and it is formed at that order
+    when it lies above the fields' own.
+    """
+    order = max(x.order, x.degree() + y.degree() - 1)
+    return vf_bracket(x.with_order(order), y.with_order(order))
+
+
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _bracket_memo(x: FormalVectorField, y: FormalVectorField):
-    return vf_bracket(x, y)
+    return exact_bracket(x, y)
 
 
 on_cache_clear(_tau_w_memo.cache_clear)

@@ -18,10 +18,12 @@ the kernel's generic path.
 
 A jet is a unit when its constant term is; :meth:`JetSeries.inverse`
 inverts it over any coefficient ring.  Matrices of scalars or of jets have
-one inverse, :func:`_matrix_inverse`, an elimination pivoting on units.
-Products of jet matrices and their traces are sums of jet products, and
-:func:`matrix_products` and :func:`trace_products` hand a whole batch of
-them to the kernel in one call (:func:`jet_dots`).
+one inverse, :func:`_matrix_inverse`, Gauss-Jordan elimination pivoting on
+units; :mod:`formaldisk.gms` does not use it, and takes its Jacobians'
+adjugates and determinants by cofactors instead (:func:`adjugate`), which
+invert nothing.  Products of jet matrices and their traces are sums of jet
+products, and :func:`matrix_products` and :func:`trace_products` hand a
+whole batch of them to the kernel in one call (:func:`jet_dots`).
 
 Truncation semantics worth remembering:
 
@@ -492,6 +494,15 @@ class FormalVectorField:
     def vanishes_at_origin(self):
         return all(not f.constant_term() for f in self.comps)
 
+    def degree(self):
+        """The largest total degree of a stored term; 0 for the zero
+        field."""
+        return max((sum(e) for f in self.comps for e in f.coeffs), default=0)
+
+    def with_order(self, order):
+        return FormalVectorField(self.n, order,
+                                 [f.with_order(order) for f in self.comps])
+
     def __add__(self, other):
         _check_same(self, other)
         return FormalVectorField(self.n, self.order,
@@ -776,6 +787,48 @@ def jet_invert(x):
             raise InvertibilityError("constant term of matrix is singular")
         return JetMatrix(x.n, x.order, inv)
     raise ShapeError(f"cannot invert {type(x).__name__}")
+
+
+def adjugate(m: JetMatrix):
+    """(adj m, det m) by cofactors, over any coefficient ring; no entry is
+    inverted, so a singular matrix has both too.
+
+    The minor of the rows R and columns C (increasing tuples) is expanded
+    along its first row, sum_j (-1)^j m[R_0][C_j] minor(R - R_0, C - C_j).
+    The minors that the cofactors adj[j][i] = (-1)^(i+j) minor(rows - i,
+    cols - j) and the determinant need are collected from the top down and
+    formed from the bottom up, each once, the minors of one size in one
+    kernel call.
+    """
+    n, order, e = m.n, m.order, m.entries
+    full = tuple(range(n))
+
+    def drop(t, k):
+        return t[:k] + t[k + 1:]
+
+    need = [set() for _ in range(n + 1)]
+    need[n].add((full, full))
+    need[n - 1].update((drop(full, i), drop(full, j))
+                       for i in full for j in full)
+    for k in range(n, 1, -1):
+        need[k - 1].update((r[1:], drop(c, j))
+                           for r, c in need[k] for j in range(k))
+    minors = {((), ()): JetSeries.one(n, order)}
+    minors.update({((i,), (j,)): e[i][j] for i in full for j in full})
+    signed = (e, [[-f for f in row] for row in e])
+    for k in range(2, n + 1):
+        keys = sorted(need[k])
+        minors.update(zip(keys, jet_dots(
+            [[(signed[j & 1][r[0]][c[j]], minors[r[1:], drop(c, j)])
+              for j in range(k)] for r, c in keys], n, order)))
+
+    def cofactor(i, j):
+        minor = minors[drop(full, i), drop(full, j)]
+        return -minor if (i + j) & 1 else minor
+
+    return (JetMatrix(n, order, [[cofactor(i, j) for i in full]
+                                 for j in full]),
+            minors[full, full])
 
 
 def poincare_homotopy(w: FormalForm) -> FormalForm:

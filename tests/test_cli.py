@@ -62,6 +62,20 @@ class TestDispatch:
             "name": "defect equals sign * rho_omega2(ch2)", "ok": True,
             "detail": "72/72 states"}
 
+    @pytest.mark.parametrize("x, y, order, max_c0, states", [
+        ("t1^5 d1", "t1^5 d2", "10", "2", 30),
+        ("t1^4 d1", "t1^4*t2 d2", "8", "1", 15),
+        ("t1^5 d1", "t1^5 d1", "6", "0", 5),
+    ], ids=["degree-9", "degree-8", "self"])
+    def test_msv_check_bracket_within_jet_order(self, capsys, x, y, order,
+                                                max_c0, states):
+        # the jet order holds [X, Y]; [X, X] = 0 at every order
+        code, doc = run_inproc(
+            ["msv-check", "--rank", "2", "--x", x, "--y", y, "--jet-order",
+             order, "--max-weight", "1", "--max-c0", max_c0], capsys)
+        assert code == 0
+        assert doc["checks"][0]["detail"] == f"{states}/{states} states"
+
     def test_ch2_c1_atiyah(self, capsys):
         code, doc = run_inproc(["ch2", "--rank", "2", "--x", "t1*t2 d1",
                                 "--y", "t1*t2 d2"], capsys)
@@ -632,6 +646,21 @@ class TestNumericFlags:
         assert (code, out) == (2, "")
         assert err == (f"error: --rank {argv[2]} leaves no {degree}-form to "
                        f"compare; this check needs --rank >= {degree}\n")
+
+    @pytest.mark.parametrize("x, y, order, top", [
+        ("t1^5 d1", "t1^5 d2", "6", 9),
+        ("t1^5 d1", "t1^5 d2", "8", 9),
+        ("t1^4 d1", "t1^4*t2 d2", "6", 8),
+    ])
+    def test_msv_bracket_above_jet_order_is_usage_error(self, x, y, order,
+                                                         top):
+        # the defect's bracket has a term the jet order does not hold
+        code, out, err = run_captured(
+            ["msv-check", "--rank", "2", "--x", x, "--y", y, "--jet-order",
+             order, "--max-weight", "1", "--max-c0", "0"])
+        assert (code, out) == (2, "")
+        assert err == (f"error: [X, Y] has a term of degree {top}, above "
+                       f"--jet-order {order}; raise --jet-order to {top}\n")
 
     def test_rank_is_refused_after_the_operands_parse(self):
         code, out, err = run_captured(

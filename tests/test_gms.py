@@ -114,6 +114,18 @@ def wedge_alpha2(f1, f2):
     return _pairing(_lifted(f1), _lifted(f2)).with_order(f1.order)
 
 
+def _instrument(monkeypatch):
+    """The orders of the Jacobian adjugates that gms builds and of the jets
+    that it inverts, as they are taken."""
+    adjugates, inverses = [], []
+    real_adjugate, real_inverse = gms.adjugate, JetSeries.inverse
+    monkeypatch.setattr(gms, "adjugate", lambda m: adjugates.append(m.order)
+                        or real_adjugate(m))
+    monkeypatch.setattr(JetSeries, "inverse", lambda f: inverses.append(
+        f.order) or real_inverse(f))
+    return adjugates, inverses
+
+
 class TestTraceComponents:
     """alpha2 and alpha3 are taken by components; the whole-matrix wedge
     products are the reference."""
@@ -133,21 +145,19 @@ class TestTraceComponents:
         assert a3 == wedge_alpha3(f)
 
     def test_jacobian_inverse_counts(self, monkeypatch, rng):
-        calls = []
-        real = gms.jet_invert
-        monkeypatch.setattr(gms, "jet_invert",
-                            lambda m: calls.append(m) or real(m))
+        calls, inverses = _instrument(monkeypatch)
         # below rank three alpha3 and mu are zero before any Jacobian work
         f = auto("(2*t1+t2^2, t2-t1^2)", 2)
         assert alpha3(f).is_zero() and mu(f).is_zero()
-        assert calls == []
+        assert calls == inverses == []
+        # one adjugate per automorphism; alpha2 inverts one determinant
         alpha2(f, f)
-        assert len(calls) == 2
-        # one inverse per automorphism: f1, f2 and f2 o f1
-        del calls[:]
+        assert len(calls) == 2 and len(inverses) == 1
+        # f1, f2 and f2 o f1, each determinant inverted once for alpha3
+        del calls[:], inverses[:]
         assert pw_check(random_unipotent(rng, 3, 4),
                         random_unipotent(rng, 3, 4))[0]
-        assert len(calls) == 3
+        assert len(calls) == 3 and len(inverses) == 4
 
 
 class TestWorkingOrder:
@@ -369,28 +379,24 @@ class TestVanEst:
 
 
 class TestCurrentSides:
-    """Each Jacobian inverse is built once, at the highest order a reader of
-    that automorphism takes: K+1 when alpha2 reads one of its currents, K
-    when only alpha3 or mu is read."""
-
-    def _inverse_orders(self, monkeypatch):
-        orders = []
-        real = gms.jet_invert
-        monkeypatch.setattr(gms, "jet_invert",
-                            lambda m: orders.append(m.order) or real(m))
-        return orders
+    """Each Jacobian adjugate and determinant is built once, at the highest
+    order a reader of that automorphism takes: K+1 when alpha2 reads one of
+    its current numerators, K when only alpha3 or mu is read.  alpha3
+    inverts the determinant at K, and alpha2 inverts its one scale at
+    K+1."""
 
     def test_pw_check_composite_at_input_order(self, monkeypatch, rng):
-        orders = self._inverse_orders(monkeypatch)
+        orders, inverses = _instrument(monkeypatch)
         assert pw_check(random_unipotent(rng, 3, 4),
                         random_unipotent(rng, 3, 4))[0]
         assert sorted(orders) == [4, 5, 5]
-        del orders[:]
+        assert sorted(inverses) == [4, 4, 4, 5]
+        del orders[:], inverses[:]
         alpha3(random_unipotent(rng, 3, 4))
-        assert orders == [4]
+        assert orders == inverses == [4]
 
     def test_van_est_forms_no_composite(self, monkeypatch):
-        orders = self._inverse_orders(monkeypatch)
+        orders, _ = _instrument(monkeypatch)
         x = parse_vector_field("t1*t3 d1 + 1/2*t2^2 d3", 3, 4)
         y = parse_vector_field("t2*t3 d2 + t1*t3 d3", 3, 4)
         assert d1_compare(x, y)[2]

@@ -293,6 +293,19 @@ class TestMSV:
             assert msv_defect(x, y, v) == \
                 rho_omega2(c2, v).scale(MSV_COCYCLE_SIGN)
 
+    def test_bracket_above_the_fields_order(self):
+        # [X, Y] = 4 t1^7 t2 d2 lies above order 6; truncated there, the
+        # defect failed on 11 of these 15 states
+        x, y = field("t1^4 d1", 2), field("t1^4*t2 d2", 2)
+        bracket = hc.exact_bracket(x, y)
+        assert bracket.order == 8 and bracket.degree() == 8
+        assert hc.exact_bracket(x, x).is_zero()
+        assert vf_bracket(x, y).is_zero()
+        c2 = ch2_gf(x, y)
+        for v in monomial_states(2, TruncationPolicy(5, 9), 1, 1):
+            assert msv_defect(x, y, v) == \
+                rho_omega2(c2, v).scale(MSV_COCYCLE_SIGN)
+
     def test_rank_three_sample(self, rng):
         pol = TruncationPolicy(8, 10)
         fields = basis_monomial_fields(3, 6, 2, min_degree=2)

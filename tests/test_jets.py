@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from formaldisk.errors import ClosednessError, InvertibilityError, ShapeError
 from formaldisk.jets import (FormalForm, FormalVectorField, FormMatrix,
-                             JetAutomorphism, JetMatrix, JetSeries,
+                             JetAutomorphism, JetMatrix, JetSeries, adjugate,
                              basis_monomial_fields, contract, de_rham,
                              integrate_var, jacobian, jet_compose, jet_invert,
                              lie_derivative, matrix_products,
@@ -489,6 +489,25 @@ class TestInverse:
             return
         assert f.is_unit()
         assert f * f.inverse() == JetSeries.const(n, order, one)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_adjugate_over_each_ring(self, data):
+        """adj(m) m = m adj(m) = det(m) I at every rank, singular or not,
+        and adj(m) = det(m) m^{-1} when m is invertible."""
+        n = data.draw(st.integers(1, 4))
+        order = data.draw(st.integers(0, 2 if n == 4 else 3))
+        entry, _ = ring_jets(data, n, order)
+        rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+        m = JetMatrix(n, order, rows)
+        adj, det = adjugate(m)
+        assert det == leibniz_det(rows)
+        zero = JetSeries.zero(n, order)
+        assert adj * m == m * adj == JetMatrix(n, order, [
+            [det if i == j else zero for j in range(n)] for i in range(n)])
+        if leibniz_det([[body(f.constant_term()) for f in row]
+                        for row in rows]):
+            assert adj == jet_invert(m).map_entries(lambda f: f * det)
 
 
 class TestHomotopy:
