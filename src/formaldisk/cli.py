@@ -12,6 +12,7 @@ Every run emits a single JSON document (sorted keys, canonical term order)
 on stdout; ``--out`` writes the same bytes to a file.  Exit status is 0 on
 success, 1 when a verification check fails, 2 on usage or parse errors
 and on any unexpected error, reported on one line with nothing on stdout.
+A term past ``--max-weight`` or ``--max-c0`` is refused naming the flag.
 """
 
 from __future__ import annotations
@@ -21,16 +22,15 @@ import functools
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import characters, conformal, feynman, gf, gms, hc, vertex
 from .constants import MSV_COCYCLE_SIGN
-from .errors import FormalDiskError, ParseError
+from .errors import FormalDiskError, ParseError, TruncationOverflowError
 from .grammar import (format_form, format_rational, format_state,
                       parse_automorphism, parse_state, parse_vector_field)
 from .jets import JetSeries, basis_monomial_fields
-from .vertex import TruncationPolicy, VAState
+from .vertex import CODE_LIMITS, TruncationPolicy, VAState
 
 SCHEMA = "formaldisk-result/1"
 
@@ -52,10 +52,6 @@ def _emit(doc, out_path):
             raise FormalDiskError(
                 f"cannot write --out {out_path}: {exc.strerror}") from exc
     sys.stdout.write(text)
-
-
-def _policy(args):
-    return TruncationPolicy(args.max_weight, args.max_c0)
 
 
 def _floats(text, flag, count=None):
@@ -110,14 +106,14 @@ def _check_truncation(args):
 
 
 def cmd_mode_apply(args):
-    pol = _policy(args)
+    pol = TruncationPolicy(args.max_weight, args.max_c0)
     a = parse_state(args.state, args.rank, pol)
     v = parse_state(args.on, args.rank, pol)
     return {"payload": format_state(vertex.mode_apply(a, args.mode, v))}, []
 
 
 def cmd_borcherds(args):
-    pol = _policy(args)
+    pol = TruncationPolicy(args.max_weight, args.max_c0)
     a = parse_state(args.a, args.rank, pol)
     b = parse_state(args.b, args.rank, pol)
     c = parse_state(args.c, args.rank, pol)
@@ -127,26 +123,20 @@ def cmd_borcherds(args):
 
 
 def cmd_rho_w(args):
-    pol = _policy(args)
+    pol = TruncationPolicy(args.max_weight, args.max_c0)
     x = parse_vector_field(args.x, args.rank, args.jet_order)
     v = parse_state(args.on, args.rank, pol)
     return {"payload": format_state(hc.rho_w(x, v))}, []
 
 
 def cmd_msv_check(args):
-    x = parse_vector_field(args.x, args.rank, args.jet_order)
-    y = parse_vector_field(args.y, args.rank, args.jet_order)
-    top = hc.exact_bracket(x, y).degree()
-    if top > args.jet_order:
-        raise FormalDiskError(
-            f"[X, Y] has a term of degree {top}, above --jet-order "
-            f"{args.jet_order}; raise --jet-order to {top}")
+    x, y = hc.lift_pair(parse_vector_field(args.x, args.rank, args.jet_order),
+                        parse_vector_field(args.y, args.rank, args.jet_order))
     cocycle = gf.ch2_gf(x, y)
-    pol = TruncationPolicy(args.max_weight + 4, args.max_c0 + 8)
     monos = vertex.enumerate_basis(args.rank, args.max_weight, args.max_c0)
     bad = 0
     for mono in monos:
-        v = VAState(args.rank, pol, {mono: Fraction(1)})
+        v = VAState(args.rank, CODE_LIMITS, {mono: 1})
         lhs = hc.msv_defect(x, y, v)
         rhs = hc.rho_omega2(cocycle, v).scale(MSV_COCYCLE_SIGN)
         if lhs != rhs:
@@ -194,9 +184,8 @@ def cmd_gms_d1(args):
 
 
 def cmd_conformal_check(args):
-    pol = TruncationPolicy(args.max_weight + 4, args.max_c0 + 4)
     monos = vertex.enumerate_basis(args.rank, args.max_weight, args.max_c0)
-    states = [VAState(args.rank, pol, {m: Fraction(1)}) for m in monos]
+    states = [VAState(args.rank, CODE_LIMITS, {m: 1}) for m in monos]
     verdicts = conformal.conformal_axiom_check(args.rank, states)
     fields = basis_monomial_fields(args.rank, args.jet_order, 3)
     defect_ok = all(d[2] and d[1] for d in map(conformal.c1_defect, fields))
@@ -425,6 +414,10 @@ def main(argv=None):
         return 0 if all(c["ok"] for c in checks) else 1
     except ParseError as exc:
         sys.stderr.write(exc.caret_diagnostic() + "\n")
+        return 2
+    except TruncationOverflowError as exc:  # only a user's policy refuses
+        sys.stderr.write(f"error: {exc}; raise --{exc.bound.replace('_', '-')}"
+                         f" to at least {exc.needed}\n")
         return 2
     except FormalDiskError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -14,7 +14,7 @@ from .errors import ShapeError
 from .gf import c1_gf
 from .hc import rho_w, state_to_jet, tau_omega1
 from .jets import FormalForm, FormalVectorField, JetSeries
-from .vertex import (KIND_B, KIND_C, TruncationPolicy, VAState, mode_apply,
+from .vertex import (CODE_LIMITS, KIND_B, KIND_C, VAState, mode_apply,
                      translate)
 
 
@@ -69,8 +69,7 @@ def c1_defect(x: FormalVectorField):
     the operator kills the image of tau_omega1 (the T c_0 span), and
     ``matches`` compares alpha_form with the calibrated sign times c1(X).
     """
-    n, order = x.n, x.order
-    policy = TruncationPolicy(6, max(8, order + 2))
+    n, order, policy = x.n, x.order, CODE_LIMITS
     lvec = virasoro_vector(n, policy)
     moved = rho_w(x, lvec)
 

@@ -20,7 +20,11 @@ class ClosednessError(FormalDiskError):
 
 
 class TruncationOverflowError(FormalDiskError):
-    """A state operation produced a term past its truncation policy's bounds."""
+    """A term past the policy field ``bound``; ``needed`` admits it."""
+
+    def __init__(self, message, bound, needed):
+        super().__init__(message)
+        self.bound, self.needed = bound, needed
 
 
 class ParseError(FormalDiskError):

@@ -367,5 +367,5 @@ def d1_compare(x: FormalVectorField, y: FormalVectorField):
     myx = su_part(alpha2(_nilpotent_deform(y, "s"),
                          _nilpotent_deform(x, "u")))
     lie_level = mxy - myx
-    target = ch2_gf(x, y).scale(GMS_D1_SCALE)
-    return lie_level, ch2_gf(x, y), lie_level == target
+    c2 = ch2_gf(x, y)
+    return lie_level, c2, lie_level == c2.scale(GMS_D1_SCALE)

@@ -168,17 +168,17 @@ def msv_defect(x: FormalVectorField, y: FormalVectorField,
     return first - rho_w(_bracket_memo(x, y), v)
 
 
+def lift_pair(x: FormalVectorField, y: FormalVectorField):
+    """X and Y at deg X + deg Y - 1, or X's order when higher: the order of
+    every term of [X, Y] and ch2(X, Y), which the zero modes act on whole."""
+    order = max(x.order, x.degree() + y.degree() - 1)
+    return x.with_order(order), y.with_order(order)
+
+
 def exact_bracket(x: FormalVectorField,
                   y: FormalVectorField) -> FormalVectorField:
-    """[X, Y] of the polynomials X and Y with every term kept.
-
-    The zero modes act on the whole polynomial, so a bracket truncated at
-    the fields' order would leave a defect that is no cocycle.  Its terms
-    have degree at most deg X + deg Y - 1, and it is formed at that order
-    when it lies above the fields' own.
-    """
-    order = max(x.order, x.degree() + y.degree() - 1)
-    return vf_bracket(x.with_order(order), y.with_order(order))
+    """[X, Y] with every term kept: the bracket of :func:`lift_pair`."""
+    return vf_bracket(*lift_pair(x, y))
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)

@@ -14,11 +14,11 @@ The tests keep the standard normally-ordered recursion (the l = -1
 specialisation of the mode-composition identity, peeling the canonical
 leading symbol) in ``tests/recursion.py`` as its oracle.
 
-Bookkeeping bounds on conformal weight and c_0-degree model the completed
-algebra at finite size; all arithmetic below the bounds is exact, and any
-term past a bound is refused with :class:`TruncationOverflowError`, never
-dropped: a dropped term could have fed terms below the bounds (b_(0)
-differentiates in c_0).
+A :class:`TruncationPolicy` bounds weight and c_0-degree to guard input from
+outside: a term past a bound is refused, naming the bound and a value that
+admits it, never dropped, as it could feed terms below the bounds (b_(0)
+differentiates in c_0).  No policy changes a result or bounds a loop, so a
+check whose flags bound its states works under ``CODE_LIMITS``.
 
 Inside this module a symbol (kind, j, m) is one int, its code
 ``kind << 40 | j << 20 | -m``: kind, index and weight each have a field,
@@ -199,6 +199,9 @@ class TruncationPolicy:
         return f"TruncationPolicy(weight<={self.max_weight}, c0<={self.max_c0})"
 
 
+CODE_LIMITS = TruncationPolicy(_LOW, _LOW)  # the symbol code's own limits
+
+
 def _check_compatible(a, b):
     if a.n != b.n:
         raise ShapeError("states have different rank")
@@ -237,10 +240,12 @@ class VAState:
                 if not 1 <= s[1] <= n:
                     raise ShapeError(f"symbol index {s[1]} out of range 1..{n}")
                 make_sym(*s)
-            if -sum(s[2] for s in mono) > policy.max_weight or \
-                    sum(1 for s in mono if s[0] == KIND_C and s[2] == 0) > \
-                    policy.max_c0:
-                raise TruncationOverflowError(f"monomial exceeds policy: {mono}")
+            weight = -sum(s[2] for s in mono)
+            c0 = sum(1 for s in mono if s[0] == KIND_C and s[2] == 0)
+            for bound, needed in (("max_weight", weight), ("max_c0", c0)):
+                if needed > getattr(policy, bound):
+                    raise TruncationOverflowError(
+                        f"monomial exceeds policy: {mono}", bound, needed)
             # canonical triples give sorted codes
             codes = tuple(map(_code, mono))
             clean[codes] = clean[codes] + c if codes in clean else c
@@ -348,8 +353,7 @@ class VAState:
                 continue
             k = _intern(mono)
             if _WEIGHT[k] > policy.max_weight or _C0[k] > policy.max_c0:
-                raise TruncationOverflowError(
-                    f"monomial exceeds policy: {_decode(mono)}")
+                VAState(self.n, policy, {_decode(mono): c})  # refuses it
             terms[k] = norm_coeff(c)
         return VAState(self.n, policy, terms, _clean=True)
 
@@ -411,11 +415,11 @@ def _mode_state(acc, n, policy):
     """A mode product's id-keyed terms as a state: the weights are within
     the bound, so only the c0 bound can trip; a term above it is refused,
     naming the first such monomial in print order."""
-    max_c0 = policy.max_c0
-    over = [_decode(_MONO[k]) for k in acc if _C0[k] > max_c0]
+    over = [k for k in acc if _C0[k] > policy.max_c0]
     if over:
-        raise TruncationOverflowError(
-            f"mode product exceeds c0 bound: {min(over, key=print_key)}")
+        mono = min((_decode(_MONO[k]) for k in over), key=print_key)
+        raise TruncationOverflowError(f"mode product exceeds c0 bound: {mono}",
+                                      "max_c0", max(_C0[k] for k in over))
     return VAState(n, policy, acc, _clean=True)
 
 
@@ -440,7 +444,7 @@ def mode_apply(a: VAState, m: int, v: VAState) -> VAState:
                 if w > policy.max_weight:
                     raise TruncationOverflowError(
                         f"mode product weight {w} exceeds bound "
-                        f"{policy.max_weight}")
+                        f"{policy.max_weight}", "max_weight", w)
                 raise ShapeError(f"mode product weight {w} does not fit the "
                                  f"symbol code: it must be below {_LOW + 1}")
             res = _wick_mono(aid, m, vid)

@@ -138,7 +138,8 @@ def mode_apply(a: VAState, m: int, v: VAState) -> VAState:
             w = vertex._WEIGHT[aid] + vertex._WEIGHT[vid] - m - 1
             if w > policy.max_weight:
                 raise TruncationOverflowError(
-                    f"mode product weight {w} exceeds bound {policy.max_weight}")
+                    f"mode product weight {w} exceeds bound "
+                    f"{policy.max_weight}", "max_weight", w)
             _kernel.poly_axpy(acc, _mode_mono(aid, m, vid), ac * vc)
     return vertex._mode_state(acc, a.n, policy)
 

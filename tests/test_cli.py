@@ -9,10 +9,13 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, seed, settings,
+                        strategies as st)
 
 from formaldisk import cli
 from formaldisk.cli import main
+from formaldisk.errors import FormalDiskError
+from formaldisk.grammar import parse_vector_field
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -314,12 +317,15 @@ class TestContract:
     def test_c0_overflow_names_a_monomial(self, args, named, capsys):
         # a run stops at a term above the c0 bound and names it; on
         # these inputs the first in print order is the one the product
-        # met first
+        # met first.  The flag's named value admits the one product
         assert main(["rho-w", *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == \
-            f"error: mode product exceeds c0 bound: {named}\n"
+        head, _, needed = captured.err.rpartition(" ")
+        assert head == f"error: mode product exceeds c0 bound: {named}; " \
+            "raise --max-c0 to at least"
+        assert main(["rho-w", *args, "--max-c0", needed.strip()]) == 0
+        capsys.readouterr()
 
     def test_long_literal_is_a_parse_error(self, capsys):
         x = "9" * 5000 + " d1"
@@ -471,6 +477,13 @@ def run_captured(argv):
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+# ch2 has degree 6 here and the bracket degree 4: at jet order 5 only a
+# cocycle cut at the fields' order would fail
+MSV_ABOVE_ORDER = ["--rank", "3", "--x", "-t1*t2^4 d1",
+                   "--y", "-d1 - 3/2*t1*t2^2*t3^2 d1", "--jet-order", "5",
+                   "--max-weight", "2", "--max-c0", "0"]
 
 
 class TestNumericFlags:
@@ -647,20 +660,35 @@ class TestNumericFlags:
         assert err == (f"error: --rank {argv[2]} leaves no {degree}-form to "
                        f"compare; this check needs --rank >= {degree}\n")
 
-    @pytest.mark.parametrize("x, y, order, top", [
-        ("t1^5 d1", "t1^5 d2", "6", 9),
-        ("t1^5 d1", "t1^5 d2", "8", 9),
-        ("t1^4 d1", "t1^4*t2 d2", "6", 8),
-    ])
-    def test_msv_bracket_above_jet_order_is_usage_error(self, x, y, order,
-                                                         top):
-        # the defect's bracket has a term the jet order does not hold
-        code, out, err = run_captured(
-            ["msv-check", "--rank", "2", "--x", x, "--y", y, "--jet-order",
-             order, "--max-weight", "1", "--max-c0", "0"])
-        assert (code, out) == (2, "")
-        assert err == (f"error: [X, Y] has a term of degree {top}, above "
-                       f"--jet-order {order}; raise --jet-order to {top}\n")
+    @pytest.mark.parametrize("argv, states", [
+        *((["--rank", "2", "--x", x, "--y", y, "--jet-order", order,
+            "--max-weight", "1", "--max-c0", "0"], 5)
+          for x, y, order in (("t1^5 d1", "t1^5 d2", "6"),
+                              ("t1^5 d1", "t1^5 d2", "8"),
+                              ("t1^4 d1", "t1^4*t2 d2", "6"),
+                              ("t1^5 d1", "t1^5 d2", "10"))),
+        (MSV_ABOVE_ORDER, 34),
+    ], ids=["bracket9-order6", "bracket9-order8", "bracket8-order6",
+            "bracket9-order10", "ch2-above-order"])
+    def test_msv_above_jet_order_is_computed_whole(self, argv, states):
+        # the bracket, and in the last case ch2 alone, has a term above
+        # --jet-order; the check lifts the fields to hold every term
+        code, out, err = run_captured(["msv-check", *argv])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["checks"][0]["detail"] == f"{states}/{states} states"
+        if argv is MSV_ABOVE_ORDER:
+            assert doc["result"]["cocycle"] == "-12*t2^5*t3*dt2^dt3"
+
+    def test_msv_cocycle_truncated_at_jet_order_fails(self, monkeypatch):
+        # mutation: ch2 cut at --jet-order, as the fields' order left it,
+        # loses the cocycle's one term, and the identity must fail
+        whole = cli.gf.ch2_gf
+        monkeypatch.setattr(cli.gf, "ch2_gf",
+                            lambda x, y: whole(x, y).with_order(5))
+        code, out, _ = run_captured(["msv-check", *MSV_ABOVE_ORDER])
+        assert code == 1
+        assert json.loads(out)["result"]["cocycle"] == "0"
 
     def test_rank_is_refused_after_the_operands_parse(self):
         code, out, err = run_captured(
@@ -746,3 +774,93 @@ def test_fuzz_exit_codes_and_output(profiles, argv):
         assert out == ""
     else:
         json.loads(out)  # exactly one document: trailing text fails here
+
+
+# The identity checks: each checks a theorem, so on well-formed input it
+# exits 0, and exit 1 would be a fault of the program.  Their inputs are
+# drawn as by the random search that found such faults: rank 1-3, fields of
+# one to three terms of degree 0-5, automorphisms t_i or 2*t_i plus up to
+# two terms of degree <= 3, states of up to two symbols of mode -3..0,
+# jet orders 2-7 and policy bounds 0-2.
+COEFFS = ["1", "2", "-1", "1/2", "-3/2"]
+
+
+def _monomial(draw, rank, max_degree):
+    """A coefficient times a product of variables, as text."""
+    variables = [f"t{draw(st.integers(1, rank))}"
+                 for _ in range(draw(st.integers(0, max_degree)))]
+    return "*".join([draw(st.sampled_from(COEFFS)), *variables])
+
+
+def _field(draw, rank):
+    return " + ".join(
+        f"{_monomial(draw, rank, 5)} d{draw(st.integers(1, rank))}"
+        for _ in range(draw(st.integers(1, 3))))
+
+
+def _automorphism(draw, rank):
+    comps = [" + ".join([f"{draw(st.sampled_from(['', '2*']))}t{i}",
+                         *(_monomial(draw, rank, 3)
+                           for _ in range(draw(st.integers(0, 2))))])
+             for i in range(1, rank + 1)]
+    return f"({', '.join(comps)})"
+
+
+def _state(draw, rank):
+    symbols = [f"{draw(st.sampled_from('bc'))}[{draw(st.integers(1, rank))},"
+               f"{draw(st.integers(-3, 0))}]"
+               for _ in range(draw(st.integers(1, 2)))]
+    return "*".join(symbols)
+
+
+@st.composite
+def identity_calls(draw):
+    command = draw(st.sampled_from(
+        ["msv-check", "pw-check", "gms-d1", "borcherds", "conformal-check",
+         "char-identity", "witten-exp-check"]))
+    rank = draw(st.integers(1, 3))
+    argv = [command, "--rank", str(rank)]
+    order = str(draw(st.integers(2, 7)))
+    if command in ("msv-check", "gms-d1"):
+        argv += ["--x", _field(draw, rank), "--y", _field(draw, rank),
+                 "--jet-order", order]
+    elif command == "pw-check":
+        argv += ["--f1", _automorphism(draw, rank),
+                 "--f2", _automorphism(draw, rank), "--jet-order", order]
+    elif command == "borcherds":
+        argv += [f"--{name}={_state(draw, rank)}" for name in "abc"]
+        argv += [f"--{name}={draw(st.integers(-2, 2))}" for name in "lm"]
+    elif command == "conformal-check":
+        argv += ["--jet-order", order]
+    else:
+        argv += [f"--{name}={draw(st.integers(0, 3))}"
+                 for name in ("chern-degree", "q-order")]
+    if command in ("msv-check", "borcherds", "conformal-check"):
+        # borcherds's states weigh up to 6: wider bounds reach its products
+        top = 8 if command == "borcherds" else 2
+        argv += [f"--{name}={draw(st.integers(0, top))}"
+                 for name in ("max-weight", "max-c0")]
+    return argv
+
+
+@example(["msv-check", *MSV_ABOVE_ORDER])
+@example(["msv-check", "--rank", "2", "--x", "t1^5 d1", "--y", "t1^5 d2",
+          "--max-weight", "1", "--max-c0", "0", "--jet-order", "10"])
+@seed(7)
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(identity_calls())
+def test_identity_checks_exit_0_or_2(argv):
+    code, out, err = run_captured(argv)
+    assert code in (0, 2) and "Traceback" not in err, (argv, code, err)
+    assert not err.startswith("error: unexpected"), (argv, err)
+    if "exceeds" in err:
+        assert "--max-weight" in err or "--max-c0" in err, (argv, err)
+    if argv[0] == "msv-check":
+        rank, order = int(argv[2]), int(argv[argv.index("--jet-order") + 1])
+        try:
+            for flag in ("--x", "--y"):
+                parse_vector_field(argv[argv.index(flag) + 1], rank, order)
+        except FormalDiskError:
+            return
+        assert code == 0, (argv, err)

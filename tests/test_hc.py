@@ -306,6 +306,18 @@ class TestMSV:
             assert msv_defect(x, y, v) == \
                 rho_omega2(c2, v).scale(MSV_COCYCLE_SIGN)
 
+    def test_lift_pair(self):
+        # both fields rise to deg X + deg Y - 1 = 8, and keep their terms
+        x, y = field("t1^4 d1", 2), field("t1^4*t2 d2", 2)
+        lx, ly = hc.lift_pair(x, y)
+        assert (lx.order, ly.order) == (8, 8)
+        assert (lx.with_order(6), ly.with_order(6)) == (x, y)
+        assert lx.degree() == 4 and ly.degree() == 5
+        # a pair that fits its own order is left as it is
+        x, y = field("t1^3 d1", 2), field("t1*t2^2 d2", 2)
+        assert hc.lift_pair(x, y) == (x, y)
+        assert hc.lift_pair(x, y)[0].order == 6
+
     def test_rank_three_sample(self, rng):
         pol = TruncationPolicy(8, 10)
         fields = basis_monomial_fields(3, 6, 2, min_degree=2)

@@ -484,7 +484,8 @@ class TestSymbolCode:
 
     @pytest.mark.parametrize("state, bound, err", [
         ("c[1,-5000000000]", 8,
-         "error: monomial exceeds policy: ((1, 1, -5000000000),)\n"),
+         "error: monomial exceeds policy: ((1, 1, -5000000000),); raise "
+         "--max-weight to at least 5000000000\n"),
         (f"c[1,-{EDGE + 1}]", 1 << 21,
          f"c[1,-{EDGE + 1}]\n^ symbol (1, 1, -{EDGE + 1}) does not fit the "
          f"symbol code: index and weight must be below {EDGE + 1}\n"),
